@@ -18,7 +18,6 @@ from . import flow as flowmod
 from .flow import classify_flow, clamp_pass, full_blanket_flow, no_clamp
 from .network import Network
 from .sampler import (
-    COVER_EVIDENCE_CHILD,
     GIBBS,
     OPTIMIZED_FWD_BWD,
     StrategySpec,
@@ -430,18 +429,15 @@ def explicit_transition_matrix(
         """Unordered movable pairs sharing a child, with the policy's gate."""
         cover = strategy.move_policy in _COVER_POLICIES
         if cover:
-            if strategy.cover_mode == COVER_EVIDENCE_CHILD:
-                good = {net.index[nid] for nid, v in ev.items() if v}
-            else:
-                good = set()
-                stack = [net.index[nid] for nid, v in ev.items() if v]
-                good.update(stack)
-                while stack:
-                    j = stack.pop()
-                    for i in net.parents[j]:
-                        if i not in good:
-                            good.add(i)
-                            stack.append(i)
+            good = set()
+            stack = [net.index[nid] for nid, v in ev.items() if v]
+            good.update(stack)
+            while stack:
+                j = stack.pop()
+                for i in net.parents[j]:
+                    if i not in good:
+                        good.add(i)
+                        stack.append(i)
         seenp = {}
         movable = set(ds) if strategy.flow_aware else set(free)
         for c in range(len(net.ids)):

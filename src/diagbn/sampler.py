@@ -50,11 +50,6 @@ _BLOCK_POLICIES = {BLOCK_SPOUSES_COVER, BLOCK_SPOUSES_PARENT_TRUE}
 _SWAP_POLICIES = {SWAP_SPOUSES_COVER, SWAP_SPOUSES_CHILD_TRUE, OPTIMIZED_RANDOM, OPTIMIZED_FWD_BWD}
 _COVER_POLICIES = {BLOCK_SPOUSES_COVER, SWAP_SPOUSES_COVER}
 
-# shared child qualifies when it signals observed positive evidence
-COVER_REACHES_EVIDENCE = "true-evidence-or-ancestor"
-# narrower reading: shared child must itself be a true evidence node
-COVER_EVIDENCE_CHILD = "true-evidence-child"
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -66,7 +61,6 @@ class StrategySpec:
     move_policy: str
     rule: str
     swap_fraction: float = 0.8
-    cover_mode: str = COVER_REACHES_EVIDENCE
 
     def __post_init__(self):
         if not 0.0 <= self.swap_fraction <= 1.0:
@@ -161,6 +155,17 @@ class SamplerState:
                 c = net.index[cid]
                 self.scope_children[j].append(c)
                 self.scope_q[j].append(1.0 - net.edge_p[(j, c)])
+        # visit orders, fixed for the chain: free diagnostic-sampled nodes by
+        # index, all free nodes in topological order, the diagnostic ones in
+        # reverse topological order, and the forward-sampled ones in order
+        self.diagnostic = [j for j in self.free if not self.forward_sampled[j]]
+        self.topo_free = [j for j in net.topo if self.is_free[j]]
+        self.topo_diagnostic_reversed = [
+            j for j in reversed(self.topo_free) if not self.forward_sampled[j]
+        ]
+        self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
+        self.pair_plan = None  # built by pair_nodes on first use
+        self.pair_unions = {}  # (a, b) -> _pair_union(a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [
             [1.0 - p for p in net.child_p[j]] for j in range(n)
@@ -366,13 +371,16 @@ def single_site_move(state: SamplerState, n, rule):
 
 
 def _pair_union(state, a, b):
-    touched = [a, b]
-    seen = {a, b}
-    for j in (a, b):
-        for c in state.scope_children[j]:
-            if c not in seen:
-                seen.add(c)
-                touched.append(c)
+    touched = state.pair_unions.get((a, b))
+    if touched is None:
+        touched = [a, b]
+        seen = {a, b}
+        for j in (a, b):
+            for c in state.scope_children[j]:
+                if c not in seen:
+                    seen.add(c)
+                    touched.append(c)
+        state.pair_unions[(a, b)] = touched
     return touched
 
 
@@ -479,16 +487,30 @@ def forward_redraw(state: SamplerState, n):
 # pairing
 
 
-def _qualifying_children(state: SamplerState, strategy: StrategySpec):
-    """Per free node, the children whose shared parents may pair this sweep."""
-    net = state.net
-    if strategy.move_policy in _COVER_POLICIES:
-        if strategy.cover_mode == COVER_EVIDENCE_CHILD:
-            good = [False] * len(net.ids)
-            for nid, value in state.ev.items():
-                if value:
-                    good[net.index[nid]] = True
-        elif strategy.cover_mode == COVER_REACHES_EVIDENCE:
+class _PairPlan:
+    """What pairing reads that stays fixed for one chain under one strategy.
+
+    `movable` lists the nodes pairing covers.  A candidate may pair with the
+    other movable parents of the children it pairs through (in child, then
+    parent order, without repeats).  Cover policies gate on the evidence
+    alone, and evidence and clamped nodes never change value within a chain,
+    so a candidate's spouse list is fixed unless a child-true gate reads a
+    free child.  `spouses` maps every candidate, in `movable` order, to its
+    fixed spouse list, or to None when `links` keeps its (child, other
+    movable parents) pairs for the gate to read on every sweep.
+    """
+
+    def __init__(self, state: SamplerState, strategy: StrategySpec):
+        net = state.net
+        x = state.x
+        fs = state.forward_sampled
+        self.strategy = strategy
+        self.movable = state.diagnostic if strategy.flow_aware else state.free
+        is_movable = [False] * len(net.ids)
+        for j in self.movable:
+            is_movable[j] = True
+        cover = strategy.move_policy in _COVER_POLICIES
+        if cover:
             # true evidence nodes and their ancestors: positive diagnostic reach
             good = [False] * len(net.ids)
             stack = [net.index[nid] for nid, value in state.ev.items() if value]
@@ -500,12 +522,33 @@ def _qualifying_children(state: SamplerState, strategy: StrategySpec):
                     if not good[i]:
                         good[i] = True
                         stack.append(i)
-        else:
-            raise ValueError(f"unknown cover_mode {strategy.cover_mode!r}")
-        return lambda c: good[c]
-    # child-true policies: the shared child is currently on, observed or sampled
-    x = state.x
-    return lambda c: bool(x[c])
+        self.spouses = {}
+        self.links = {}
+        for j in self.movable:
+            # pair only through children that carry evidence flow: a
+            # forward-sampled child couples nothing in the collapsed
+            # posterior, and gating on its sampled value biases the chain
+            links = [
+                (c, [b for b in net.parents[c] if b != j and is_movable[b]])
+                for c in net.children[j]
+                if (not cover or good[c]) and not (strategy.flow_aware and fs[c])
+            ]
+            if not links:
+                continue
+            if not cover and any(state.is_free[c] for c, _ in links):
+                self.spouses[j] = None
+                self.links[j] = links
+                continue
+            # child-true policies: the shared child is on, here fixed by evidence
+            on = [others for c, others in links if cover or x[c]]
+            if on:
+                self.spouses[j] = _spouse_union(on)
+
+
+def _spouse_union(groups):
+    if len(groups) == 1:
+        return groups[0]
+    return list(dict.fromkeys(b for others in groups for b in others))
 
 
 def pair_nodes(state: SamplerState, strategy: StrategySpec):
@@ -514,51 +557,40 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     Returns (pairs, singles) covering every movable node exactly once.  With
     flow-aware conditioning only diagnostic-sampled nodes are candidates;
     forward-sampled nodes are redrawn from their parents and never paired.
+    Child-true gates on free children read the current state on every call;
+    everything else comes from the chain's plan for this strategy.
     """
-    net = state.net
-    qualifies = _qualifying_children(state, strategy)
-    if strategy.flow_aware:
-        movable = [j for j in state.free if not state.forward_sampled[j]]
-    else:
-        movable = list(state.free)
-    movable_set = set(movable)
-    candidates = {}
-    for j in movable:
-        kids = [c for c in net.children[j] if qualifies(c)]
-        if strategy.flow_aware:
-            # pair only through children that carry evidence flow: a
-            # forward-sampled child couples nothing in the collapsed
-            # posterior, and gating on its sampled value biases the chain
-            kids = [c for c in kids if not state.forward_sampled[c]]
-        if kids:
-            candidates[j] = kids
-    order = list(candidates)
-    state.rng.shuffle(order)
-    matched = {}
+    plan = state.pair_plan
+    if plan is None or plan.strategy is not strategy:
+        plan = state.pair_plan = _PairPlan(state, strategy)
+    spouses = plan.spouses
+    if plan.links:
+        # child-true policies: the shared child is currently on, observed or sampled
+        x = state.x
+        spouses = {}
+        for j, mates in plan.spouses.items():
+            if mates is None:
+                live = [others for c, others in plan.links[j] if x[c]]
+                if not live:
+                    continue
+                mates = _spouse_union(live)
+            spouses[j] = mates
+    rng = state.rng
+    order = list(spouses)
+    rng.shuffle(order)
+    matched = set()
+    pairs = []
     for a in order:
         if a in matched:
             continue
-        partners = []
-        seen = set()
-        for c in candidates[a]:
-            for b in net.parents[c]:
-                if b != a and b in candidates and b not in matched and b not in seen:
-                    seen.add(b)
-                    partners.append(b)
+        partners = [b for b in spouses[a] if b not in matched]
         if partners:
-            b = partners[state.rng.randrange(len(partners))]
-            matched[a] = b
-            matched[b] = a
-    pairs = []
-    done = set()
-    for a in order:
-        if a in matched and a not in done:
-            b = matched[a]
+            b = partners[rng.randrange(len(partners))]
+            matched.add(a)
+            matched.add(b)
             pairs.append((a, b))
-            done.add(a)
-            done.add(b)
-    singles = [j for j in movable if j not in done]
-    assert 2 * len(pairs) + len(singles) == len(movable_set)
+    singles = [j for j in plan.movable if j not in matched]
+    assert 2 * len(pairs) + len(singles) == len(plan.movable)
     return pairs, singles
 
 
@@ -584,9 +616,8 @@ def _run_pair_events(state, strategy, pairs, singles):
 
 
 def _forward_tail(state, strategy):
-    for j in state.net.topo:
-        if state.is_free[j] and state.forward_sampled[j]:
-            forward_redraw(state, j)
+    for j in state.topo_forward:
+        forward_redraw(state, j)
 
 
 def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
@@ -607,9 +638,7 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
         if state.rng.random() < strategy.swap_fraction:
             swapping.add(a)
             swapping.add(b)
-    order = [j for j in state.net.topo if state.is_free[j]]
-    if backward:
-        order = [j for j in reversed(order) if not state.forward_sampled[j]]
+    order = state.topo_diagnostic_reversed if backward else state.topo_free
     done = set()
     for j in order:
         if j in done:
@@ -631,7 +660,7 @@ def run_sweep(state: SamplerState, strategy: StrategySpec):
         _fwd_bwd_sweep(state, strategy)
     elif policy == SINGLE_SITE:
         if strategy.flow_aware:
-            order = [j for j in state.free if not state.forward_sampled[j]]
+            order = list(state.diagnostic)
             state.rng.shuffle(order)
             for j in order:
                 single_site_move(state, j, strategy.rule)

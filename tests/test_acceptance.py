@@ -231,6 +231,7 @@ def _single_cause_hop_rate(net, ev, cause_idx, strategy, seed, sweeps):
     return hops / sweeps
 
 
+@pytest.mark.slow
 def test_criterion_6_pair_moves_hop_between_explanations():
     n_causes = 8
     nodes = [(f"c{i}", "model", 0.01) for i in range(n_causes)]
@@ -267,6 +268,7 @@ def bench_run():
     return report, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_strategy_separation(bench_run):
     report, elapsed = bench_run
     last = report.checkpoints.index(2000)
@@ -290,6 +292,7 @@ def test_criterion_7_strategy_separation(bench_run):
     assert ok, msg
 
 
+@pytest.mark.slow
 def test_criterion_8_metropolis_parity(bench_run):
     report, _ = bench_run
     gaps = []

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from diagbn.sampler import (
     METROPOLIS,
     OPTIMIZED_FWD_BWD,
     PRESETS,
+    SINGLE_SITE,
     MoveProposal,
     StrategySpec,
     block_pair_move,
@@ -41,7 +43,13 @@ from diagbn.sampler import (
     swap_pair_move,
     transition_distribution,
 )
-from oracles import conditional_by_enumeration, joint_prob, random_dag, random_evidence
+from oracles import (
+    conditional_by_enumeration,
+    joint_prob,
+    random_dag,
+    random_evidence,
+    reference_pair_nodes,
+)
 
 
 def make_state(net, ev, strategy_name="gibbs", seed=0):
@@ -506,6 +514,62 @@ class TestPairing:
             StrategySpec("bad", False, False, base.move_policy, GIBBS, swap_fraction=1.5)
         with pytest.raises(ValueError, match="swap_fraction"):
             StrategySpec("bad", False, False, base.move_policy, GIBBS, swap_fraction=-0.1)
+
+
+PAIR_PRESETS = [name for name, spec in PRESETS.items() if spec.move_policy != SINGLE_SITE]
+
+
+class TestPairingMatchesReference:
+    """The per-chain pairing plan against the pairing as first written."""
+
+    def test_same_pairs_and_draws_as_reference(self):
+        assert len(PAIR_PRESETS) == 6
+        rng = random.Random(2013)
+        formed = 0
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 14), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3)
+            for name in PAIR_PRESETS:
+                strategy = PRESETS[name]
+                state = make_state(net, ev, name, seed=trial)
+                ref = copy.deepcopy(state)
+                for call in range(6):
+                    got = pair_nodes(state, strategy)
+                    want = reference_pair_nodes(ref, strategy)
+                    assert got == want, (trial, name, call)
+                    assert state.rng.getstate() == ref.rng.getstate(), (trial, name, call)
+                    formed += len(got[0])
+                    # move the state so the child-true gate sees new values
+                    for _ in range(2):
+                        if state.free:
+                            j = rng.choice(state.free)
+                            state.flip(j)
+                            ref.flip(j)
+        assert formed > 0
+
+    def test_plan_rebuilt_for_another_strategy(self):
+        net = build_network(
+            [
+                ("a", "model", 0.1),
+                ("b", "model", 0.1),
+                ("m", "model", 0.1),
+                ("s", "sensory", 0.01),
+            ],
+            [("a", "m", 0.5), ("b", "m", 0.5), ("m", "s", 0.9)],
+        )
+        cover, child_true = PRESETS["swap-spouses-cover"], PRESETS["swap-spouses-child-true"]
+        state = make_state(net, {"s": True}, "swap-spouses-cover")
+        force(state, "m", 0)
+        assert len(pair_nodes(state, cover)[0]) == 1
+        plan = state.pair_plan
+        pair_nodes(state, cover)
+        assert state.pair_plan is plan
+        # m is off: the cover gate still pairs a and b through it, the
+        # child-true gate must not
+        assert pair_nodes(state, child_true)[0] == []
+        assert state.pair_plan is not plan and state.pair_plan.strategy is child_true
+        assert len(pair_nodes(state, cover)[0]) == 1
 
 
 class TestSweeps:
