@@ -160,8 +160,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     errors = {s: [0.0] * len(config.checkpoints) for s in config.strategies}
     seconds = {s: 0.0 for s in config.strategies}
     cost = {s: 0 for s in config.strategies}
-    cells = 0
-    scored_nodes = 0
+    cells = len(config.cases) * config.repetitions
     for name in config.strategies:
         strategy = config.resolve_strategy(name)
         for case_idx, case in enumerate(config.cases):
@@ -183,9 +182,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 for ci, ck in enumerate(config.checkpoints):
                     est = {nid: result.checkpoint_estimates[ck][nid] for nid in scored}
                     errors[name][ci] += error_count(est, truth, config.epsilon_floor)
-        cells = len(config.cases) * config.repetitions
         errors[name] = [round(e / cells, 6) for e in errors[name]]
-    scored_nodes = len(model_ids)
     base = config.baseline
     if base not in config.strategies:
         base = config.strategies[0]
@@ -206,7 +203,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         repetitions=config.repetitions,
         n_cases=len(config.cases),
         epsilon_floor=config.epsilon_floor,
-        n_scored_nodes=scored_nodes,
+        n_scored_nodes=len(model_ids),
     )
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bench import load_config, render_table, run_experiment
-from .exact import EnumerationCapError, exact_posteriors
+from .exact import exact_posteriors
 from .flow import clamp_pass, classify_flow
 from .generate import GeneratorParams, cases_to_jsonable, generate_cases, generate_network
 from .network import PERMISSIVE, STRICT, parse_evidence, parse_network, serialize_network
@@ -202,9 +202,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

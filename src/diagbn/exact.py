@@ -15,16 +15,9 @@ import numpy as np
 from scipy import sparse
 
 from . import flow as flowmod
-from .flow import classify_flow, clamp_pass, full_blanket_flow, no_clamp
+from .flow import evidence_cover
 from .network import Network
-from .sampler import (
-    GIBBS,
-    OPTIMIZED_FWD_BWD,
-    StrategySpec,
-    _BLOCK_POLICIES,
-    _COVER_POLICIES,
-    _SWAP_POLICIES,
-)
+from .sampler import GIBBS, OPTIMIZED_FWD_BWD, StrategySpec, clamp_and_flow
 
 
 class EnumerationCapError(ValueError):
@@ -247,11 +240,8 @@ class TransitionMatrix:
 
 
 def _scoped_children(net, flow, j):
-    nid = net.ids[j]
-    info = flow[nid]
-    if info.status == flowmod.FORWARD_SAMPLED:
-        return []
-    return [net.index[c] for c in info.evidential_children]
+    # empty for forward-sampled nodes: they have no evidential children
+    return [net.index[c] for c in flow[net.ids[j]].evidential_children]
 
 
 def _restricted_weight(net, x, nodes) -> float:
@@ -287,8 +277,7 @@ def explicit_transition_matrix(
     reversible chains on that space.  Otherwise the space covers all free
     nodes and forward redraws appear as explicit kernels in product stages.
     """
-    clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
-    flow = classify_flow(net, ev, clamp) if strategy.flow_aware else full_blanket_flow(net, ev, clamp)
+    clamp, flow = clamp_and_flow(net, ev, strategy)
     free = sorted(net.index[nid] for nid in clamp.unclamped)
     fs = {j for j in free if flow[net.ids[j]].status == flowmod.FORWARD_SAMPLED}
     ds = [j for j in free if j not in fs]
@@ -426,48 +415,33 @@ def explicit_transition_matrix(
         return [(r, c, v) for (r, c), v in merged.items()]
 
     def spouse_pairs():
-        """Unordered movable pairs sharing a child, with the policy's gate."""
-        cover = strategy.move_policy in _COVER_POLICIES
-        if cover:
-            good = set()
-            stack = [net.index[nid] for nid, v in ev.items() if v]
-            good.update(stack)
-            while stack:
-                j = stack.pop()
-                for i in net.parents[j]:
-                    if i not in good:
-                        good.add(i)
-                        stack.append(i)
+        """Unordered diagnostic-sampled pairs sharing a child that is not
+        forward-sampled, with the policy's gate."""
+        cover = evidence_cover(net, ev) if strategy.cover_gated else None
         seenp = {}
-        movable = set(ds) if strategy.flow_aware else set(free)
+        movable = set(ds)
         for c in range(len(net.ids)):
-            if strategy.flow_aware and c in fs:
+            if c in fs:
                 continue
-            ps = [i for i in net.parents[c] if i in movable and i in pos]
+            ps = [i for i in net.parents[c] if i in movable]
             for ai in range(len(ps)):
                 for bi in range(ai + 1, len(ps)):
                     a, b = sorted((ps[ai], ps[bi]))
-                    if cover:
-                        if c in good:
+                    if cover is not None:
+                        if c in cover:
                             seenp[(a, b)] = None
                     else:
                         seenp.setdefault((a, b), set()).add(c)
-        out = []
-        for (a, b), gate in seenp.items():
-            out.append((a, b, None if gate is None else sorted(gate)))
-        return sorted(out, key=lambda t: (t[0], t[1]))
+        return sorted((a, b, None if gate is None else sorted(gate)) for (a, b), gate in seenp.items())
 
-    policy = strategy.move_policy
     mixture_labels = []
     # every policy keeps single-site moves for nodes the pairing leaves over
-    for j in chain_nodes:
-        if j in fs:
-            continue
+    for j in ds:
         label = ("single", net.ids[j])
         add_move(label, single_entries(j, strategy.rule))
         mixture_labels.append(label)
-    if policy in _BLOCK_POLICIES or policy in _SWAP_POLICIES:
-        kind = "block" if policy in _BLOCK_POLICIES else "swap"
+    kind = strategy.pair_move
+    if kind is not None:
         for a, b, gate in spouse_pairs():
             label = (kind, net.ids[a], net.ids[b])
             add_move(label, pair_entries(a, b, kind, strategy.rule, gate))
@@ -480,7 +454,7 @@ def explicit_transition_matrix(
                 add_move(label, redraw_entries(j))
                 fs_labels.append(label)
 
-    if policy == OPTIMIZED_FWD_BWD and not collapse_forward:
+    if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:
         fwd = []
         for j in net.topo:
             if j in fs:
@@ -489,14 +463,10 @@ def explicit_transition_matrix(
                 fwd.append(("single", net.ids[j]))
         bwd = [("single", net.ids[j]) for j in reversed(net.topo) if j in ds]
         stages = [("product", bwd), ("product", fwd)]
-    elif strategy.flow_aware and not collapse_forward:
-        stages = []
-        if mixture_labels:
-            stages.append(("mixture", mixture_labels))
-        if fs_labels:
-            stages.append(("product", fs_labels))
     else:
         stages = [("mixture", mixture_labels)] if mixture_labels else []
+        if fs_labels:
+            stages.append(("product", fs_labels))
     return TransitionMatrix(
         node_order=tuple(net.ids[j] for j in chain_nodes),
         states=states,

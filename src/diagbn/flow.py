@@ -14,7 +14,10 @@ Flow classification: a free node whose children carry no evidence sees only
 causal flow from its parents and can be redrawn directly from its noisy-or
 distribution (forward-sampled).  A node with at least one child that is an
 evidence node, or has an evidence descendant, must be conditioned on those
-children too (diagnostic-sampled).
+children too (diagnostic-sampled).  The blanket mode is the map a sampler
+without flow-awareness runs on: every child counts as evidential and every
+free node is diagnostic-sampled, so each conditional is the textbook Markov
+blanket one.  The flow map is the only place flow-awareness enters a chain.
 """
 
 from __future__ import annotations
@@ -113,20 +116,20 @@ def evidential_children(net: Network, ev: dict, clamp: ClampResult, nid: str) ->
         raise ValueError(f"{nid!r} is an evidence node, not a free node")
     if nid in clamp.clamped_false:
         raise ValueError(f"{nid!r} is clamped, not a free node")
-    carries = _carries_evidence(net, ev)
-    j = net.index[nid]
-    return tuple(net.ids[c] for c in net.children[j] if carries[c])
+    return classify_flow(net, ev, clamp)[nid].evidential_children
 
 
-def classify_flow(net: Network, ev: dict, clamp: ClampResult) -> dict:
+def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = False) -> dict:
     """FlowInfo for every non-evidence node.
 
     Free nodes are diagnostic-sampled exactly when they have at least one
     evidential child; their conditioning set is parents + evidential children
     + those children's other parents.  Forward-sampled nodes condition on
-    their parents alone.  Clamped nodes get an empty FlowInfo.
+    their parents alone.  Clamped nodes get an empty FlowInfo.  With
+    blanket=True every child is evidential and every free node, childless or
+    not, is diagnostic-sampled: the whole Markov blanket is conditioned on.
     """
-    carries = _carries_evidence(net, ev)
+    carries = None if blanket else _carries_evidence(net, ev)
     out = {}
     for j, nid in enumerate(net.ids):
         if nid in ev:
@@ -134,36 +137,26 @@ def classify_flow(net: Network, ev: dict, clamp: ClampResult) -> dict:
         if nid in clamp.clamped_false:
             out[nid] = FlowInfo(CLAMPED, (), frozenset())
             continue
-        lam = tuple(net.ids[c] for c in net.children[j] if carries[c])
+        lam = tuple(net.ids[c] for c in net.children[j] if blanket or carries[c])
         cond = {net.ids[i] for i in net.parents[j]}
         for cid in lam:
             cond.add(cid)
             cond.update(net.ids[i] for i in net.parents[net.index[cid]])
         cond.discard(nid)
-        status = DIAGNOSTIC_SAMPLED if lam else FORWARD_SAMPLED
+        status = DIAGNOSTIC_SAMPLED if lam or blanket else FORWARD_SAMPLED
         out[nid] = FlowInfo(status, lam, frozenset(cond))
     return out
 
 
-def full_blanket_flow(net: Network, ev: dict, clamp: ClampResult) -> dict:
-    """Flow map for the classic sampler: condition on the whole Markov blanket.
-
-    Every free node is treated as diagnostic-sampled with all of its children
-    listed, which makes the generic conditional reduce to the textbook Gibbs
-    conditional.  This is what a strategy with flow_aware=False runs on.
-    """
-    out = {}
-    for j, nid in enumerate(net.ids):
-        if nid in ev:
-            continue
-        if nid in clamp.clamped_false:
-            out[nid] = FlowInfo(CLAMPED, (), frozenset())
-            continue
-        lam = tuple(net.ids[c] for c in net.children[j])
-        cond = {net.ids[i] for i in net.parents[j]}
-        for c in net.children[j]:
-            cond.add(net.ids[c])
-            cond.update(net.ids[i] for i in net.parents[c])
-        cond.discard(nid)
-        out[nid] = FlowInfo(DIAGNOSTIC_SAMPLED, lam, frozenset(cond))
-    return out
+def evidence_cover(net: Network, ev: dict) -> set:
+    """Indices of the true evidence nodes and all their ancestors: the nodes
+    with positive diagnostic reach, which cover-gated pair moves pair through."""
+    cover = {net.index[nid] for nid, value in ev.items() if value}
+    stack = list(cover)
+    while stack:
+        j = stack.pop()
+        for i in net.parents[j]:
+            if i not in cover:
+                cover.add(i)
+                stack.append(i)
+    return cover

@@ -22,6 +22,13 @@ distribution, and the estimate is the running mean of those credits.
 A strategy combines clamping on/off, flow-aware conditioning on/off, a move
 policy, and an acceptance rule.  The ten named presets cover the grid that
 the benchmark harness reports on.
+
+Flow-awareness enters a chain only through its flow map (`clamp_and_flow`).
+A flow-aware chain runs on `classify_flow`'s map: nodes with no evidential
+child are forward-sampled, redrawn from their parents after the sweep's
+moves, and never paired.  Any other chain runs on the blanket map, under
+which no node is forward-sampled, so the same sweep loop serves both: its
+forward tail is empty and every free node is movable.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import time
 from dataclasses import dataclass
 
 from . import flow as flowmod
-from .flow import ClampResult, FlowInfo, clamp_pass, classify_flow, full_blanket_flow, no_clamp
-from .network import Network, STRICT, validate
+from .flow import ClampResult, FlowInfo, clamp_pass, classify_flow, evidence_cover, no_clamp
+from .network import STRICT, validate
 
 GIBBS = "gibbs"
 METROPOLIS = "metropolis"
@@ -46,9 +53,18 @@ SWAP_SPOUSES_CHILD_TRUE = "swap-spouses-child-true"
 OPTIMIZED_RANDOM = "optimized-random"
 OPTIMIZED_FWD_BWD = "optimized-fwd-bwd"
 
-_BLOCK_POLICIES = {BLOCK_SPOUSES_COVER, BLOCK_SPOUSES_PARENT_TRUE}
-_SWAP_POLICIES = {SWAP_SPOUSES_COVER, SWAP_SPOUSES_CHILD_TRUE, OPTIMIZED_RANDOM, OPTIMIZED_FWD_BWD}
-_COVER_POLICIES = {BLOCK_SPOUSES_COVER, SWAP_SPOUSES_COVER}
+# per move policy: the pair move it makes (None, "block" or "swap") and
+# whether its pairs are gated on the evidence cover; every other pair policy
+# gates on the shared child being true
+_POLICIES = {
+    SINGLE_SITE: (None, False),
+    BLOCK_SPOUSES_COVER: ("block", True),
+    BLOCK_SPOUSES_PARENT_TRUE: ("block", False),
+    SWAP_SPOUSES_COVER: ("swap", True),
+    SWAP_SPOUSES_CHILD_TRUE: ("swap", False),
+    OPTIMIZED_RANDOM: ("swap", False),
+    OPTIMIZED_FWD_BWD: ("swap", False),
+}
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,21 @@ class StrategySpec:
     swap_fraction: float = 0.8
 
     def __post_init__(self):
+        if self.move_policy not in _POLICIES:
+            raise ValueError(f"unknown move policy {self.move_policy!r}")
         if not 0.0 <= self.swap_fraction <= 1.0:
             raise ValueError("swap_fraction must be within [0, 1]")
+
+    @property
+    def pair_move(self):
+        """The pair move the policy makes: None, "block" or "swap"."""
+        return _POLICIES[self.move_policy][0]
+
+    @property
+    def cover_gated(self) -> bool:
+        """True when pairs may move through any child in the evidence cover,
+        False when the shared child must be true."""
+        return _POLICIES[self.move_policy][1]
 
 
 PRESETS = {
@@ -74,6 +103,7 @@ PRESETS = {
         StrategySpec("gibbs-clamp", True, False, SINGLE_SITE, GIBBS),
         StrategySpec("gibbs-flow", False, True, SINGLE_SITE, GIBBS),
         StrategySpec("block-spouses-cover", False, False, BLOCK_SPOUSES_COVER, GIBBS),
+        # gates on the shared child being true, like swap-spouses-child-true
         StrategySpec("block-spouses-parent-true", False, False, BLOCK_SPOUSES_PARENT_TRUE, GIBBS),
         StrategySpec("swap-spouses-cover", False, False, SWAP_SPOUSES_COVER, GIBBS),
         StrategySpec("swap-spouses-child-true", False, False, SWAP_SPOUSES_CHILD_TRUE, GIBBS),
@@ -113,15 +143,6 @@ class MarginalAccumulator:
             self.counts[i] = 0
 
 
-@dataclass(frozen=True)
-class MoveProposal:
-    """A candidate move: the nodes that may change and the joint values offered."""
-
-    delta_nodes: tuple
-    candidate_states: tuple
-    rule: str = GIBBS
-
-
 class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng."""
 
@@ -145,12 +166,9 @@ class SamplerState:
         self.scope_q = [[] for _ in range(n)]
         self.forward_sampled = [False] * n
         for nid, info in flow.items():
+            # only diagnostic-sampled nodes have evidential children
             j = net.index[nid]
-            if info.status == flowmod.CLAMPED:
-                continue
-            if info.status == flowmod.FORWARD_SAMPLED:
-                self.forward_sampled[j] = True
-                continue
+            self.forward_sampled[j] = info.status == flowmod.FORWARD_SAMPLED
             for cid in info.evidential_children:
                 c = net.index[cid]
                 self.scope_children[j].append(c)
@@ -231,7 +249,7 @@ class SamplerState:
 def initialize_state(net, ev, clamp, rng, flow=None) -> SamplerState:
     """Start a chain: evidence fixed, clamped nodes false, free nodes forward-drawn."""
     if flow is None:
-        flow = full_blanket_flow(net, ev, clamp)
+        flow = classify_flow(net, ev, clamp, blanket=True)
     state = SamplerState(net, ev, clamp, flow, rng)
     x = state.x
     for nid, value in ev.items():
@@ -287,65 +305,6 @@ def conditional_prob(net, state, nid, info: FlowInfo) -> float:
             w1 *= s1
             w0 *= s0
     return w1 / (w1 + w0)
-
-
-def metropolis_accept(weight_current, weight_proposed, rng) -> bool:
-    """Accept a proposed state by probability min(1, proposed / current)."""
-    if weight_current <= 0.0 or weight_proposed <= 0.0:
-        raise ValueError("metropolis_accept needs strictly positive weights")
-    if weight_proposed >= weight_current:
-        return True
-    return rng.random() < weight_proposed / weight_current
-
-
-def transition_distribution(net, state, proposal: MoveProposal, scope=None) -> list:
-    """Distribution over the proposal's candidate states under the Gibbs rule.
-
-    Weights are products of the factors of the changed nodes and their
-    children (their whole restricted neighbourhood); factors untouched by the
-    move cancel and are skipped.  `scope` optionally narrows each changed
-    node's children to the flow map's evidential children.
-    """
-    if proposal.rule != GIBBS:
-        raise ValueError("transition_distribution applies to the Gibbs rule")
-    delta = [net.index[nid] for nid in proposal.delta_nodes]
-    current = tuple(bool(state.x[j]) for j in delta)
-    candidates = list(proposal.candidate_states)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("candidate states must be distinct")
-    if current not in candidates:
-        raise ValueError("candidate states must include the current assignment")
-    touched = []
-    seen = set()
-    for j in delta:
-        if j not in seen:
-            seen.add(j)
-            touched.append(j)
-        kids = net.children[j] if scope is None else scope.get(j, net.children[j])
-        for c in kids:
-            if c not in seen:
-                seen.add(c)
-                touched.append(c)
-    overlay = {}
-    weights = []
-    for cand in candidates:
-        if len(cand) != len(delta):
-            raise ValueError("candidate state arity differs from delta_nodes")
-        overlay = dict(zip(delta, cand))
-        w = 1.0
-        for k in touched:
-            s = 1.0 - net.leak[k]
-            for i, p in zip(net.parents[k], net.parent_p[k]):
-                val = overlay.get(i, state.x[i])
-                if val:
-                    s *= 1.0 - p
-            val = overlay.get(k, state.x[k])
-            w *= (1.0 - s) if val else s
-        weights.append(w)
-    total = sum(weights)
-    if total <= 0.0:
-        raise ValueError("all candidate states have zero probability")
-    return [w / total for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -490,57 +449,44 @@ def forward_redraw(state: SamplerState, n):
 class _PairPlan:
     """What pairing reads that stays fixed for one chain under one strategy.
 
-    `movable` lists the nodes pairing covers.  A candidate may pair with the
-    other movable parents of the children it pairs through (in child, then
-    parent order, without repeats).  Cover policies gate on the evidence
+    Pairing covers the diagnostic-sampled nodes.  A candidate may pair with
+    the other diagnostic-sampled parents of the children it pairs through (in
+    child, then parent order, without repeats): its scope children, inside the
+    evidence cover for cover-gated policies.  Cover gates read the evidence
     alone, and evidence and clamped nodes never change value within a chain,
     so a candidate's spouse list is fixed unless a child-true gate reads a
-    free child.  `spouses` maps every candidate, in `movable` order, to its
-    fixed spouse list, or to None when `links` keeps its (child, other
-    movable parents) pairs for the gate to read on every sweep.
+    free child.  `spouses` maps every candidate, in visit order, to its fixed
+    spouse list, or to None when `links` keeps its (child, other movable
+    parents) pairs for the gate to read on every sweep.
     """
 
     def __init__(self, state: SamplerState, strategy: StrategySpec):
         net = state.net
         x = state.x
-        fs = state.forward_sampled
         self.strategy = strategy
-        self.movable = state.diagnostic if strategy.flow_aware else state.free
         is_movable = [False] * len(net.ids)
-        for j in self.movable:
+        for j in state.diagnostic:
             is_movable[j] = True
-        cover = strategy.move_policy in _COVER_POLICIES
-        if cover:
-            # true evidence nodes and their ancestors: positive diagnostic reach
-            good = [False] * len(net.ids)
-            stack = [net.index[nid] for nid, value in state.ev.items() if value]
-            for j in stack:
-                good[j] = True
-            while stack:
-                j = stack.pop()
-                for i in net.parents[j]:
-                    if not good[i]:
-                        good[i] = True
-                        stack.append(i)
+        cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
         self.spouses = {}
         self.links = {}
-        for j in self.movable:
+        for j in state.diagnostic:
             # pair only through children that carry evidence flow: a
             # forward-sampled child couples nothing in the collapsed
             # posterior, and gating on its sampled value biases the chain
             links = [
                 (c, [b for b in net.parents[c] if b != j and is_movable[b]])
-                for c in net.children[j]
-                if (not cover or good[c]) and not (strategy.flow_aware and fs[c])
+                for c in state.scope_children[j]
+                if cover is None or c in cover
             ]
             if not links:
                 continue
-            if not cover and any(state.is_free[c] for c, _ in links):
+            if cover is None and any(state.is_free[c] for c, _ in links):
                 self.spouses[j] = None
                 self.links[j] = links
                 continue
             # child-true policies: the shared child is on, here fixed by evidence
-            on = [others for c, others in links if cover or x[c]]
+            on = [others for c, others in links if cover is not None or x[c]]
             if on:
                 self.spouses[j] = _spouse_union(on)
 
@@ -554,11 +500,10 @@ def _spouse_union(groups):
 def pair_nodes(state: SamplerState, strategy: StrategySpec):
     """Greedy random pairing of eligible spouses; everyone else moves alone.
 
-    Returns (pairs, singles) covering every movable node exactly once.  With
-    flow-aware conditioning only diagnostic-sampled nodes are candidates;
-    forward-sampled nodes are redrawn from their parents and never paired.
-    Child-true gates on free children read the current state on every call;
-    everything else comes from the chain's plan for this strategy.
+    Returns (pairs, singles) covering every diagnostic-sampled node exactly
+    once; forward-sampled nodes are redrawn from their parents and never
+    paired.  Child-true gates on free children read the current state on
+    every call; everything else comes from the chain's plan for this strategy.
     """
     plan = state.pair_plan
     if plan is None or plan.strategy is not strategy:
@@ -589,8 +534,8 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
             matched.add(a)
             matched.add(b)
             pairs.append((a, b))
-    singles = [j for j in plan.movable if j not in matched]
-    assert 2 * len(pairs) + len(singles) == len(plan.movable)
+    singles = [j for j in state.diagnostic if j not in matched]
+    assert 2 * len(pairs) + len(singles) == len(state.diagnostic)
     return pairs, singles
 
 
@@ -601,7 +546,7 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
 def _run_pair_events(state, strategy, pairs, singles):
     events = [("p",) + p for p in pairs] + [("s", j) for j in singles]
     state.rng.shuffle(events)
-    swap = strategy.move_policy in _SWAP_POLICIES
+    swap = strategy.pair_move == "swap"
     for ev in events:
         if ev[0] == "s":
             single_site_move(state, ev[1], strategy.rule)
@@ -613,11 +558,6 @@ def _run_pair_events(state, strategy, pairs, singles):
                 single_site_move(state, ev[2], strategy.rule)
         else:
             block_pair_move(state, ev[1], ev[2], strategy.rule)
-
-
-def _forward_tail(state, strategy):
-    for j in state.topo_forward:
-        forward_redraw(state, j)
 
 
 def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
@@ -654,27 +594,25 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
 
 
 def run_sweep(state: SamplerState, strategy: StrategySpec):
-    """Visit every free node once under the strategy's policy."""
-    policy = strategy.move_policy
-    if policy == OPTIMIZED_FWD_BWD:
+    """Visit every free node once under the strategy's policy.
+
+    The diagnostic-sampled nodes move in random order, alone or in pairs;
+    then the forward-sampled ones, if the flow map has any, are redrawn in
+    topological order.
+    """
+    if strategy.move_policy == OPTIMIZED_FWD_BWD:
         _fwd_bwd_sweep(state, strategy)
-    elif policy == SINGLE_SITE:
-        if strategy.flow_aware:
+    else:
+        if strategy.move_policy == SINGLE_SITE:
             order = list(state.diagnostic)
             state.rng.shuffle(order)
             for j in order:
                 single_site_move(state, j, strategy.rule)
-            _forward_tail(state, strategy)
         else:
-            order = list(state.free)
-            state.rng.shuffle(order)
-            for j in order:
-                single_site_move(state, j, strategy.rule)
-    else:
-        pairs, singles = pair_nodes(state, strategy)
-        _run_pair_events(state, strategy, pairs, singles)
-        if strategy.flow_aware:
-            _forward_tail(state, strategy)
+            pairs, singles = pair_nodes(state, strategy)
+            _run_pair_events(state, strategy, pairs, singles)
+        for j in state.topo_forward:
+            forward_redraw(state, j)
     state.sweep_idx += 1
 
 
@@ -706,56 +644,64 @@ class ChainResult:
     sweeps: int
 
 
-def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
+def clamp_and_flow(net, ev, strategy: StrategySpec):
+    """The (clamp, flow) maps a strategy's chain runs on.  Flow-aware
+    strategies get the evidence-flow map, all others the blanket map."""
     clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
-    flow = classify_flow(net, ev, clamp) if strategy.flow_aware else full_blanket_flow(net, ev, clamp)
+    return clamp, classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
+
+
+def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
+    clamp, flow = clamp_and_flow(net, ev, strategy)
     return initialize_state(net, ev, clamp, rng, flow)
+
+
+def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
+    """Validate once, then run one chain per seed.
+
+    Each chain is set up, swept `sweeps` times, cleared of its burn-in
+    credits and estimated at each checkpoint.  Returns (state, checkpoint
+    estimates, sweep-loop seconds) per chain.
+    """
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    if not 0 <= burn_in < sweeps:
+        raise ValueError(f"burn-in must be within [0, sweeps), got {burn_in} with {sweeps} sweeps")
+    problems = validate(net, STRICT)
+    if problems:
+        raise ValueError("network fails strict validation: " + "; ".join(problems))
+    wanted = set(checkpoints)
+    runs = []
+    for seed in seeds:
+        state = setup_chain(net, ev, strategy, random.Random(seed))
+        marks = {}
+        t0 = time.perf_counter()
+        for s in range(1, sweeps + 1):
+            run_sweep(state, strategy)
+            if s == burn_in:
+                state.acc.reset()
+            if s in wanted:
+                marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
+            if s % 20000 == 0:
+                state.refresh_survivals()  # bound float drift on very long runs
+        runs.append((state, marks, time.perf_counter() - t0))
+    return runs
 
 
 def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> ChainResult:
     """Run one chain and return final (and any checkpointed) estimates."""
-    problems = validate(net, STRICT)
-    if problems:
-        raise ValueError("network fails strict validation: " + "; ".join(problems))
-    rng = random.Random(seed)
-    state = setup_chain(net, ev, strategy, rng)
-    marks = {}
-    wanted = set(checkpoints)
-    t0 = time.perf_counter()
-    for s in range(1, sweeps + 1):
-        run_sweep(state, strategy)
-        if s == burn_in:
-            state.acc.reset()
-        if s in wanted:
-            marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
-        if s % 20000 == 0:
-            state.refresh_survivals()  # bound float drift on very long runs
-    seconds = time.perf_counter() - t0
+    [(state, marks, seconds)] = _run_chains(net, ev, strategy, sweeps, [seed], burn_in, checkpoints)
     final = estimate_marginals(net, ev, state.clamp, state.acc)
     return ChainResult(final, marks, state.cost, seconds, sweeps)
 
 
 def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> dict:
     """Merge one or more chains into a single marginal estimate per node."""
-    problems = validate(net, STRICT)
-    if problems:
-        raise ValueError("network fails strict validation: " + "; ".join(problems))
     if chains < 1:
         raise ValueError("need at least one chain")
-    merged = None
-    clamp = None
-    for k in range(chains):
-        rng = random.Random(derive_seed(seed, "chain", k) if chains > 1 else seed)
-        state = setup_chain(net, ev, strategy, rng)
-        clamp = state.clamp
-        for s in range(1, sweeps + 1):
-            run_sweep(state, strategy)
-            if s == burn_in:
-                state.acc.reset()
-            if s % 20000 == 0:
-                state.refresh_survivals()
-        if merged is None:
-            merged = state.acc
-        else:
-            merged.merge(state.acc)
-    return estimate_marginals(net, ev, clamp, merged)
+    seeds = [derive_seed(seed, "chain", k) for k in range(chains)] if chains > 1 else [seed]
+    runs = _run_chains(net, ev, strategy, sweeps, seeds, burn_in)
+    merged = runs[0][0].acc
+    for state, _, _ in runs[1:]:
+        merged.merge(state.acc)
+    return estimate_marginals(net, ev, runs[0][0].clamp, merged)

@@ -24,7 +24,7 @@ from diagbn.exact import (
     exact_posteriors,
     explicit_transition_matrix,
 )
-from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, full_blanket_flow, no_clamp
+from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
 from diagbn.network import build_network, joint_log_prob, noisy_or_prob
 from diagbn.sampler import PRESETS, initialize_state, conditional_prob, run_sweep, sample_posteriors, setup_chain
 from oracles import conditional_by_enumeration, random_dag, random_evidence, unclamped_by_reachability
@@ -134,7 +134,7 @@ def test_criterion_3_evidence_flow_sufficiency():
         ev = random_evidence(rng, net, max_nodes=3)
         clamp = no_clamp(net, ev)
         flow = classify_flow(net, ev, clamp)
-        blanket = full_blanket_flow(net, ev, clamp)
+        blanket = classify_flow(net, ev, clamp, blanket=True)
         state = initialize_state(net, ev, clamp, random.Random(1), flow=flow)
         ds_ids = [
             nid for nid in net.ids

@@ -85,6 +85,32 @@ class TestSample:
         assert err.startswith("error:")
         assert "hill-climbing" in err
 
+    @pytest.mark.parametrize(
+        "sweeps, burn_in, word",
+        [("50", "50", "burn-in"), ("50", "80", "burn-in"), ("50", "-1", "burn-in"),
+         ("0", "0", "sweeps"), ("-5", "0", "sweeps")],
+    )
+    def test_bad_sweep_counts_exit_2(self, vase_files, tmp_path, capsys, sweeps, burn_in, word):
+        # each of these used to print 0.0 or burn-in-polluted marginals with exit 0
+        net_path, ev_path = vase_files
+        out = tmp_path / "x.json"
+        rc, _, err = run_cli(
+            [
+                "sample",
+                "--network", net_path,
+                "--evidence", ev_path,
+                "--strategy", "gibbs",
+                "--sweeps", sweeps,
+                "--burn-in", burn_in,
+                "--seed", "1",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and word in err
+        assert not out.exists()
+
     def test_missing_network_file_exits_2(self, vase_files, tmp_path, capsys):
         _, ev_path = vase_files
         rc, _, err = run_cli(

@@ -10,7 +10,6 @@ from diagbn.flow import (
     clamp_pass,
     classify_flow,
     evidential_children,
-    full_blanket_flow,
     no_clamp,
 )
 from diagbn.network import build_network, markov_blanket
@@ -253,7 +252,7 @@ class TestClassifyFlow:
 class TestFullBlanketFlow:
     def test_everything_diagnostic_with_full_blanket(self, vase):
         ev = {"v": True}
-        flow = full_blanket_flow(vase, ev, no_clamp(vase, ev))
+        flow = classify_flow(vase, ev, no_clamp(vase, ev), blanket=True)
         assert flow["e"].status == DIAGNOSTIC_SAMPLED
         assert set(flow["e"].evidential_children) == {"v"}
         assert flow["e"].conditioning_set == {"v", "b"}
@@ -264,5 +263,8 @@ class TestFullBlanketFlow:
             [("a", "b", 0.5), ("a", "d", 0.5)],
         )
         ev = {"b": True}
-        flow = full_blanket_flow(net, ev, no_clamp(net, ev))
+        flow = classify_flow(net, ev, no_clamp(net, ev), blanket=True)
         assert set(flow["a"].evidential_children) == {"b", "d"}
+        # a childless free node is still diagnostic-sampled, with no children
+        assert flow["d"].status == DIAGNOSTIC_SAMPLED
+        assert flow["d"].evidential_children == ()

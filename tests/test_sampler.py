@@ -16,7 +16,6 @@ from diagbn.flow import (
     FORWARD_SAMPLED,
     clamp_pass,
     classify_flow,
-    full_blanket_flow,
     no_clamp,
 )
 from diagbn.network import build_network
@@ -26,14 +25,12 @@ from diagbn.sampler import (
     OPTIMIZED_FWD_BWD,
     PRESETS,
     SINGLE_SITE,
-    MoveProposal,
     StrategySpec,
     block_pair_move,
     conditional_prob,
     derive_seed,
     estimate_marginals,
     initialize_state,
-    metropolis_accept,
     pair_nodes,
     run_chain,
     run_sweep,
@@ -41,14 +38,16 @@ from diagbn.sampler import (
     setup_chain,
     single_site_move,
     swap_pair_move,
-    transition_distribution,
 )
 from oracles import (
+    MoveProposal,
     conditional_by_enumeration,
     joint_prob,
+    metropolis_accept,
     random_dag,
     random_evidence,
     reference_pair_nodes,
+    transition_distribution,
 )
 
 
@@ -515,6 +514,19 @@ class TestPairing:
         with pytest.raises(ValueError, match="swap_fraction"):
             StrategySpec("bad", False, False, base.move_policy, GIBBS, swap_fraction=-0.1)
 
+    def test_unknown_move_policy_rejected(self):
+        with pytest.raises(ValueError, match="move policy"):
+            StrategySpec("bad", False, False, "swap-everything", GIBBS)
+
+    def test_policy_description(self):
+        kinds = {name: (s.pair_move, s.cover_gated) for name, s in PRESETS.items()}
+        assert kinds["gibbs"] == (None, False)
+        assert kinds["block-spouses-cover"] == ("block", True)
+        # named for a parent, gated on the shared child like the swap preset
+        assert kinds["block-spouses-parent-true"] == ("block", False)
+        assert kinds["swap-spouses-child-true"] == ("swap", False)
+        assert kinds["optimized-fwd-bwd"] == ("swap", False)
+
 
 PAIR_PRESETS = [name for name, spec in PRESETS.items() if spec.move_policy != SINGLE_SITE]
 
@@ -581,6 +593,10 @@ class TestSweeps:
             ev = random_evidence(rng, net, max_nodes=2)
             for name, strategy in PRESETS.items():
                 state = make_state(net, ev, name, seed=trial)
+                if not strategy.flow_aware:
+                    # the blanket map forward-samples nothing
+                    assert state.diagnostic == state.free, name
+                    assert state.topo_forward == [], name
                 n_sweeps = 6
                 for _ in range(n_sweeps):
                     run_sweep(state, strategy)
@@ -654,7 +670,7 @@ class TestFlowVsBlanketConditioning:
         ev = {"s1": True}
         clamp = no_clamp(net, ev)
         flow = classify_flow(net, ev, clamp)
-        blanket = full_blanket_flow(net, ev, clamp)
+        blanket = classify_flow(net, ev, clamp, blanket=True)
         state = initialize_state(net, ev, clamp, random.Random(0), flow=flow)
         force(state, "c", 0)
         force(state, "a", 0)
@@ -677,7 +693,7 @@ class TestFlowVsBlanketConditioning:
             ev = random_evidence(rng, net, max_nodes=3)
             clamp = no_clamp(net, ev)
             flow = classify_flow(net, ev, clamp)
-            blanket = full_blanket_flow(net, ev, clamp)
+            blanket = classify_flow(net, ev, clamp, blanket=True)
             state = initialize_state(net, ev, clamp, random.Random(1), flow=flow)
             for nid in state_free_ids(state):
                 info = flow[nid]
