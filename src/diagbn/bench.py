@@ -61,6 +61,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy {name!r}; presets: {sorted(PRESETS)}")
         return PRESETS[name]
 
+    def check(self):
+        """Reject a grid that cannot run or would score burn-in sweeps."""
+        for name in self.strategies:
+            self.resolve_strategy(name)
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be at least 1")
+        if not self.checkpoints:
+            raise ValueError("need at least one checkpoint")
+        early = [c for c in self.checkpoints if c <= self.burn_in]
+        if early:
+            raise ValueError(
+                f"checkpoints {early} do not come after the {self.burn_in} burn-in sweeps"
+            )
+
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a benchmark config JSON; file paths resolve against its directory."""
@@ -96,12 +110,7 @@ def load_config(path: str) -> ExperimentConfig:
         baseline=str(raw.get("baseline", "gibbs")),
         burn_in=int(raw.get("burn_in", 0)),
     )
-    for name in cfg.strategies:
-        cfg.resolve_strategy(name)
-    if cfg.repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if not cfg.checkpoints:
-        raise ValueError("need at least one checkpoint")
+    cfg.check()
     return cfg
 
 
@@ -153,6 +162,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     (strategy, case, repetition) gets its own derived seed, so the grid can
     be reordered or parallelized without changing any number.
     """
+    config.check()
     net = config.net
     truths = _case_truths(config)
     model_ids = [nid for nid in net.ids if net.kind[net.index[nid]] == MODEL]

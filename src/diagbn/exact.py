@@ -1,14 +1,19 @@
 """Brute-force ground truth: enumeration posteriors, d-separation, and
 explicit transition matrices for the sampler's moves.
 
-Everything here recomputes factors from first principles rather than sharing
-the sampler's cached fast paths, so agreement between the two is meaningful.
+Enumeration and transition matrices read one factor table: a row per
+enumerated state and a column per node, holding each node's noisy-or
+survival and its factor.  The table recomputes factors from first
+principles rather than sharing the sampler's cached fast paths, so
+agreement between the two is meaningful.  Each column is the scalar
+noisy-or product taken vectorwise, with the same float operations in the
+same parent order, so every weight and kernel entry is the one a
+state-by-state loop computes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,94 +24,85 @@ from .flow import evidence_cover
 from .network import Network
 from .sampler import GIBBS, OPTIMIZED_FWD_BWD, StrategySpec, clamp_and_flow
 
+_CHUNK = 1 << 15  # rows per factor table when enumerating posteriors
+
 
 class EnumerationCapError(ValueError):
     """The free-node count exceeds what brute force is willing to chew."""
 
 
-def _factor(net, x, j) -> float:
-    s = 1.0 - net.leak[j]
-    for i, p in zip(net.parents[j], net.parent_p[j]):
-        if x[i]:
-            s *= 1.0 - p
-    return (1.0 - s) if x[j] else s
+def _factor_table(net, base, chain_nodes, lo, hi):
+    """Values X, noisy-or survivals S and factors F of states lo..hi-1.
+
+    State s sets chain_nodes[k] to bit k of s and every other node to its
+    value in base; row r holds state lo + r and column j node j.  S[r, j] is
+    the probability that node j stays off given its parents and F[r, j] the
+    probability of its value: 1 - S when on, S when off.
+    """
+    index = np.arange(lo, hi)
+    # node-major storage keeps each column contiguous
+    X = np.repeat(np.asarray(base, dtype=bool)[:, None], hi - lo, axis=1)
+    for k, j in enumerate(chain_nodes):
+        X[j] = (index >> k) & 1
+    varies = set(chain_nodes)
+    S = np.empty(X.shape)
+    for j in range(len(net.ids)):
+        S[j] = 1.0 - net.leak[j]
+        for i, p in zip(net.parents[j], net.parent_p[j]):
+            if i in varies:
+                np.multiply(S[j], 1.0 - p, out=S[j], where=X[i])
+            elif base[i]:
+                S[j] *= 1.0 - p
+    F = np.where(X, 1.0 - S, S)
+    return X.T, S.T, F.T
+
+
+def _evidence_base(net, ev) -> list:
+    base = [0] * len(net.ids)
+    for nid, value in ev.items():
+        base[net.index[nid]] = 1 if value else 0
+    return base
 
 
 def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     """Posterior marginals by summing the joint over all free assignments.
 
-    Iterates free states in Gray-code order so each step flips one node and
-    touches only that node's factor and its children's factors.  Zero factors
-    are counted rather than multiplied so permissive networks (zero leaks,
-    p = 1 edges) enumerate exactly.  Two passes: one to find the peak log
-    weight, one to accumulate stably relative to it.
+    Free states are enumerated in factor tables of at most 2^15 rows.  A
+    state's log weight is the sum of its nodes' log factors; zero factors
+    are counted rather than multiplied, so permissive networks (zero leaks,
+    p = 1 edges) enumerate exactly.  A first pass finds the peak log weight
+    and a second accumulates every weight relative to it.  Each state's log
+    weight is summed afresh, so no running sum drifts across the scan.
     """
     free = [net.index[nid] for nid in net.ids if nid not in ev]
     if len(free) > cap:
         raise EnumerationCapError(
             f"{len(free)} free nodes exceed the enumeration cap of {cap}"
         )
-    n = len(net.ids)
-    x = [0] * n
-    for nid, value in ev.items():
-        x[net.index[nid]] = 1 if value else 0
-
-    def scan(peak, accumulate):
-        # reset free nodes to the all-false Gray origin
-        for j in free:
-            x[j] = 0
-        logw = 0.0
-        zeros = 0
-        for j in range(n):
-            f = _factor(net, x, j)
-            if f == 0.0:
-                zeros += 1
-            else:
-                logw += math.log(f)
-        total = 0.0
-        sums = [0.0] * len(free)
-        best = float("-inf")
-        if zeros == 0:
-            best = logw
-            if accumulate:
-                total += math.exp(logw - peak)
-        for step in range(1, 1 << len(free)):
-            k = (step & -step).bit_length() - 1
-            i = free[k]
-            affected = [i] + net.children[i]
-            for j in affected:
-                f = _factor(net, x, j)
-                if f == 0.0:
-                    zeros -= 1
-                else:
-                    logw -= math.log(f)
-            x[i] ^= 1
-            for j in affected:
-                f = _factor(net, x, j)
-                if f == 0.0:
-                    zeros += 1
-                else:
-                    logw += math.log(f)
-            if zeros == 0:
-                if logw > best:
-                    best = logw
-                if accumulate:
-                    w = math.exp(logw - peak)
-                    total += w
-                    for idx, j in enumerate(free):
-                        if x[j]:
-                            sums[idx] += w
-        return best, total, sums
-
-    peak, _, _ = scan(0.0, accumulate=False)
-    if peak == float("-inf"):
+    base = _evidence_base(net, ev)
+    size = 1 << len(free)
+    starts = range(0, size, _CHUNK)
+    logws = []
+    for lo in starts:
+        _, _, F = _factor_table(net, base, free, lo, min(size, lo + _CHUNK))
+        positive = F > 0.0
+        logf = np.log(F, out=np.zeros(F.shape), where=positive)
+        logws.append(np.where(positive.all(axis=1), logf.sum(axis=1), -np.inf))
+    peak = max(logw.max() for logw in logws)
+    if peak == -np.inf:
         raise ValueError("evidence has zero probability under this network")
-    _, total, sums = scan(peak, accumulate=True)
+    total = 0.0
+    sums = np.zeros(len(free))
+    bits = 1 << np.arange(len(free))
+    for lo, logw in zip(starts, logws):
+        w = np.exp(logw - peak)
+        total += w.sum()
+        sums += w @ ((np.arange(lo, lo + len(w))[:, None] & bits) != 0)
     out = {}
     for nid, value in ev.items():
         out[nid] = 1.0 if value else 0.0
-    for idx, j in enumerate(free):
-        out[net.ids[j]] = sums[idx] / total
+    for j, marginal in zip(free, (sums / total).tolist()):
+        out[net.ids[j]] = marginal
     return out
 
 
@@ -244,13 +240,6 @@ def _scoped_children(net, flow, j):
     return [net.index[c] for c in flow[net.ids[j]].evidential_children]
 
 
-def _restricted_weight(net, x, nodes) -> float:
-    w = 1.0
-    for k in nodes:
-        w *= _factor(net, x, k)
-    return w
-
-
 def _pair_scope(net, flow, a, b):
     touched = [a, b]
     seen = {a, b}
@@ -276,6 +265,8 @@ def explicit_transition_matrix(
     region summed out; flow-aware single and pair kernels are honest
     reversible chains on that space.  Otherwise the space covers all free
     nodes and forward redraws appear as explicit kernels in product stages.
+    A move whose conditional has zero weight in some state it may run from
+    raises ValueError naming the move.
     """
     clamp, flow = clamp_and_flow(net, ev, strategy)
     free = sorted(net.index[nid] for nid in clamp.unclamped)
@@ -287,26 +278,20 @@ def explicit_transition_matrix(
             f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {cap}"
         )
     size = 1 << len(chain_nodes)
-    pos = {j: k for k, j in enumerate(chain_nodes)}
+    bit = {j: 1 << k for k, j in enumerate(chain_nodes)}
+    X, S, F = _factor_table(net, _evidence_base(net, ev), chain_nodes, 0, size)
+    rows = np.arange(size)
+    states = [tuple(state) for state in X[:, chain_nodes].astype(int).tolist()]
 
-    base = [0] * len(net.ids)
-    for nid, value in ev.items():
-        base[net.index[nid]] = 1 if value else 0
-    states = []
-    xvecs = []
-    for s in range(size):
-        x = list(base)
-        for k, j in enumerate(chain_nodes):
-            x[j] = (s >> k) & 1
-        states.append(tuple((s >> k) & 1 for k in range(len(chain_nodes))))
-        xvecs.append(x)
+    def weight(nodes):
+        # product of the nodes' factors, taken in list order
+        w = np.ones(size)
+        for k in nodes:
+            w *= F[:, k]
+        return w
 
-    if collapse_forward:
-        # forward region sums out: weigh only the remaining nodes' factors
-        scored = [j for j in range(len(net.ids)) if j not in fs]
-        weights = np.array([_restricted_weight(net, x, scored) for x in xvecs])
-    else:
-        weights = np.array([_restricted_weight(net, x, range(len(net.ids))) for x in xvecs])
+    # the forward region sums out of a collapsed space: weigh only the rest
+    weights = weight(j for j in range(len(net.ids)) if not (collapse_forward and j in fs))
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("state space has zero total probability")
@@ -314,105 +299,69 @@ def explicit_transition_matrix(
 
     moves = []
 
-    def add_move(label, entries):
-        rows, cols, vals = zip(*entries)
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    def add_move(label, entries, *args):
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                parts = entries(*args)
+        except FloatingPointError:
+            raise ValueError(
+                f"move {label} has a zero-weight conditional: every value it "
+                "may give its nodes has probability zero in some state"
+            ) from None
+        rs, cs, vs = (np.concatenate(col) for col in zip(*parts))
+        mat = sparse.csr_matrix((vs, (rs, cs)), shape=(size, size))
         sums = np.asarray(mat.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0, atol=1e-12)
         moves.append((label, mat))
 
+    def move_or_stay(s, t, p):
+        # from each state s: to t with probability p, else stay at s
+        stay = p < 1.0
+        return [(s, t, p), (s[stay], s[stay], 1.0 - p[stay])]
+
     def single_entries(j, rule):
-        scope = [j] + _scoped_children(net, flow, j)
-        entries = []
-        for s, x in enumerate(xvecs):
-            old = x[j]
-            x[j] = 1
-            w1 = _restricted_weight(net, x, scope)
-            x[j] = 0
-            w0 = _restricted_weight(net, x, scope)
-            x[j] = old
-            q1 = w1 / (w1 + w0)
-            s_on = s | (1 << pos[j])
-            s_off = s & ~(1 << pos[j])
-            if rule == GIBBS:
-                entries.append((s, s_on, q1))
-                entries.append((s, s_off, 1.0 - q1))
-            else:
-                w_cur = w1 if old else w0
-                w_flip = w0 if old else w1
-                alpha = min(1.0, w_flip / w_cur)
-                flip = s_off if old else s_on
-                entries.append((s, flip, alpha))
-                if alpha < 1.0:
-                    entries.append((s, s, 1.0 - alpha))
-        return entries
+        w = weight([j] + _scoped_children(net, flow, j))
+        on, off = rows | bit[j], rows & ~bit[j]
+        if rule == GIBBS:
+            q1 = w[on] / (w[on] + w[off])
+            return [(rows, on, q1), (rows, off, 1.0 - q1)]
+        flip = np.where(X[:, j], off, on)
+        return move_or_stay(rows, flip, np.minimum(1.0, w[flip] / w))
 
     def redraw_entries(j):
-        entries = []
-        for s, x in enumerate(xvecs):
-            sself = 1.0 - net.leak[j]
-            for i, p in zip(net.parents[j], net.parent_p[j]):
-                if x[i]:
-                    sself *= 1.0 - p
-            q1 = 1.0 - sself
-            entries.append((s, s | (1 << pos[j]), q1))
-            entries.append((s, s & ~(1 << pos[j]), 1.0 - q1))
-        return entries
+        q1 = 1.0 - S[:, j]
+        return [(rows, rows | bit[j], q1), (rows, rows & ~bit[j], 1.0 - q1)]
 
     def pair_entries(a, b, kind, rule, gate_children):
-        scope = _pair_scope(net, flow, a, b)
-        bit_a, bit_b = 1 << pos[a], 1 << pos[b]
-        entries = []
-        for s, x in enumerate(xvecs):
-            if gate_children is not None and not any(x[c] for c in gate_children):
-                entries.append((s, s, 1.0))
-                continue
-            va, vb = x[a], x[b]
-            if kind == "swap":
-                if va == vb:
-                    entries.append((s, s, 1.0))
-                    continue
-                x[a], x[b] = vb, va
-                w_swap = _restricted_weight(net, x, scope)
-                x[a], x[b] = va, vb
-                w_cur = _restricted_weight(net, x, scope)
-                t = (s & ~(bit_a | bit_b)) | (bit_a if vb else 0) | (bit_b if va else 0)
-                if rule == GIBBS:
-                    p_move = w_swap / (w_cur + w_swap)
-                else:
-                    p_move = min(1.0, w_swap / w_cur)
-                entries.append((s, t, p_move))
-                if p_move < 1.0:
-                    entries.append((s, s, 1.0 - p_move))
-            else:
-                ws = {}
-                for ca in (0, 1):
-                    for cb in (0, 1):
-                        x[a], x[b] = ca, cb
-                        ws[(ca, cb)] = _restricted_weight(net, x, scope)
-                x[a], x[b] = va, vb
-                targets = {
-                    (ca, cb): (s & ~(bit_a | bit_b)) | (bit_a if ca else 0) | (bit_b if cb else 0)
-                    for (ca, cb) in ws
-                }
-                if rule == GIBBS:
-                    z = sum(ws.values())
-                    for key, w in ws.items():
-                        entries.append((s, targets[key], w / z))
-                else:
-                    w_cur = ws[(va, vb)]
-                    stay = 1.0
-                    for key, w in ws.items():
-                        if key == (va, vb):
-                            continue
-                        alpha = min(1.0, w / w_cur) / 3.0
-                        entries.append((s, targets[key], alpha))
-                        stay -= alpha
-                    entries.append((s, s, stay))
-        merged = {}
-        for r, c, v in entries:
-            merged[(r, c)] = merged.get((r, c), 0.0) + v
-        return [(r, c, v) for (r, c), v in merged.items()]
+        w = weight(_pair_scope(net, flow, a, b))
+        both = bit[a] | bit[b]
+        active = np.ones(size, dtype=bool)
+        if gate_children is not None:
+            active = X[:, gate_children].any(axis=1)
+        if kind == "swap":
+            active &= X[:, a] != X[:, b]
+        idle = rows[~active]
+        out = [(idle, idle, np.ones(len(idle)))]
+        s = rows[active]
+        if kind == "swap":
+            t = s ^ both  # the pair differs, so swapping flips both bits
+            if rule == GIBBS:
+                return out + move_or_stay(s, t, w[t] / (w[s] + w[t]))
+            return out + move_or_stay(s, t, np.minimum(1.0, w[t] / w[s]))
+        clear = s & ~both
+        targets = [clear, clear | bit[b], clear | bit[a], clear | both]
+        ws = [w[t] for t in targets]
+        if rule == GIBBS:
+            z = ws[0] + ws[1] + ws[2] + ws[3]
+            return out + [(s, t, wk / z) for t, wk in zip(targets, ws)]
+        w_cur = w[s]
+        stay = np.ones(len(s))
+        for t, wk in zip(targets, ws):
+            moving = t != s
+            alpha = np.minimum(1.0, wk[moving] / w_cur[moving]) / 3.0
+            out.append((s[moving], t[moving], alpha))
+            stay[moving] -= alpha
+        return out + [(s, s, stay)]
 
     def spouse_pairs():
         """Unordered diagnostic-sampled pairs sharing a child that is not
@@ -438,20 +387,20 @@ def explicit_transition_matrix(
     # every policy keeps single-site moves for nodes the pairing leaves over
     for j in ds:
         label = ("single", net.ids[j])
-        add_move(label, single_entries(j, strategy.rule))
+        add_move(label, single_entries, j, strategy.rule)
         mixture_labels.append(label)
     kind = strategy.pair_move
     if kind is not None:
         for a, b, gate in spouse_pairs():
             label = (kind, net.ids[a], net.ids[b])
-            add_move(label, pair_entries(a, b, kind, strategy.rule, gate))
+            add_move(label, pair_entries, a, b, kind, strategy.rule, gate)
             mixture_labels.append(label)
     fs_labels = []
     if not collapse_forward:
         for j in net.topo:
             if j in fs:
                 label = ("fs", net.ids[j])
-                add_move(label, redraw_entries(j))
+                add_move(label, redraw_entries, j)
                 fs_labels.append(label)
 
     if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:

@@ -2,14 +2,24 @@
 
 Deliberately written in the most naive style available (dict-based, full
 enumeration, no caching, no log-space tricks) so that agreement with the
-library is evidence of correctness rather than shared bugs.
+library is evidence of correctness rather than shared bugs.  The
+`reference_*` functions are earlier library versions kept verbatim: a
+rewrite of the library must reproduce them exactly.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from diagbn.sampler import GIBBS
+import numpy as np
+from scipy import sparse
+
+from diagbn import flow as flowmod
+from diagbn.exact import EnumerationCapError, TransitionMatrix
+from diagbn.flow import FlowInfo, evidence_cover
+from diagbn.network import Network
+from diagbn.sampler import GIBBS, OPTIMIZED_FWD_BWD, StrategySpec, clamp_and_flow
 
 
 def factor(net, values, nid):
@@ -45,6 +55,41 @@ def posteriors_by_enumeration(net, ev):
     out = {nid: (1.0 if v else 0.0) for nid, v in ev.items()}
     for nid in free:
         out[nid] = sums[nid] / total
+    return out
+
+
+def posteriors_by_fractions(net, ev):
+    """Exact posterior marginals in rational arithmetic: every leak and link
+    probability is taken as the exact value of its float, so the only
+    rounding is the final conversion of each marginal to a float."""
+    from fractions import Fraction
+
+    leak = [Fraction(q) for q in net.leak]
+    keep = [[(i, 1 - Fraction(p)) for i, p in zip(net.parents[j], net.parent_p[j])]
+            for j in range(len(net.ids))]
+    free = [net.index[nid] for nid in net.ids if nid not in ev]
+    x = [0] * len(net.ids)
+    for nid, value in ev.items():
+        x[net.index[nid]] = 1 if value else 0
+    total = Fraction(0)
+    sums = [Fraction(0)] * len(free)
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        for j, bit in zip(free, bits):
+            x[j] = bit
+        w = Fraction(1)
+        for j in range(len(net.ids)):
+            stay_off = 1 - leak[j]
+            for i, q in keep[j]:
+                if x[i]:
+                    stay_off *= q
+            w *= (1 - stay_off) if x[j] else stay_off
+        total += w
+        for k, bit in enumerate(bits):
+            if bit:
+                sums[k] += w
+    out = {nid: (1.0 if v else 0.0) for nid, v in ev.items()}
+    for j, acc in zip(free, sums):
+        out[net.ids[j]] = float(acc / total)
     return out
 
 
@@ -240,6 +285,47 @@ def transition_distribution(net, state, proposal: MoveProposal, scope=None) -> l
     return [w / total for w in weights]
 
 
+def conditional_prob(net, state, nid, info: FlowInfo) -> float:
+    """P(nid = 1 | its conditioning scope) computed fresh from the state values.
+
+    For a forward-sampled node this is exactly the noisy-or distribution given
+    its parents.  For a diagnostic-sampled node the evidential children's
+    factors are folded in and the two-value distribution normalized.  This is
+    the reference implementation; the sweep loops use the cached equivalent.
+    """
+    if nid in state.ev or info.status == flowmod.CLAMPED:
+        raise ValueError(f"{nid!r} is fixed by evidence or clamping, not sampled")
+    x = state.x
+    j = net.index[nid]
+    s = 1.0 - net.leak[j]
+    for i, p in zip(net.parents[j], net.parent_p[j]):
+        if x[i]:
+            s *= 1.0 - p
+    p_on = 1.0 - s
+    if info.status == flowmod.FORWARD_SAMPLED or not info.evidential_children:
+        return p_on
+    w1 = p_on
+    w0 = s
+    for cid in info.evidential_children:
+        c = net.index[cid]
+        sc = 1.0 - net.leak[c]
+        q_self = 1.0
+        for i, p in zip(net.parents[c], net.parent_p[c]):
+            if i == j:
+                q_self = 1.0 - p
+            elif x[i]:
+                sc *= 1.0 - p
+        s1 = sc * q_self
+        s0 = sc
+        if x[c]:
+            w1 *= 1.0 - s1
+            w0 *= 1.0 - s0
+        else:
+            w1 *= s1
+            w0 *= s0
+    return w1 / (w1 + w0)
+
+
 def _reference_qualifying_children(state, strategy):
     """Per free node, the children whose shared parents may pair this sweep."""
     net = state.net
@@ -310,3 +396,332 @@ def reference_pair_nodes(state, strategy):
     singles = [j for j in movable if j not in done]
     assert 2 * len(pairs) + len(singles) == len(movable_set)
     return pairs, singles
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle as first written: one Python pass per enumerated state
+
+
+def _reference_factor(net, x, j) -> float:
+    s = 1.0 - net.leak[j]
+    for i, p in zip(net.parents[j], net.parent_p[j]):
+        if x[i]:
+            s *= 1.0 - p
+    return (1.0 - s) if x[j] else s
+
+def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
+    """The enumeration posteriors as first written (Gray-code scan).
+
+    Posterior marginals by summing the joint over all free assignments.
+
+    Iterates free states in Gray-code order so each step flips one node and
+    touches only that node's factor and its children's factors.  Zero factors
+    are counted rather than multiplied so permissive networks (zero leaks,
+    p = 1 edges) enumerate exactly.  Two passes: one to find the peak log
+    weight, one to accumulate stably relative to it.
+    """
+    free = [net.index[nid] for nid in net.ids if nid not in ev]
+    if len(free) > cap:
+        raise EnumerationCapError(
+            f"{len(free)} free nodes exceed the enumeration cap of {cap}"
+        )
+    n = len(net.ids)
+    x = [0] * n
+    for nid, value in ev.items():
+        x[net.index[nid]] = 1 if value else 0
+
+    def scan(peak, accumulate):
+        # reset free nodes to the all-false Gray origin
+        for j in free:
+            x[j] = 0
+        logw = 0.0
+        zeros = 0
+        for j in range(n):
+            f = _reference_factor(net, x, j)
+            if f == 0.0:
+                zeros += 1
+            else:
+                logw += math.log(f)
+        total = 0.0
+        sums = [0.0] * len(free)
+        best = float("-inf")
+        if zeros == 0:
+            best = logw
+            if accumulate:
+                total += math.exp(logw - peak)
+        for step in range(1, 1 << len(free)):
+            k = (step & -step).bit_length() - 1
+            i = free[k]
+            affected = [i] + net.children[i]
+            for j in affected:
+                f = _reference_factor(net, x, j)
+                if f == 0.0:
+                    zeros -= 1
+                else:
+                    logw -= math.log(f)
+            x[i] ^= 1
+            for j in affected:
+                f = _reference_factor(net, x, j)
+                if f == 0.0:
+                    zeros += 1
+                else:
+                    logw += math.log(f)
+            if zeros == 0:
+                if logw > best:
+                    best = logw
+                if accumulate:
+                    w = math.exp(logw - peak)
+                    total += w
+                    for idx, j in enumerate(free):
+                        if x[j]:
+                            sums[idx] += w
+        return best, total, sums
+
+    peak, _, _ = scan(0.0, accumulate=False)
+    if peak == float("-inf"):
+        raise ValueError("evidence has zero probability under this network")
+    _, total, sums = scan(peak, accumulate=True)
+    out = {}
+    for nid, value in ev.items():
+        out[nid] = 1.0 if value else 0.0
+    for idx, j in enumerate(free):
+        out[net.ids[j]] = sums[idx] / total
+    return out
+
+def _reference_scoped_children(net, flow, j):
+    # empty for forward-sampled nodes: they have no evidential children
+    return [net.index[c] for c in flow[net.ids[j]].evidential_children]
+
+
+def _reference_restricted_weight(net, x, nodes) -> float:
+    w = 1.0
+    for k in nodes:
+        w *= _reference_factor(net, x, k)
+    return w
+
+
+def _reference_pair_scope(net, flow, a, b):
+    touched = [a, b]
+    seen = {a, b}
+    for j in (a, b):
+        for c in _reference_scoped_children(net, flow, j):
+            if c not in seen:
+                seen.add(c)
+                touched.append(c)
+    return touched
+
+def reference_transition_matrix(
+    net: Network,
+    ev: dict,
+    strategy: StrategySpec,
+    cap: int = 12,
+    collapse_forward: bool = False,
+) -> TransitionMatrix:
+    """The transition-matrix oracle as first written: every kernel entry
+    computed state by state from scalar factors.
+
+    Build every kernel the strategy's sweeps are made of, exactly.
+
+    With collapse_forward=True the state space enumerates only the
+    diagnostic-sampled nodes and pi is the posterior with the forward
+    region summed out; flow-aware single and pair kernels are honest
+    reversible chains on that space.  Otherwise the space covers all free
+    nodes and forward redraws appear as explicit kernels in product stages.
+    """
+    clamp, flow = clamp_and_flow(net, ev, strategy)
+    free = sorted(net.index[nid] for nid in clamp.unclamped)
+    fs = {j for j in free if flow[net.ids[j]].status == flowmod.FORWARD_SAMPLED}
+    ds = [j for j in free if j not in fs]
+    chain_nodes = ds if collapse_forward else free
+    if len(chain_nodes) > cap:
+        raise EnumerationCapError(
+            f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {cap}"
+        )
+    size = 1 << len(chain_nodes)
+    pos = {j: k for k, j in enumerate(chain_nodes)}
+
+    base = [0] * len(net.ids)
+    for nid, value in ev.items():
+        base[net.index[nid]] = 1 if value else 0
+    states = []
+    xvecs = []
+    for s in range(size):
+        x = list(base)
+        for k, j in enumerate(chain_nodes):
+            x[j] = (s >> k) & 1
+        states.append(tuple((s >> k) & 1 for k in range(len(chain_nodes))))
+        xvecs.append(x)
+
+    if collapse_forward:
+        # forward region sums out: weigh only the remaining nodes' factors
+        scored = [j for j in range(len(net.ids)) if j not in fs]
+        weights = np.array([_reference_restricted_weight(net, x, scored) for x in xvecs])
+    else:
+        weights = np.array([_reference_restricted_weight(net, x, range(len(net.ids))) for x in xvecs])
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValueError("state space has zero total probability")
+    pi = weights / total
+
+    moves = []
+
+    def add_move(label, entries):
+        rows, cols, vals = zip(*entries)
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        sums = np.asarray(mat.sum(axis=1)).ravel()
+        assert np.allclose(sums, 1.0, atol=1e-12)
+        moves.append((label, mat))
+
+    def single_entries(j, rule):
+        scope = [j] + _reference_scoped_children(net, flow, j)
+        entries = []
+        for s, x in enumerate(xvecs):
+            old = x[j]
+            x[j] = 1
+            w1 = _reference_restricted_weight(net, x, scope)
+            x[j] = 0
+            w0 = _reference_restricted_weight(net, x, scope)
+            x[j] = old
+            q1 = w1 / (w1 + w0)
+            s_on = s | (1 << pos[j])
+            s_off = s & ~(1 << pos[j])
+            if rule == GIBBS:
+                entries.append((s, s_on, q1))
+                entries.append((s, s_off, 1.0 - q1))
+            else:
+                w_cur = w1 if old else w0
+                w_flip = w0 if old else w1
+                alpha = min(1.0, w_flip / w_cur)
+                flip = s_off if old else s_on
+                entries.append((s, flip, alpha))
+                if alpha < 1.0:
+                    entries.append((s, s, 1.0 - alpha))
+        return entries
+
+    def redraw_entries(j):
+        entries = []
+        for s, x in enumerate(xvecs):
+            sself = 1.0 - net.leak[j]
+            for i, p in zip(net.parents[j], net.parent_p[j]):
+                if x[i]:
+                    sself *= 1.0 - p
+            q1 = 1.0 - sself
+            entries.append((s, s | (1 << pos[j]), q1))
+            entries.append((s, s & ~(1 << pos[j]), 1.0 - q1))
+        return entries
+
+    def pair_entries(a, b, kind, rule, gate_children):
+        scope = _reference_pair_scope(net, flow, a, b)
+        bit_a, bit_b = 1 << pos[a], 1 << pos[b]
+        entries = []
+        for s, x in enumerate(xvecs):
+            if gate_children is not None and not any(x[c] for c in gate_children):
+                entries.append((s, s, 1.0))
+                continue
+            va, vb = x[a], x[b]
+            if kind == "swap":
+                if va == vb:
+                    entries.append((s, s, 1.0))
+                    continue
+                x[a], x[b] = vb, va
+                w_swap = _reference_restricted_weight(net, x, scope)
+                x[a], x[b] = va, vb
+                w_cur = _reference_restricted_weight(net, x, scope)
+                t = (s & ~(bit_a | bit_b)) | (bit_a if vb else 0) | (bit_b if va else 0)
+                if rule == GIBBS:
+                    p_move = w_swap / (w_cur + w_swap)
+                else:
+                    p_move = min(1.0, w_swap / w_cur)
+                entries.append((s, t, p_move))
+                if p_move < 1.0:
+                    entries.append((s, s, 1.0 - p_move))
+            else:
+                ws = {}
+                for ca in (0, 1):
+                    for cb in (0, 1):
+                        x[a], x[b] = ca, cb
+                        ws[(ca, cb)] = _reference_restricted_weight(net, x, scope)
+                x[a], x[b] = va, vb
+                targets = {
+                    (ca, cb): (s & ~(bit_a | bit_b)) | (bit_a if ca else 0) | (bit_b if cb else 0)
+                    for (ca, cb) in ws
+                }
+                if rule == GIBBS:
+                    z = sum(ws.values())
+                    for key, w in ws.items():
+                        entries.append((s, targets[key], w / z))
+                else:
+                    w_cur = ws[(va, vb)]
+                    stay = 1.0
+                    for key, w in ws.items():
+                        if key == (va, vb):
+                            continue
+                        alpha = min(1.0, w / w_cur) / 3.0
+                        entries.append((s, targets[key], alpha))
+                        stay -= alpha
+                    entries.append((s, s, stay))
+        merged = {}
+        for r, c, v in entries:
+            merged[(r, c)] = merged.get((r, c), 0.0) + v
+        return [(r, c, v) for (r, c), v in merged.items()]
+
+    def spouse_pairs():
+        """Unordered diagnostic-sampled pairs sharing a child that is not
+        forward-sampled, with the policy's gate."""
+        cover = evidence_cover(net, ev) if strategy.cover_gated else None
+        seenp = {}
+        movable = set(ds)
+        for c in range(len(net.ids)):
+            if c in fs:
+                continue
+            ps = [i for i in net.parents[c] if i in movable]
+            for ai in range(len(ps)):
+                for bi in range(ai + 1, len(ps)):
+                    a, b = sorted((ps[ai], ps[bi]))
+                    if cover is not None:
+                        if c in cover:
+                            seenp[(a, b)] = None
+                    else:
+                        seenp.setdefault((a, b), set()).add(c)
+        return sorted((a, b, None if gate is None else sorted(gate)) for (a, b), gate in seenp.items())
+
+    mixture_labels = []
+    # every policy keeps single-site moves for nodes the pairing leaves over
+    for j in ds:
+        label = ("single", net.ids[j])
+        add_move(label, single_entries(j, strategy.rule))
+        mixture_labels.append(label)
+    kind = strategy.pair_move
+    if kind is not None:
+        for a, b, gate in spouse_pairs():
+            label = (kind, net.ids[a], net.ids[b])
+            add_move(label, pair_entries(a, b, kind, strategy.rule, gate))
+            mixture_labels.append(label)
+    fs_labels = []
+    if not collapse_forward:
+        for j in net.topo:
+            if j in fs:
+                label = ("fs", net.ids[j])
+                add_move(label, redraw_entries(j))
+                fs_labels.append(label)
+
+    if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:
+        fwd = []
+        for j in net.topo:
+            if j in fs:
+                fwd.append(("fs", net.ids[j]))
+            elif j in ds:
+                fwd.append(("single", net.ids[j]))
+        bwd = [("single", net.ids[j]) for j in reversed(net.topo) if j in ds]
+        stages = [("product", bwd), ("product", fwd)]
+    else:
+        stages = [("mixture", mixture_labels)] if mixture_labels else []
+        if fs_labels:
+            stages.append(("product", fs_labels))
+    return TransitionMatrix(
+        node_order=tuple(net.ids[j] for j in chain_nodes),
+        states=states,
+        pi=pi,
+        moves=moves,
+        sweep_stages=stages,
+    )

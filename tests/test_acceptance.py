@@ -26,8 +26,8 @@ from diagbn.exact import (
 )
 from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
 from diagbn.network import build_network, joint_log_prob, noisy_or_prob
-from diagbn.sampler import PRESETS, initialize_state, conditional_prob, run_sweep, sample_posteriors, setup_chain
-from oracles import conditional_by_enumeration, random_dag, random_evidence, unclamped_by_reachability
+from diagbn.sampler import PRESETS, initialize_state, run_sweep, sample_posteriors, setup_chain
+from oracles import conditional_by_enumeration, conditional_prob, random_dag, random_evidence, unclamped_by_reachability
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -116,6 +116,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown strategy"):
             run_experiment(config)
 
+    def test_checkpoints_inside_burn_in_rejected(self, vase):
+        # a checkpoint at or before burn-in would score burn-in sweeps
+        config = vase_config(vase, burn_in=50, checkpoints=[10, 50, 100])
+        with pytest.raises(ValueError, match="burn-in"):
+            run_experiment(config)
+
     def test_long_checkpoints_drive_errors_down(self, vase):
         config = vase_config(vase, checkpoints=[5, 2000], repetitions=5)
         report = run_experiment(config)
@@ -173,6 +179,13 @@ class TestLoadConfig:
         path = self.write_bundle(tmp_path, vase, repetitions=0)
         with pytest.raises(ValueError, match="repetitions"):
             load_config(path)
+
+    def test_checkpoints_inside_burn_in_rejected(self, tmp_path, vase):
+        path = self.write_bundle(tmp_path, vase, burn_in=50, checkpoints=[10, 50, 100])
+        with pytest.raises(ValueError, match=r"checkpoints \[10, 50\] .*50 burn-in"):
+            load_config(path)
+        path = self.write_bundle(tmp_path, vase, burn_in=50, checkpoints=[51, 100])
+        assert load_config(path).burn_in == 50
 
     def test_empty_checkpoints_rejected(self, tmp_path, vase):
         path = self.write_bundle(tmp_path, vase, checkpoints=[])

@@ -301,7 +301,7 @@ class TestGen:
 
 
 class TestBench:
-    def write_bundle(self, tmp_path, vase_files):
+    def write_bundle(self, tmp_path, vase_files, **overrides):
         net_path, _ = vase_files
         cases_path = tmp_path / "cases.json"
         cases_path.write_text(
@@ -315,6 +315,7 @@ class TestBench:
             "repetitions": 2,
             "seed": 13,
         }
+        config.update(overrides)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         return str(config_path)
@@ -345,6 +346,16 @@ class TestBench:
         assert doc["epsilon_floor"] == 1.0
         # a unit-wide band swallows every possible miss
         assert all(v == 0.0 for errs in doc["mean_errors"].values() for v in errs)
+
+    def test_checkpoint_inside_burn_in_exits_2(self, vase_files, tmp_path, capsys):
+        config_path = self.write_bundle(
+            tmp_path, vase_files, burn_in=50, checkpoints=[10, 50, 100]
+        )
+        out = tmp_path / "report.json"
+        rc, _, err = run_cli(["bench", "--config", config_path, "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("error:") and "burn-in" in err
+        assert not out.exists()
 
     def test_report_file_byte_identical_across_runs(self, vase_files, tmp_path, capsys):
         config_path = self.write_bundle(tmp_path, vase_files)

@@ -24,8 +24,11 @@ from oracles import (
     d_separated_by_trails,
     joint_prob,
     posteriors_by_enumeration,
+    posteriors_by_fractions,
     random_dag,
     random_evidence,
+    reference_exact_posteriors,
+    reference_transition_matrix,
 )
 
 
@@ -85,6 +88,31 @@ class TestExactPosteriors:
         post2 = exact_posteriors(net, {"b": True})
         assert post2["a"] == pytest.approx(1.0, abs=1e-12)
         assert post2["c"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_rational_enumeration(self, vase):
+        rng = random.Random(21)
+        nets = [(vase, {"v": True})]
+        for _ in range(20):
+            nodes, edges = random_dag(rng, rng.randint(2, 8))
+            net = build_network(nodes, edges)
+            nets.append((net, random_evidence(rng, net, max_nodes=3)))
+        for net, ev in nets:
+            want = posteriors_by_fractions(net, ev)
+            got = exact_posteriors(net, ev)
+            for nid in net.ids:
+                assert abs(got[nid] - want[nid]) <= 1e-14, (nid, got[nid], want[nid])
+
+    def test_matches_reference_across_chunks(self):
+        # 2^16 states: the enumeration spans more than one factor table
+        rng = random.Random(16)
+        nodes, edges = random_dag(rng, 17, edge_prob=0.25)
+        net = build_network(nodes, edges)
+        ev = {"n16": True}
+        got = exact_posteriors(net, ev)
+        want = reference_exact_posteriors(net, ev)
+        assert set(got) == set(want)
+        for nid in net.ids:
+            assert got[nid] == pytest.approx(want[nid], abs=1e-10)
 
     def test_agrees_with_rejection_sampling(self, vase):
         rng = random.Random(5)
@@ -275,3 +303,54 @@ class TestTransitionMatrix:
         net = build_network(nodes, edges)
         with pytest.raises(EnumerationCapError):
             explicit_transition_matrix(net, {}, PRESETS["gibbs"], cap=12)
+
+
+def assert_same_matrix(got, want):
+    assert got.node_order == want.node_order
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.pi, want.pi)
+    assert got.sweep_stages == want.sweep_stages
+    assert [label for label, _ in got.moves] == [label for label, _ in want.moves]
+    for (label, a), (_, b) in zip(got.moves, want.moves):
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (label, part)
+
+
+class TestTransitionMatrixMatchesReference:
+    """The factor-table build against the state-by-state build it replaced:
+    every state, pi, label, stage and kernel array equal to the bit."""
+
+    @pytest.mark.parametrize("collapse_forward", [False, True])
+    def test_bit_identical_on_random_dags(self, vase, collapse_forward):
+        rng = random.Random(40)
+        nets = [(vase, {"v": True})]
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 9))
+            net = build_network(nodes, edges)
+            nets.append((net, random_evidence(rng, net, max_nodes=3)))
+        for net, ev in nets:
+            for strat in PRESETS.values():
+                got = explicit_transition_matrix(net, ev, strat, collapse_forward=collapse_forward)
+                want = reference_transition_matrix(net, ev, strat, collapse_forward=collapse_forward)
+                assert_same_matrix(got, want)
+
+    def test_zero_weight_conditional_named(self):
+        # the permissive network of test_zero_probability_regions_handled:
+        # p = 1 links and zero leaks leave some conditionals with no weight
+        net = build_network(
+            [("a", "model", 0.5), ("b", "model", 0.0), ("c", "model", 0.0)],
+            [("a", "b", 1.0), ("b", "c", 1.0)],
+        )
+        raised = 0
+        for ev in ({}, {"c": False}, {"b": True}):
+            for strat in PRESETS.values():
+                try:
+                    want = reference_transition_matrix(net, ev, strat)
+                except ZeroDivisionError:
+                    raised += 1
+                    with pytest.raises(ValueError, match=r"move \(.*\) has a zero-weight conditional"):
+                        explicit_transition_matrix(net, ev, strat)
+                    continue
+                assert_same_matrix(explicit_transition_matrix(net, ev, strat), want)
+        assert raised == 16

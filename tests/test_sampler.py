@@ -27,7 +27,6 @@ from diagbn.sampler import (
     SINGLE_SITE,
     StrategySpec,
     block_pair_move,
-    conditional_prob,
     derive_seed,
     estimate_marginals,
     initialize_state,
@@ -42,6 +41,7 @@ from diagbn.sampler import (
 from oracles import (
     MoveProposal,
     conditional_by_enumeration,
+    conditional_prob,
     joint_prob,
     metropolis_accept,
     random_dag,
@@ -714,6 +714,18 @@ class TestDeterminism:
         assert a.estimates == b.estimates
         assert a.checkpoint_estimates == b.checkpoint_estimates
         assert a.cost == b.cost
+
+    def test_checkpoint_at_burn_in_keeps_its_sweeps(self, vase):
+        # checkpoints at and before burn-in estimate from the burn-in sweeps
+        # so far, exactly as a chain stopped there; later ones exclude them
+        gibbs = PRESETS["gibbs"]
+        res = run_chain(vase, {"v": True}, gibbs, sweeps=100, seed=1, burn_in=50,
+                        checkpoints=(10, 50, 100))
+        for ck in (10, 50):
+            alone = run_chain(vase, {"v": True}, gibbs, sweeps=ck, seed=1)
+            assert res.checkpoint_estimates[ck] == alone.estimates
+        assert res.checkpoint_estimates[50]["e"] > 0.0
+        assert res.checkpoint_estimates[100] == res.estimates
 
     def test_multi_chain_merge_deterministic(self, vase):
         a = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=9, chains=3)
