@@ -62,7 +62,12 @@ class ExperimentConfig:
         return PRESETS[name]
 
     def check(self):
-        """Reject a grid that cannot run or would score burn-in sweeps."""
+        """Reject a grid that cannot run, would score burn-in sweeps, or
+        lacks a truth for a scored node."""
+        if not self.strategies:
+            raise ValueError("need at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies listed more than once: {self.strategies}")
         for name in self.strategies:
             self.resolve_strategy(name)
         if self.repetitions < 1:
@@ -74,6 +79,24 @@ class ExperimentConfig:
             raise ValueError(
                 f"checkpoints {early} do not come after the {self.burn_in} burn-in sweeps"
             )
+        if self.truths is None:
+            return
+        if len(self.truths) != len(self.cases):
+            raise ValueError(
+                f"truth file covers {len(self.truths)} cases but config lists {len(self.cases)}"
+            )
+        for k, (case, truth) in enumerate(zip(self.cases, self.truths)):
+            missing = [nid for nid in _scored_nodes(self.net, case) if nid not in truth]
+            if missing:
+                raise ValueError(f"truth for case {k} lacks scored nodes {missing}")
+
+
+def _scored_nodes(net, case) -> list:
+    """The model nodes a case leaves unobserved, in network order."""
+    return [nid for j, nid in enumerate(net.ids) if net.kind[j] == MODEL and nid not in case.evidence]
+
+
+_REQUIRED_KEYS = ("network", "cases", "strategies", "checkpoints", "repetitions", "seed")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -85,6 +108,9 @@ def load_config(path: str) -> ExperimentConfig:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    missing = [key for key in _REQUIRED_KEYS if not isinstance(raw, dict) or key not in raw]
+    if missing:
+        raise ValueError(f"config {path} lacks the required keys {missing}")
     with open(resolve(raw["network"])) as fh:
         net = parse_network(fh.read(), profile=STRICT)
     with open(resolve(raw["cases"])) as fh:
@@ -93,11 +119,9 @@ def load_config(path: str) -> ExperimentConfig:
     if raw.get("truth"):
         with open(resolve(raw["truth"])) as fh:
             tr = json.load(fh)
+        if not isinstance(tr, dict) or "cases" not in tr:
+            raise ValueError(f"truth file {raw['truth']} lacks the required key 'cases'")
         truths = [{str(k): float(v) for k, v in per_case.items()} for per_case in tr["cases"]]
-        if len(truths) != len(cases):
-            raise ValueError(
-                f"truth file covers {len(truths)} cases but config lists {len(cases)}"
-            )
     cfg = ExperimentConfig(
         net=net,
         cases=cases,
@@ -165,7 +189,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     config.check()
     net = config.net
     truths = _case_truths(config)
-    model_ids = [nid for nid in net.ids if net.kind[net.index[nid]] == MODEL]
+    n_model = net.kind.count(MODEL)
     sweeps = max(config.checkpoints)
     errors = {s: [0.0] * len(config.checkpoints) for s in config.strategies}
     seconds = {s: 0.0 for s in config.strategies}
@@ -174,7 +198,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     for name in config.strategies:
         strategy = config.resolve_strategy(name)
         for case_idx, case in enumerate(config.cases):
-            scored = [nid for nid in model_ids if nid not in case.evidence]
+            scored = _scored_nodes(net, case)
             truth = {nid: truths[case_idx][nid] for nid in scored}
             for rep in range(config.repetitions):
                 cell_seed = derive_seed(config.seed, name, case_idx, rep)
@@ -213,7 +237,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         repetitions=config.repetitions,
         n_cases=len(config.cases),
         epsilon_floor=config.epsilon_floor,
-        n_scored_nodes=len(model_ids),
+        n_scored_nodes=n_model,
     )
 
 

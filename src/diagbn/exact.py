@@ -3,26 +3,37 @@ explicit transition matrices for the sampler's moves.
 
 Enumeration and transition matrices read one factor table: a row per
 enumerated state and a column per node, holding each node's noisy-or
-survival and its factor.  The table recomputes factors from first
-principles rather than sharing the sampler's cached fast paths, so
-agreement between the two is meaningful.  Each column is the scalar
-noisy-or product taken vectorwise, with the same float operations in the
-same parent order, so every weight and kernel entry is the one a
-state-by-state loop computes.
+survival and its factor.  The factors come from first principles rather
+than from the sampler's cached fast paths, so agreement between the two is
+meaningful.  Each column is the scalar noisy-or product taken vectorwise,
+with the same float operations in the same parent order, so every weight
+and kernel entry is the one a state-by-state loop computes.
+
+The chain layout does come from the sampler: a transition matrix reads
+its free, diagnostic-sampled and forward-sampled nodes, scope children,
+pair scopes, visit orders and spouse-pair rule (`spouse_links`) from the
+chain's own `SamplerState`, so its kernels are the moves the sampler can
+make.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from . import flow as flowmod
-from .flow import evidence_cover
 from .network import Network
-from .sampler import GIBBS, OPTIMIZED_FWD_BWD, StrategySpec, clamp_and_flow
+from .sampler import (
+    GIBBS,
+    OPTIMIZED_FWD_BWD,
+    SamplerState,
+    StrategySpec,
+    clamp_and_flow,
+    pair_scope,
+    spouse_links,
+)
 
 _CHUNK = 1 << 15  # rows per factor table when enumerating posteriors
 
@@ -115,11 +126,7 @@ def prior_marginals_forward(net: Network, n_samples: int, rng) -> dict:
     x = [0] * n
     for _ in range(n_samples):
         for j in net.topo:
-            s = 1.0 - net.leak[j]
-            for i, p in zip(net.parents[j], net.parent_p[j]):
-                if x[i]:
-                    s *= 1.0 - p
-            x[j] = 1 if rng.random() < (1.0 - s) else 0
+            x[j] = 1 if rng.random() < (1.0 - net.survival(j, x)) else 0
             counts[j] += x[j]
     return {nid: counts[j] / n_samples for j, nid in enumerate(net.ids)}
 
@@ -198,6 +205,8 @@ class TransitionMatrix:
     pi: np.ndarray
     moves: list
     sweep_stages: list
+    # label -> the kernel's transpose, built on the first sweep
+    _transposed: dict = field(default=None, init=False, repr=False, compare=False)
 
     def kernel(self, label):
         for lab, mat in self.moves:
@@ -206,49 +215,21 @@ class TransitionMatrix:
         raise KeyError(label)
 
     def apply_sweep(self, vec: np.ndarray) -> np.ndarray:
+        """One sweep applied to a distribution (or to each row of a matrix)."""
+        if self._transposed is None:
+            self._transposed = {lab: mat.T.tocsr() for lab, mat in self.moves}
         out = np.asarray(vec, dtype=float)
         for kind, labels in self.sweep_stages:
+            steps = [self._transposed[lab] for lab in labels]
             if kind == "mixture":
                 mixed = np.zeros_like(out)
-                for lab in labels:
-                    mixed += out @ self.kernel(lab)
+                for kt in steps:
+                    mixed += (kt @ out.T).T
                 out = mixed / len(labels)
             else:
-                for lab in labels:
-                    out = out @ self.kernel(lab)
+                for kt in steps:
+                    out = (kt @ out.T).T
         return out
-
-    def sweep_matrix(self) -> np.ndarray:
-        if len(self.states) > 512:
-            raise EnumerationCapError("sweep matrix materialization capped at 512 states")
-        size = len(self.states)
-        out = np.eye(size)
-        for kind, labels in self.sweep_stages:
-            if kind == "mixture":
-                mixed = np.zeros((size, size))
-                for lab in labels:
-                    mixed += out @ self.kernel(lab).toarray()
-                out = mixed / len(labels)
-            else:
-                for lab in labels:
-                    out = out @ self.kernel(lab).toarray()
-        return out
-
-
-def _scoped_children(net, flow, j):
-    # empty for forward-sampled nodes: they have no evidential children
-    return [net.index[c] for c in flow[net.ids[j]].evidential_children]
-
-
-def _pair_scope(net, flow, a, b):
-    touched = [a, b]
-    seen = {a, b}
-    for j in (a, b):
-        for c in _scoped_children(net, flow, j):
-            if c not in seen:
-                seen.add(c)
-                touched.append(c)
-    return touched
 
 
 def explicit_transition_matrix(
@@ -268,11 +249,11 @@ def explicit_transition_matrix(
     A move whose conditional has zero weight in some state it may run from
     raises ValueError naming the move.
     """
+    # the chain's own layout: its nodes, scopes, pair rule and visit orders
     clamp, flow = clamp_and_flow(net, ev, strategy)
-    free = sorted(net.index[nid] for nid in clamp.unclamped)
-    fs = {j for j in free if flow[net.ids[j]].status == flowmod.FORWARD_SAMPLED}
-    ds = [j for j in free if j not in fs]
-    chain_nodes = ds if collapse_forward else free
+    chain = SamplerState(net, ev, clamp, flow, None)
+    fs = chain.forward_sampled
+    chain_nodes = chain.diagnostic if collapse_forward else chain.free
     if len(chain_nodes) > cap:
         raise EnumerationCapError(
             f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {cap}"
@@ -291,7 +272,7 @@ def explicit_transition_matrix(
         return w
 
     # the forward region sums out of a collapsed space: weigh only the rest
-    weights = weight(j for j in range(len(net.ids)) if not (collapse_forward and j in fs))
+    weights = weight(j for j in range(len(net.ids)) if not (collapse_forward and fs[j]))
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("state space has zero total probability")
@@ -320,7 +301,7 @@ def explicit_transition_matrix(
         return [(s, t, p), (s[stay], s[stay], 1.0 - p[stay])]
 
     def single_entries(j, rule):
-        w = weight([j] + _scoped_children(net, flow, j))
+        w = weight([j] + chain.scope_children[j])
         on, off = rows | bit[j], rows & ~bit[j]
         if rule == GIBBS:
             q1 = w[on] / (w[on] + w[off])
@@ -333,7 +314,7 @@ def explicit_transition_matrix(
         return [(rows, rows | bit[j], q1), (rows, rows & ~bit[j], 1.0 - q1)]
 
     def pair_entries(a, b, kind, rule, gate_children):
-        w = weight(_pair_scope(net, flow, a, b))
+        w = weight(pair_scope(chain, a, b))
         both = bit[a] | bit[b]
         active = np.ones(size, dtype=bool)
         if gate_children is not None:
@@ -364,28 +345,20 @@ def explicit_transition_matrix(
         return out + [(s, s, stay)]
 
     def spouse_pairs():
-        """Unordered diagnostic-sampled pairs sharing a child that is not
-        forward-sampled, with the policy's gate."""
-        cover = evidence_cover(net, ev) if strategy.cover_gated else None
-        seenp = {}
-        movable = set(ds)
-        for c in range(len(net.ids)):
-            if c in fs:
-                continue
-            ps = [i for i in net.parents[c] if i in movable]
-            for ai in range(len(ps)):
-                for bi in range(ai + 1, len(ps)):
-                    a, b = sorted((ps[ai], ps[bi]))
-                    if cover is not None:
-                        if c in cover:
-                            seenp[(a, b)] = None
-                    else:
-                        seenp.setdefault((a, b), set()).add(c)
-        return sorted((a, b, None if gate is None else sorted(gate)) for (a, b), gate in seenp.items())
+        """Unordered pairs the sampler may form, each with the children whose
+        being on gates it (None for cover-gated policies)."""
+        gates = {}
+        for a, links in spouse_links(chain, strategy).items():
+            for c, others in links:
+                for b in others:
+                    if a < b:
+                        gates.setdefault((a, b), []).append(c)
+        gated = not strategy.cover_gated
+        return sorted((a, b, sorted(gate) if gated else None) for (a, b), gate in gates.items())
 
     mixture_labels = []
     # every policy keeps single-site moves for nodes the pairing leaves over
-    for j in ds:
+    for j in chain.diagnostic:
         label = ("single", net.ids[j])
         add_move(label, single_entries, j, strategy.rule)
         mixture_labels.append(label)
@@ -397,20 +370,14 @@ def explicit_transition_matrix(
             mixture_labels.append(label)
     fs_labels = []
     if not collapse_forward:
-        for j in net.topo:
-            if j in fs:
-                label = ("fs", net.ids[j])
-                add_move(label, redraw_entries, j)
-                fs_labels.append(label)
+        for j in chain.topo_forward:
+            label = ("fs", net.ids[j])
+            add_move(label, redraw_entries, j)
+            fs_labels.append(label)
 
     if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:
-        fwd = []
-        for j in net.topo:
-            if j in fs:
-                fwd.append(("fs", net.ids[j]))
-            elif j in ds:
-                fwd.append(("single", net.ids[j]))
-        bwd = [("single", net.ids[j]) for j in reversed(net.topo) if j in ds]
+        fwd = [("fs" if fs[j] else "single", net.ids[j]) for j in chain.topo_free]
+        bwd = [("single", net.ids[j]) for j in chain.topo_diagnostic_reversed]
         stages = [("product", bwd), ("product", fwd)]
     else:
         stages = [("mixture", mixture_labels)] if mixture_labels else []

@@ -162,11 +162,7 @@ def generate_cases(
     for case_idx in range(n_cases):
         for attempt in range(max_attempts):
             for j in net.topo:
-                s = 1.0 - net.leak[j]
-                for i, pij in zip(net.parents[j], net.parent_p[j]):
-                    if x[i]:
-                        s *= 1.0 - pij
-                x[j] = 1 if rng.random() < 1.0 - s else 0
+                x[j] = 1 if rng.random() < 1.0 - net.survival(j, x) else 0
             k = rng.randint(ev_lo, ev_hi)
             observed = rng.sample(sensory, k)
             n_pos = sum(x[net.index[sid]] for sid in observed)
@@ -188,7 +184,10 @@ def cases_to_jsonable(cases) -> list:
 
 def cases_from_jsonable(raw, net: Network) -> list:
     out = []
-    for item in raw:
+    for k, item in enumerate(raw):
+        for key in ("evidence", "n_positive"):
+            if not isinstance(item, dict) or key not in item:
+                raise ValueError(f"case {k} lacks the required key {key!r}")
         ev = {}
         for nid, value in item["evidence"].items():
             if nid not in net.index:

@@ -87,6 +87,15 @@ class Network:
     def node_kind(self, nid: str) -> str:
         return self.kind[self.index[nid]]
 
+    def survival(self, j, x) -> float:
+        """P(node j stays off | its parents), with x[i] the value of node i:
+        1 - leak, times 1 - p for each parent that is on, in parent order."""
+        s = 1.0 - self.leak[j]
+        for i, p in zip(self.parents[j], self.parent_p[j]):
+            if x[i]:
+                s *= 1.0 - p
+        return s
+
 
 def build_network(nodes, edges) -> Network:
     """Construct and structurally check a network.
@@ -139,9 +148,8 @@ def noisy_or_prob(net: Network, nid: str, parent_values: dict) -> float:
     parent_values must assign a bool to exactly the parents of nid.
     """
     j = net.index[nid]
-    parents = net.parents[j]
     given = set(parent_values)
-    expected = {net.ids[i] for i in parents}
+    expected = {net.ids[i] for i in net.parents[j]}
     if given != expected:
         missing = expected - given
         extra = given - expected
@@ -150,11 +158,7 @@ def noisy_or_prob(net: Network, nid: str, parent_values: dict) -> float:
             + (f", missing {sorted(missing)}" if missing else "")
             + (f", extraneous {sorted(extra)}" if extra else "")
         )
-    surv = 1.0 - net.leak[j]
-    for i, p in zip(parents, net.parent_p[j]):
-        if parent_values[net.ids[i]]:
-            surv *= 1.0 - p
-    return 1.0 - surv
+    return 1.0 - net.survival(j, {net.index[k]: v for k, v in parent_values.items()})
 
 
 def joint_log_prob(net: Network, assignment: dict) -> float:
@@ -164,10 +168,7 @@ def joint_log_prob(net: Network, assignment: dict) -> float:
     values = [bool(assignment[nid]) for nid in net.ids]
     total = 0.0
     for j in range(len(values)):
-        surv = 1.0 - net.leak[j]
-        for i, p in zip(net.parents[j], net.parent_p[j]):
-            if values[i]:
-                surv *= 1.0 - p
+        surv = net.survival(j, values)
         prob = 1.0 - surv if values[j] else surv
         if prob <= 0.0:
             return float("-inf")

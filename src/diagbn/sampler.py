@@ -183,7 +183,7 @@ class SamplerState:
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
         self.pair_plan = None  # built by pair_nodes on first use
-        self.pair_unions = {}  # (a, b) -> _pair_union(a, b)
+        self.pair_unions = {}  # (a, b) -> pair_scope(state, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [
             [1.0 - p for p in net.child_p[j]] for j in range(n)
@@ -195,14 +195,8 @@ class SamplerState:
         self.move_cost = [1 + len(self.scope_children[j]) for j in range(n)]
 
     def refresh_survivals(self):
-        net = self.net
-        x = self.x
-        for j in range(len(x)):
-            s = 1.0 - net.leak[j]
-            for i, p in zip(net.parents[j], net.parent_p[j]):
-                if x[i]:
-                    s *= 1.0 - p
-            self.surv[j] = s
+        for j in range(len(self.x)):
+            self.surv[j] = self.net.survival(j, self.x)
 
     def flip(self, n):
         """Toggle node n and update the survival caches of all its children."""
@@ -254,14 +248,8 @@ def initialize_state(net, ev, clamp, rng, flow=None) -> SamplerState:
     x = state.x
     for nid, value in ev.items():
         x[net.index[nid]] = 1 if value else 0
-    for j in net.topo:
-        if not state.is_free[j]:
-            continue
-        s = 1.0 - net.leak[j]
-        for i, p in zip(net.parents[j], net.parent_p[j]):
-            if x[i]:
-                s *= 1.0 - p
-        x[j] = 1 if rng.random() < (1.0 - s) else 0
+    for j in state.topo_free:
+        x[j] = 1 if rng.random() < (1.0 - net.survival(j, x)) else 0
     state.refresh_survivals()
     return state
 
@@ -288,7 +276,9 @@ def single_site_move(state: SamplerState, n, rule):
             state.flip(n)
 
 
-def _pair_union(state, a, b):
+def pair_scope(state, a, b):
+    """The nodes a pair move on (a, b) weighs: a, b, then their scope
+    children in order, without repeats.  Memoized per chain."""
     touched = state.pair_unions.get((a, b))
     if touched is None:
         touched = [a, b]
@@ -318,7 +308,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
         acc.counts[b] += 1
         state.cost += 1
         return
-    touched = _pair_union(state, a, b)
+    touched = pair_scope(state, a, b)
     w_cur = state.restricted_weight(touched)
     state.flip(a)
     state.flip(b)
@@ -343,7 +333,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
 def block_pair_move(state: SamplerState, a, b, rule):
     """Resample two spouses jointly over their four joint assignments."""
     acc = state.acc
-    touched = _pair_union(state, a, b)
+    touched = pair_scope(state, a, b)
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     weights = [0.0] * 4
     weights[0] = state.restricted_weight(touched)
@@ -405,47 +395,58 @@ def forward_redraw(state: SamplerState, n):
 # pairing
 
 
-class _PairPlan:
-    """What pairing reads that stays fixed for one chain under one strategy.
+def spouse_links(state: SamplerState, strategy: StrategySpec) -> dict:
+    """The one rule for which spouse pairs may move.
 
-    Pairing covers the diagnostic-sampled nodes.  A candidate may pair with
-    the other diagnostic-sampled parents of the children it pairs through (in
-    child, then parent order, without repeats): its scope children, inside the
-    evidence cover for cover-gated policies.  Cover gates read the evidence
-    alone, and evidence and clamped nodes never change value within a chain,
-    so a candidate's spouse list is fixed unless a child-true gate reads a
-    free child.  `spouses` maps every candidate, in visit order, to its fixed
-    spouse list, or to None when `links` keeps its (child, other movable
-    parents) pairs for the gate to read on every sweep.
+    Maps each diagnostic-sampled node, in index order, to its links: one
+    (child, other diagnostic-sampled parents of that child) entry per scope
+    child, inside the evidence cover for cover-gated policies.  A node may
+    pair with any parent listed in its links; child-true policies further
+    require that link's child to be on.  Pairs form only through children
+    that carry evidence flow: a forward-sampled child couples nothing in the
+    collapsed posterior, and gating on its sampled value biases the chain.
+    """
+    net = state.net
+    is_diagnostic = [False] * len(net.ids)
+    for j in state.diagnostic:
+        is_diagnostic[j] = True
+    cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
+    return {
+        j: [
+            (c, [b for b in net.parents[c] if b != j and is_diagnostic[b]])
+            for c in state.scope_children[j]
+            if cover is None or c in cover
+        ]
+        for j in state.diagnostic
+    }
+
+
+class _PairPlan:
+    """The gates of `spouse_links` that stay fixed for one chain.
+
+    Cover gates read the evidence alone, and evidence and clamped nodes
+    never change value within a chain, so a node's spouse list (the union of
+    its links' parents, in link order, without repeats) is fixed unless a
+    child-true gate reads a free child.  `spouses` maps every node with
+    links, in index order, to its fixed spouse list, or to None when `links`
+    keeps its links for the gate to read on every sweep.
     """
 
     def __init__(self, state: SamplerState, strategy: StrategySpec):
-        net = state.net
         x = state.x
+        cover_gated = strategy.cover_gated
         self.strategy = strategy
-        is_movable = [False] * len(net.ids)
-        for j in state.diagnostic:
-            is_movable[j] = True
-        cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
         self.spouses = {}
         self.links = {}
-        for j in state.diagnostic:
-            # pair only through children that carry evidence flow: a
-            # forward-sampled child couples nothing in the collapsed
-            # posterior, and gating on its sampled value biases the chain
-            links = [
-                (c, [b for b in net.parents[c] if b != j and is_movable[b]])
-                for c in state.scope_children[j]
-                if cover is None or c in cover
-            ]
+        for j, links in spouse_links(state, strategy).items():
             if not links:
                 continue
-            if cover is None and any(state.is_free[c] for c, _ in links):
+            if not cover_gated and any(state.is_free[c] for c, _ in links):
                 self.spouses[j] = None
                 self.links[j] = links
                 continue
             # child-true policies: the shared child is on, here fixed by evidence
-            on = [others for c, others in links if cover is not None or x[c]]
+            on = [others for c, others in links if cover_gated or x[c]]
             if on:
                 self.spouses[j] = _spouse_union(on)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import time
 
 import pytest
 
+from diagbn.bench import load_config, run_experiment
 from diagbn.network import build_network
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # Frozen reference numbers for the broken-vase fixture with v observed true,
 # verified by hand against the four enumerated joint weights:
@@ -47,3 +52,13 @@ def vase_files(tmp_path, vase):
     ev_path = tmp_path / "ev.json"
     ev_path.write_text(json.dumps({"v": True}) + "\n")
     return str(net_path), str(ev_path)
+
+
+@pytest.fixture(scope="session")
+def bench_run():
+    """The committed benchmark grid, run once per session: (report, seconds)."""
+    config = load_config(os.path.join(DATA_DIR, "bench_config.json"))
+    t0 = time.perf_counter()
+    report = run_experiment(config)
+    elapsed = time.perf_counter() - t0
+    return report, elapsed

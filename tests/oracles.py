@@ -725,3 +725,19 @@ def reference_transition_matrix(
         moves=moves,
         sweep_stages=stages,
     )
+
+
+def reference_apply_sweep(tm: TransitionMatrix, vec: np.ndarray) -> np.ndarray:
+    """`TransitionMatrix.apply_sweep` as first written: each kernel found by
+    label and applied as `out @ kernel`."""
+    out = np.asarray(vec, dtype=float)
+    for kind, labels in tm.sweep_stages:
+        if kind == "mixture":
+            mixed = np.zeros_like(out)
+            for lab in labels:
+                mixed += out @ tm.kernel(lab)
+            out = mixed / len(labels)
+        else:
+            for lab in labels:
+                out = out @ tm.kernel(lab)
+    return out

@@ -8,7 +8,6 @@ the printed lines carry the numbers behind them.
 import itertools
 import json
 import math
-import os
 import random
 import time
 
@@ -17,7 +16,6 @@ import pytest
 from scipy import sparse
 
 from conftest import VASE_P_B, VASE_P_E
-from diagbn.bench import load_config, run_experiment
 from diagbn.cli import main as cli_main
 from diagbn.exact import (
     d_separated,
@@ -28,8 +26,6 @@ from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
 from diagbn.network import build_network, joint_log_prob, noisy_or_prob
 from diagbn.sampler import PRESETS, initialize_state, run_sweep, sample_posteriors, setup_chain
 from oracles import conditional_by_enumeration, conditional_prob, random_dag, random_evidence, unclamped_by_reachability
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _line(num, ok, detail):
@@ -257,15 +253,6 @@ def test_criterion_6_pair_moves_hop_between_explanations():
                        f"({swap_x:.1f}x), block-cover {rates['block-spouses-cover']:.4f} "
                        f"({block_x:.1f}x); threshold 5x")
     assert ok, msg
-
-
-@pytest.fixture(scope="module")
-def bench_run():
-    config = load_config(os.path.join(DATA_DIR, "bench_config.json"))
-    t0 = time.perf_counter()
-    report = run_experiment(config)
-    elapsed = time.perf_counter() - t0
-    return report, elapsed
 
 
 @pytest.mark.slow

@@ -315,9 +315,9 @@ class TestBench:
             "repetitions": 2,
             "seed": 13,
         }
-        config.update(overrides)
+        config.update(overrides)  # an override of None drops the key
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
+        config_path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
         return str(config_path)
 
     def test_table_on_stdout_and_report_file(self, vase_files, tmp_path, capsys):
@@ -355,6 +355,29 @@ class TestBench:
         rc, _, err = run_cli(["bench", "--config", config_path, "--out", str(out)], capsys)
         assert rc == 2
         assert err.startswith("error:") and "burn-in" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, files, message",
+        [
+            ({"strategies": []}, {}, "at least one strategy"),
+            ({"strategies": ["gibbs", "gibbs"]}, {}, "more than once"),
+            ({"strategies": None}, {}, "required keys ['strategies']"),
+            ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": 0.35, "v": 1.0}]}},
+             "lacks scored nodes ['b']"),
+            ({"cases": "bare.json"}, {"bare.json": [{"n_positive": 1}]}, "required key 'evidence'"),
+        ],
+        ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
+             "case-without-evidence"],
+    )
+    def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        config_path = self.write_bundle(tmp_path, vase_files, **overrides)
+        out = tmp_path / "report.json"
+        rc, _, err = run_cli(["bench", "--config", config_path, "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("error:") and message in err, err
         assert not out.exists()
 
     def test_report_file_byte_identical_across_runs(self, vase_files, tmp_path, capsys):

@@ -27,6 +27,7 @@ from oracles import (
     posteriors_by_fractions,
     random_dag,
     random_evidence,
+    reference_apply_sweep,
     reference_exact_posteriors,
     reference_transition_matrix,
 )
@@ -287,7 +288,7 @@ class TestTransitionMatrix:
         tm = explicit_transition_matrix(vase, {"v": True}, PRESETS["gibbs"])
         after = tm.apply_sweep(tm.pi)
         assert np.abs(after - tm.pi).max() < 1e-10
-        sweep = tm.sweep_matrix()
+        sweep = tm.apply_sweep(np.eye(len(tm.states)))
         assert np.abs(tm.pi @ sweep - tm.pi).max() < 1e-10
 
     def test_pi_matches_enumeration(self, vase):
@@ -334,6 +335,25 @@ class TestTransitionMatrixMatchesReference:
                 got = explicit_transition_matrix(net, ev, strat, collapse_forward=collapse_forward)
                 want = reference_transition_matrix(net, ev, strat, collapse_forward=collapse_forward)
                 assert_same_matrix(got, want)
+
+    def test_apply_sweep_matches_reference(self, vase):
+        rng = random.Random(41)
+        nets = [(vase, {"v": True})]
+        for _ in range(20):
+            nodes, edges = random_dag(rng, rng.randint(3, 9))
+            net = build_network(nodes, edges)
+            nets.append((net, random_evidence(rng, net, max_nodes=3)))
+        for net, ev in nets:
+            for strat in PRESETS.values():
+                tm = explicit_transition_matrix(net, ev, strat)
+                point = np.zeros(len(tm.states))
+                point[rng.randrange(len(tm.states))] = 1.0
+                for start in (point, tm.pi):
+                    got, want = start, start
+                    for _ in range(3):
+                        got = tm.apply_sweep(got)
+                        want = reference_apply_sweep(tm, want)
+                        assert np.array_equal(got, want), strat.name
 
     def test_zero_weight_conditional_named(self):
         # the permissive network of test_zero_probability_regions_handled:

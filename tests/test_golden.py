@@ -8,11 +8,16 @@ chains produce, so the same shift fails here in about a second.
 If a change moves the chains on purpose, recompute the hash with
 `python3 tests/test_golden.py` (with `src` on PYTHONPATH) and say why in the
 change log.
+
+A slow test pins the committed grid's JSON report too, byte for byte; it
+reads the grid run that acceptance criteria 7 and 8 share.
 """
 
 import hashlib
 import json
 import os
+
+import pytest
 
 from diagbn import generate as gen
 from diagbn.network import parse_network
@@ -35,6 +40,8 @@ LAYERED = dict(
 LAYERED_SEEDS = (0, 4, 8)
 SWEEPS = 300
 GOLDEN_SHA256 = "9b86e5e94c31773a24a7f56c4593d6ef6c12802f51924fd4375f35fa6bcd5be4"
+# sha256 of the committed grid's JSON report, as `scripts/run_table.py --out` writes it
+REPORT_SHA256 = "d6005a45b61e2ea5238017363cc3889d938b8d91adc4e2c125af72dc149e0021"
 
 
 def golden_record() -> list:
@@ -63,6 +70,13 @@ def golden_digest() -> str:
 
 def test_chains_match_golden_hash():
     assert golden_digest() == GOLDEN_SHA256
+
+
+@pytest.mark.slow
+def test_grid_report_matches_hash(bench_run):
+    report, _ = bench_run
+    text = json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 if __name__ == "__main__":

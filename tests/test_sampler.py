@@ -18,6 +18,7 @@ from diagbn.flow import (
     classify_flow,
     no_clamp,
 )
+from diagbn.exact import explicit_transition_matrix
 from diagbn.network import build_network
 from diagbn.sampler import (
     GIBBS,
@@ -558,6 +559,28 @@ class TestPairingMatchesReference:
                             j = rng.choice(state.free)
                             state.flip(j)
                             ref.flip(j)
+        assert formed > 0
+
+    def test_oracle_has_a_kernel_for_every_pair_formed(self):
+        rng = random.Random(2014)
+        formed = 0
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3)
+            for name in PAIR_PRESETS:
+                strategy = PRESETS[name]
+                labels = {label for label, _ in explicit_transition_matrix(net, ev, strategy).moves}
+                state = make_state(net, ev, name, seed=trial)
+                for call in range(6):
+                    for a, b in pair_nodes(state, strategy)[0]:
+                        ids = (net.ids[a], net.ids[b])
+                        assert {(strategy.pair_move,) + ids, (strategy.pair_move,) + ids[::-1]} & labels, (
+                            trial, name, call, ids)
+                        formed += 1
+                    for _ in range(2):
+                        if state.free:
+                            state.flip(rng.choice(state.free))
         assert formed > 0
 
     def test_plan_rebuilt_for_another_strategy(self):
