@@ -17,10 +17,8 @@ from .bench import (
 from .exact import (
     EnumerationCapError,
     TransitionMatrix,
-    d_separated,
     exact_posteriors,
     explicit_transition_matrix,
-    prior_marginals_forward,
 )
 from .flow import (
     CLAMPED,
@@ -30,7 +28,6 @@ from .flow import (
     FlowInfo,
     clamp_pass,
     classify_flow,
-    evidential_children,
     no_clamp,
 )
 from .generate import (
@@ -47,9 +44,6 @@ from .network import (
     Network,
     NetworkError,
     build_network,
-    joint_log_prob,
-    markov_blanket,
-    noisy_or_prob,
     parse_evidence,
     parse_network,
     serialize_network,
@@ -94,24 +88,18 @@ __all__ = [
     "build_network",
     "clamp_pass",
     "classify_flow",
-    "d_separated",
     "derive_seed",
     "error_count",
     "estimate_marginals",
-    "evidential_children",
     "exact_posteriors",
     "explicit_transition_matrix",
     "generate_cases",
     "generate_network",
     "initialize_state",
-    "joint_log_prob",
     "load_config",
-    "markov_blanket",
     "no_clamp",
-    "noisy_or_prob",
     "parse_evidence",
     "parse_network",
-    "prior_marginals_forward",
     "render_table",
     "run_chain",
     "run_experiment",

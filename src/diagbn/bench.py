@@ -97,6 +97,16 @@ def _scored_nodes(net, case) -> list:
 
 
 _REQUIRED_KEYS = ("network", "cases", "strategies", "checkpoints", "repetitions", "seed")
+# what each config key must be when present, and a test of its JSON type
+_KEY_TYPES = [
+    ("a file path", ("network", "cases"), lambda v: type(v) is str),
+    ("a file path or null", ("truth",), lambda v: v is None or type(v) is str),
+    ("a list of preset names", ("strategies",), lambda v: type(v) is list and all(type(s) is str for s in v)),
+    ("a list of integers", ("checkpoints",), lambda v: type(v) is list and all(type(c) is int for c in v)),
+    ("an integer", ("repetitions", "seed", "burn_in"), lambda v: type(v) is int),
+    ("a number", ("epsilon_floor",), lambda v: type(v) in (int, float)),
+    ("a preset name", ("baseline",), lambda v: type(v) is str),
+]
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -111,6 +121,10 @@ def load_config(path: str) -> ExperimentConfig:
     missing = [key for key in _REQUIRED_KEYS if not isinstance(raw, dict) or key not in raw]
     if missing:
         raise ValueError(f"config {path} lacks the required keys {missing}")
+    for what, keys, ok in _KEY_TYPES:
+        for key in keys:
+            if key in raw and not ok(raw[key]):
+                raise ValueError(f"config key {key!r} must be {what}, got {raw[key]!r}")
     with open(resolve(raw["network"])) as fh:
         net = parse_network(fh.read(), profile=STRICT)
     with open(resolve(raw["cases"])) as fh:
@@ -121,6 +135,10 @@ def load_config(path: str) -> ExperimentConfig:
             tr = json.load(fh)
         if not isinstance(tr, dict) or "cases" not in tr:
             raise ValueError(f"truth file {raw['truth']} lacks the required key 'cases'")
+        if type(tr["cases"]) is not list or not all(
+            type(c) is dict and all(type(v) in (int, float) for v in c.values()) for c in tr["cases"]
+        ):
+            raise ValueError(f"truth file {raw['truth']}: 'cases' must map node ids to numbers")
         truths = [{str(k): float(v) for k, v in per_case.items()} for per_case in tr["cases"]]
     cfg = ExperimentConfig(
         net=net,

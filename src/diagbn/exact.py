@@ -1,5 +1,5 @@
-"""Brute-force ground truth: enumeration posteriors, d-separation, and
-explicit transition matrices for the sampler's moves.
+"""Brute-force ground truth: enumeration posteriors and explicit
+transition matrices for the sampler's moves.
 
 Enumeration and transition matrices read one factor table: a row per
 enumerated state and a column per node, holding each node's noisy-or
@@ -18,7 +18,6 @@ make.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,73 +114,6 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     for j, marginal in zip(free, (sums / total).tolist()):
         out[net.ids[j]] = marginal
     return out
-
-
-def prior_marginals_forward(net: Network, n_samples: int, rng) -> dict:
-    """Monte Carlo prior marginals by ancestral sampling."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    n = len(net.ids)
-    counts = [0] * n
-    x = [0] * n
-    for _ in range(n_samples):
-        for j in net.topo:
-            x[j] = 1 if rng.random() < (1.0 - net.survival(j, x)) else 0
-            counts[j] += x[j]
-    return {nid: counts[j] / n_samples for j, nid in enumerate(net.ids)}
-
-
-def d_separated(net: Network, nid: str, given, targets) -> bool:
-    """True iff no active trail joins nid to any target given the conditioning set.
-
-    Standard ball-bouncing reachability: chains and forks are blocked at
-    conditioned nodes, colliders are open only when the collider or one of
-    its descendants is conditioned on.  Targets inside the conditioning set
-    are fixed values and count as separated.
-    """
-    for name in itertools.chain([nid], given, targets):
-        if name not in net.index:
-            raise ValueError(f"unknown node {name!r}")
-    x = net.index[nid]
-    z = {net.index[g] for g in given}
-    if x in z:
-        raise ValueError(f"{nid!r} cannot be in its own conditioning set")
-    goal = {net.index[t] for t in targets} - z - {x}
-    if not goal:
-        return True
-    # ancestors of the conditioning set, inclusive
-    anc_z = set(z)
-    stack = list(z)
-    while stack:
-        j = stack.pop()
-        for i in net.parents[j]:
-            if i not in anc_z:
-                anc_z.add(i)
-                stack.append(i)
-    visited = set()
-    queue = [(x, "up")]
-    while queue:
-        j, direction = queue.pop()
-        if (j, direction) in visited:
-            continue
-        visited.add((j, direction))
-        if j in goal and j != x:
-            return False
-        if direction == "up":
-            if j in z:
-                continue
-            for i in net.parents[j]:
-                queue.append((i, "up"))
-            for c in net.children[j]:
-                queue.append((c, "down"))
-        else:
-            if j not in z:
-                for c in net.children[j]:
-                    queue.append((c, "down"))
-            if j in anc_z:
-                for i in net.parents[j]:
-                    queue.append((i, "up"))
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ class ClampResult:
 
     clamped_false: frozenset
     unclamped: frozenset
-    signal_trace: tuple
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,24 @@ class FlowInfo:
 def clamp_pass(net: Network, ev: dict) -> ClampResult:
     """Two-phase reachability: ancestors of true evidence, then their descendants.
 
-    Returns the partition plus an ordered (phase, node) trace of who got
-    signalled when.  The result is a function of the evidence *set*; the
+    Returns the partition, which is a function of the evidence *set*: the
     order evidence nodes are listed in does not matter.
     """
     for nid in ev:
         if nid not in net.index:
             raise ValueError(f"evidence references unknown node {nid!r}")
     sources = [net.index[nid] for nid in net.ids if ev.get(nid) is True]
-    trace = []
     signalled = set()
     queue = deque()
     for s in sources:
         if s not in signalled:
             signalled.add(s)
-            trace.append(("backward", net.ids[s]))
             queue.append(s)
     while queue:
         j = queue.popleft()
         for i in net.parents[j]:
             if i not in signalled:
                 signalled.add(i)
-                trace.append(("backward", net.ids[i]))
                 queue.append(i)
     queue = deque(sorted(signalled))
     reached = set(signalled)
@@ -81,7 +76,6 @@ def clamp_pass(net: Network, ev: dict) -> ClampResult:
         for c in net.children[j]:
             if c not in reached:
                 reached.add(c)
-                trace.append(("forward", net.ids[c]))
                 queue.append(c)
     evidence_idx = {net.index[nid] for nid in ev}
     unclamped = reached - evidence_idx
@@ -89,14 +83,13 @@ def clamp_pass(net: Network, ev: dict) -> ClampResult:
     return ClampResult(
         clamped_false=frozenset(net.ids[i] for i in clamped),
         unclamped=frozenset(net.ids[i] for i in unclamped),
-        signal_trace=tuple(trace),
     )
 
 
 def no_clamp(net: Network, ev: dict) -> ClampResult:
     """The trivial partition used when a strategy runs without clamping."""
     free = frozenset(nid for nid in net.ids if nid not in ev)
-    return ClampResult(clamped_false=frozenset(), unclamped=free, signal_trace=())
+    return ClampResult(clamped_false=frozenset(), unclamped=free)
 
 
 def _carries_evidence(net: Network, ev: dict):
@@ -108,15 +101,6 @@ def _carries_evidence(net: Network, ev: dict):
         if not carries[j]:
             carries[j] = any(carries[c] for c in net.children[j])
     return carries
-
-
-def evidential_children(net: Network, ev: dict, clamp: ClampResult, nid: str) -> tuple:
-    """Children of a free node that carry diagnostic evidence back to it."""
-    if nid in ev:
-        raise ValueError(f"{nid!r} is an evidence node, not a free node")
-    if nid in clamp.clamped_false:
-        raise ValueError(f"{nid!r} is clamped, not a free node")
-    return classify_flow(net, ev, clamp)[nid].evidential_children
 
 
 def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = False) -> dict:

@@ -183,11 +183,15 @@ def cases_to_jsonable(cases) -> list:
 
 
 def cases_from_jsonable(raw, net: Network) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"cases must be a list, got {raw!r}")
     out = []
     for k, item in enumerate(raw):
         for key in ("evidence", "n_positive"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"case {k} lacks the required key {key!r}")
+        if not isinstance(item["evidence"], dict) or type(item["n_positive"]) is not int:
+            raise ValueError(f"case {k}: 'evidence' must be an object and 'n_positive' an integer")
         ev = {}
         for nid, value in item["evidence"].items():
             if nid not in net.index:

@@ -13,7 +13,6 @@ are strings at the API surface; dense integer indices are used internally.
 from __future__ import annotations
 
 import json
-import math
 
 MODEL = "model"
 SENSORY = "sensory"
@@ -84,9 +83,6 @@ class Network:
     def __len__(self):
         return len(self.ids)
 
-    def node_kind(self, nid: str) -> str:
-        return self.kind[self.index[nid]]
-
     def survival(self, j, x) -> float:
         """P(node j stays off | its parents), with x[i] the value of node i:
         1 - leak, times 1 - p for each parent that is on, in parent order."""
@@ -142,51 +138,6 @@ def validate(net: Network, profile: str = STRICT) -> list[str]:
     return problems
 
 
-def noisy_or_prob(net: Network, nid: str, parent_values: dict) -> float:
-    """P(nid = 1 | parents) for one assignment of the node's parents.
-
-    parent_values must assign a bool to exactly the parents of nid.
-    """
-    j = net.index[nid]
-    given = set(parent_values)
-    expected = {net.ids[i] for i in net.parents[j]}
-    if given != expected:
-        missing = expected - given
-        extra = given - expected
-        raise NetworkError(
-            f"node {nid!r}: parent assignment mismatch"
-            + (f", missing {sorted(missing)}" if missing else "")
-            + (f", extraneous {sorted(extra)}" if extra else "")
-        )
-    return 1.0 - net.survival(j, {net.index[k]: v for k, v in parent_values.items()})
-
-
-def joint_log_prob(net: Network, assignment: dict) -> float:
-    """Log probability of a complete assignment; -inf for impossible states."""
-    if set(assignment) != set(net.ids):
-        raise NetworkError("assignment must cover every node exactly once")
-    values = [bool(assignment[nid]) for nid in net.ids]
-    total = 0.0
-    for j in range(len(values)):
-        surv = net.survival(j, values)
-        prob = 1.0 - surv if values[j] else surv
-        if prob <= 0.0:
-            return float("-inf")
-        total += math.log(prob)
-    return total
-
-
-def markov_blanket(net: Network, nid: str) -> set:
-    """Parents, children and co-parents of the node's children."""
-    j = net.index[nid]
-    blanket = set(net.parents[j])
-    for c in net.children[j]:
-        blanket.add(c)
-        blanket.update(net.parents[c])
-    blanket.discard(j)
-    return {net.ids[i] for i in blanket}
-
-
 def _reject_unknown_keys(obj, allowed, what):
     extra = set(obj) - allowed
     if extra:
@@ -206,21 +157,21 @@ def parse_network(text: str, profile: str = STRICT) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"network file is not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise NetworkError('network file must be an object with "nodes" and "edges"')
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("nodes", "edges")):
+        raise NetworkError('network file must be an object with "nodes" and "edges" lists')
     if profile == STRICT:
         _reject_unknown_keys(doc, {"nodes", "edges"}, "network")
     nodes = []
     for entry in doc["nodes"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise NetworkError(f"malformed node entry {entry!r}")
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise NetworkError(f"malformed node entry {entry!r}: needs a string \"id\"")
         if profile == STRICT:
             _reject_unknown_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
         nodes.append((entry["id"], entry.get("kind", MODEL), entry.get("leak", 0.0)))
     edges = []
     for entry in doc["edges"]:
-        if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
-            raise NetworkError(f"malformed edge entry {entry!r}")
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("from", "to")):
+            raise NetworkError(f"malformed edge entry {entry!r}: needs string \"from\" and \"to\"")
         if profile == STRICT:
             _reject_unknown_keys(entry, _EDGE_KEYS, f"edge {entry.get('from')!r} -> {entry.get('to')!r}")
         edges.append((entry["from"], entry["to"], entry.get("p", 0.0)))

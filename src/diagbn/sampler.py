@@ -12,8 +12,8 @@ and accepts by probability ratio (Metropolis rule).  Swapping two competing
 causes moves between explanations directly, without passing through the low
 probability both-on or both-off states that single-site chains must cross.
 Swap moves preserve the number of active nodes in the pair, so they are
-never run alone: a swap policy falls back to single-site moves on a fixed
-fraction of visits.
+never run alone: a swap policy swaps a pair on a fraction `SWAP_FRACTION`
+of its visits and moves the two nodes single-site on the rest.
 
 Marginals are estimated Rao-Blackwell style: every move credits each touched
 node with its conditional probability of being on under the move's restricted
@@ -66,6 +66,9 @@ _POLICIES = {
     OPTIMIZED_FWD_BWD: ("swap", False),
 }
 
+# share of a swap policy's pair visits that swap; the rest move single-site
+SWAP_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -76,13 +79,10 @@ class StrategySpec:
     flow_aware: bool
     move_policy: str
     rule: str
-    swap_fraction: float = 0.8
 
     def __post_init__(self):
         if self.move_policy not in _POLICIES:
             raise ValueError(f"unknown move policy {self.move_policy!r}")
-        if not 0.0 <= self.swap_fraction <= 1.0:
-            raise ValueError("swap_fraction must be within [0, 1]")
 
     @property
     def pair_move(self):
@@ -346,8 +346,6 @@ def block_pair_move(state: SamplerState, a, b, rule):
     state.cost += 4 * len(touched)
     # current position in the walk is state 3; values of a at each walk state
     x = state.x
-    a_on = [0.0, 0.0, 0.0, 0.0]
-    b_on = [0.0, 0.0, 0.0, 0.0]
     av = 1 - x[a]  # a's original value (a was flipped once)
     bv = x[b]  # b is back to its original value
     a_vals = [av, av, 1 - av, 1 - av]
@@ -511,7 +509,7 @@ def _run_pair_events(state, strategy, pairs, singles):
         if ev[0] == "s":
             single_site_move(state, ev[1], strategy.rule)
         elif swap:
-            if state.rng.random() < strategy.swap_fraction:
+            if state.rng.random() < SWAP_FRACTION:
                 swap_pair_move(state, ev[1], ev[2], strategy.rule)
             else:
                 single_site_move(state, ev[1], strategy.rule)
@@ -527,6 +525,11 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     forward-sampled nodes from their freshly updated parents; backward passes
     revisit only the diagnostic-sampled nodes, in reverse order.  Pairings
     and swap coins are fresh per pass.
+
+    Only the posterior of the diagnostic-sampled nodes stays invariant, not
+    the joint: the backward pass leaves forward-sampled nodes stale, no
+    longer drawn from their moved parents.  That marginal is the target,
+    since forward-sampled nodes carry no evidence back to it.
     """
     backward = state.sweep_idx % 2 == 1
     pairs, singles = pair_nodes(state, strategy)
@@ -535,7 +538,7 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     for a, b in pairs:
         partner[a] = b
         partner[b] = a
-        if state.rng.random() < strategy.swap_fraction:
+        if state.rng.random() < SWAP_FRACTION:
             swapping.add(a)
             swapping.add(b)
     order = state.topo_diagnostic_reversed if backward else state.topo_free

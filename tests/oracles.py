@@ -5,6 +5,13 @@ enumeration, no caching, no log-space tricks) so that agreement with the
 library is evidence of correctness rather than shared bugs.  The
 `reference_*` functions are earlier library versions kept verbatim: a
 rewrite of the library must reproduce them exactly.
+
+`noisy_or_prob`, `joint_log_prob`, `markov_blanket` and `d_separated` are
+references that only tests call, kept verbatim from the library, which
+does not ship them: tests check `Network.survival` and `classify_flow`
+against them.  `ForkRng` and `sweep_kernel` give the exact transition
+kernel of the sweep the library runs, by replaying the unmodified
+`run_sweep` down every path its random draws can take.
 """
 
 import itertools
@@ -18,8 +25,15 @@ from scipy import sparse
 from diagbn import flow as flowmod
 from diagbn.exact import EnumerationCapError, TransitionMatrix
 from diagbn.flow import FlowInfo, evidence_cover
-from diagbn.network import Network
-from diagbn.sampler import GIBBS, OPTIMIZED_FWD_BWD, StrategySpec, clamp_and_flow
+from diagbn.network import Network, NetworkError
+from diagbn.sampler import (
+    GIBBS,
+    OPTIMIZED_FWD_BWD,
+    SamplerState,
+    StrategySpec,
+    clamp_and_flow,
+    run_sweep,
+)
 
 
 def factor(net, values, nid):
@@ -144,6 +158,104 @@ def unclamped_by_reachability(net, ev):
     for nid in anc:
         keep |= descendants(net, nid)
     return keep - set(ev)
+
+
+def noisy_or_prob(net: Network, nid: str, parent_values: dict) -> float:
+    """P(nid = 1 | parents) for one assignment of the node's parents.
+
+    parent_values must assign a bool to exactly the parents of nid.
+    """
+    j = net.index[nid]
+    given = set(parent_values)
+    expected = {net.ids[i] for i in net.parents[j]}
+    if given != expected:
+        missing = expected - given
+        extra = given - expected
+        raise NetworkError(
+            f"node {nid!r}: parent assignment mismatch"
+            + (f", missing {sorted(missing)}" if missing else "")
+            + (f", extraneous {sorted(extra)}" if extra else "")
+        )
+    return 1.0 - net.survival(j, {net.index[k]: v for k, v in parent_values.items()})
+
+
+def joint_log_prob(net: Network, assignment: dict) -> float:
+    """Log probability of a complete assignment; -inf for impossible states."""
+    if set(assignment) != set(net.ids):
+        raise NetworkError("assignment must cover every node exactly once")
+    values = [bool(assignment[nid]) for nid in net.ids]
+    total = 0.0
+    for j in range(len(values)):
+        surv = net.survival(j, values)
+        prob = 1.0 - surv if values[j] else surv
+        if prob <= 0.0:
+            return float("-inf")
+        total += math.log(prob)
+    return total
+
+
+def markov_blanket(net: Network, nid: str) -> set:
+    """Parents, children and co-parents of the node's children."""
+    j = net.index[nid]
+    blanket = set(net.parents[j])
+    for c in net.children[j]:
+        blanket.add(c)
+        blanket.update(net.parents[c])
+    blanket.discard(j)
+    return {net.ids[i] for i in blanket}
+
+
+def d_separated(net: Network, nid: str, given, targets) -> bool:
+    """True iff no active trail joins nid to any target given the conditioning set.
+
+    Standard ball-bouncing reachability: chains and forks are blocked at
+    conditioned nodes, colliders are open only when the collider or one of
+    its descendants is conditioned on.  Targets inside the conditioning set
+    are fixed values and count as separated.
+    """
+    for name in itertools.chain([nid], given, targets):
+        if name not in net.index:
+            raise ValueError(f"unknown node {name!r}")
+    x = net.index[nid]
+    z = {net.index[g] for g in given}
+    if x in z:
+        raise ValueError(f"{nid!r} cannot be in its own conditioning set")
+    goal = {net.index[t] for t in targets} - z - {x}
+    if not goal:
+        return True
+    # ancestors of the conditioning set, inclusive
+    anc_z = set(z)
+    stack = list(z)
+    while stack:
+        j = stack.pop()
+        for i in net.parents[j]:
+            if i not in anc_z:
+                anc_z.add(i)
+                stack.append(i)
+    visited = set()
+    queue = [(x, "up")]
+    while queue:
+        j, direction = queue.pop()
+        if (j, direction) in visited:
+            continue
+        visited.add((j, direction))
+        if j in goal and j != x:
+            return False
+        if direction == "up":
+            if j in z:
+                continue
+            for i in net.parents[j]:
+                queue.append((i, "up"))
+            for c in net.children[j]:
+                queue.append((c, "down"))
+        else:
+            if j not in z:
+                for c in net.children[j]:
+                    queue.append((c, "down"))
+            if j in anc_z:
+                for i in net.parents[j]:
+                    queue.append((i, "up"))
+    return True
 
 
 def d_separated_by_trails(net, x, given, targets):
@@ -741,3 +853,134 @@ def reference_apply_sweep(tm: TransitionMatrix, vec: np.ndarray) -> np.ndarray:
             for lab in labels:
                 out = out @ tm.kernel(lab)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel of the shipped sweep, by enumerating its random choices
+
+
+class _Uniform:
+    """A symbolic draw of `random()`: a uniform u known to lie in [lo, hi),
+    standing for the value u * scale.
+
+    Comparing it with a threshold splits the interval.  When both sides are
+    nonempty that is a two-way decision of the owning ForkRng, weighted by
+    the two lengths, and the interval narrows to the branch taken, so later
+    comparisons of the same draw stay consistent with it.
+    """
+
+    def __init__(self, rng, lo, hi, scale):
+        self.rng = rng
+        self.lo = lo
+        self.hi = hi
+        self.scale = scale
+
+    def __lt__(self, threshold):
+        cut = threshold / self.scale
+        if cut <= self.lo:
+            return False
+        if cut >= self.hi:
+            return True
+        if self.rng._decide([cut - self.lo, self.hi - cut]) == 0:
+            self.hi = cut
+            return True
+        self.lo = cut
+        return False
+
+    def __ge__(self, threshold):
+        return not self < threshold
+
+    def __mul__(self, factor):
+        return _Uniform(self.rng, self.lo, self.hi, self.scale * factor)
+
+
+class ForkRng:
+    """A random source that makes every outcome of every draw happen, one
+    program run per path.
+
+    `paths(run)` calls `run()` again and again, walking the tree of random
+    decisions depth first: each call replays the decisions of the path
+    before it up to the deepest one with an untried branch, takes that
+    branch, and takes the first branch of every decision after it.  It
+    yields each run's result with the probability of its path.  Only the
+    three draws below exist; a program that asks for any other raises
+    AttributeError, so a sampler that starts using one cannot be
+    mis-enumerated silently.
+    """
+
+    def __init__(self):
+        self._path = []  # branch taken at each decision of the current path
+        self._arity = []  # number of branches of each of those decisions
+        self._pos = 0
+        self._prob = 1.0
+
+    def _decide(self, weights):
+        if self._pos == len(self._path):
+            self._path.append(0)
+            self._arity.append(len(weights))
+        k = self._path[self._pos]
+        self._pos += 1
+        self._prob *= weights[k] / sum(weights)
+        return k
+
+    def random(self):
+        return _Uniform(self, 0.0, 1.0, 1.0)
+
+    def randrange(self, n):
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
+        return self._decide([1.0] * n) if n > 1 else 0
+
+    def shuffle(self, xs):
+        # Fisher-Yates, in the order random.shuffle draws
+        for i in reversed(range(1, len(xs))):
+            j = self.randrange(i + 1)
+            xs[i], xs[j] = xs[j], xs[i]
+
+    def paths(self, run):
+        self._path = []
+        self._arity = []
+        while True:
+            self._pos = 0
+            self._prob = 1.0
+            result = run()
+            assert self._pos == len(self._path), "a replay took fewer decisions than its path"
+            yield result, self._prob
+            while self._path and self._path[-1] + 1 == self._arity[-1]:
+                self._path.pop()
+                self._arity.pop()
+            if not self._path:
+                return
+            self._path[-1] += 1
+
+
+def sweep_kernel(net, ev, strategy, sweep_idx):
+    """The exact transition matrix of one `run_sweep` call, as shipped.
+
+    Builds the strategy's chain on a ForkRng and, from every assignment of
+    its free nodes, runs the unmodified `run_sweep` down every path of its
+    random draws with `sweep_idx` set first.  Returns (chain, P): state s
+    sets chain.free[k] to bit k of s, clamped nodes are false, and P[s, t]
+    is the probability that the sweep takes s to t.
+    """
+    clamp, flow = clamp_and_flow(net, ev, strategy)
+    rng = ForkRng()
+    chain = SamplerState(net, ev, clamp, flow, rng)
+    for nid, value in ev.items():
+        chain.x[net.index[nid]] = 1 if value else 0
+    free = chain.free
+    size = 1 << len(free)
+    P = np.zeros((size, size))
+
+    def run(s):
+        for k, j in enumerate(free):
+            chain.x[j] = (s >> k) & 1
+        chain.refresh_survivals()
+        chain.sweep_idx = sweep_idx
+        run_sweep(chain, strategy)
+        return sum(chain.x[j] << k for k, j in enumerate(free))
+
+    for s in range(size):
+        for t, prob in rng.paths(lambda: run(s)):
+            P[s, t] += prob
+    return chain, P

@@ -18,14 +18,22 @@ from scipy import sparse
 from conftest import VASE_P_B, VASE_P_E
 from diagbn.cli import main as cli_main
 from diagbn.exact import (
-    d_separated,
     exact_posteriors,
     explicit_transition_matrix,
 )
 from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
-from diagbn.network import build_network, joint_log_prob, noisy_or_prob
+from diagbn.network import build_network
 from diagbn.sampler import PRESETS, initialize_state, run_sweep, sample_posteriors, setup_chain
-from oracles import conditional_by_enumeration, conditional_prob, random_dag, random_evidence, unclamped_by_reachability
+from oracles import (
+    conditional_by_enumeration,
+    conditional_prob,
+    d_separated,
+    joint_log_prob,
+    noisy_or_prob,
+    random_dag,
+    random_evidence,
+    unclamped_by_reachability,
+)
 
 
 def _line(num, ok, detail):

@@ -8,6 +8,8 @@ from conftest import VASE_P_B, VASE_P_E
 from diagbn.cli import main
 from diagbn.network import STRICT, parse_network, validate
 
+NULL = object()  # a bench config override that writes a JSON null
+
 
 def run_cli(argv, capsys):
     rc = main(argv)
@@ -127,6 +129,27 @@ class TestSample:
         )
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_wrongly_typed_network_exits_2(self, vase_files, tmp_path, capsys):
+        _, ev_path = vase_files
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({"nodes": None, "edges": []}))
+        out = tmp_path / "x.json"
+        rc, _, err = run_cli(
+            [
+                "sample",
+                "--network", str(net_path),
+                "--evidence", ev_path,
+                "--strategy", "gibbs",
+                "--sweeps", "10",
+                "--seed", "1",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and '"nodes" and "edges" lists' in err
+        assert not out.exists()
 
 
 class TestExact:
@@ -315,9 +338,11 @@ class TestBench:
             "repetitions": 2,
             "seed": 13,
         }
-        config.update(overrides)  # an override of None drops the key
+        config.update(overrides)  # an override of None drops the key, NULL writes null
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        config_path.write_text(
+            json.dumps({k: None if v is NULL else v for k, v in config.items() if v is not None})
+        )
         return str(config_path)
 
     def test_table_on_stdout_and_report_file(self, vase_files, tmp_path, capsys):
@@ -366,9 +391,23 @@ class TestBench:
             ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": 0.35, "v": 1.0}]}},
              "lacks scored nodes ['b']"),
             ({"cases": "bare.json"}, {"bare.json": [{"n_positive": 1}]}, "required key 'evidence'"),
+            ({"repetitions": NULL}, {}, "'repetitions' must be an integer"),
+            ({"seed": NULL}, {}, "'seed' must be an integer"),
+            ({"burn_in": NULL}, {}, "'burn_in' must be an integer"),
+            ({"epsilon_floor": NULL}, {}, "'epsilon_floor' must be a number"),
+            ({"checkpoints": 10}, {}, "'checkpoints' must be a list of integers"),
+            ({"network": 5}, {}, "'network' must be a file path"),
+            ({"cases": "listed.json"}, {"listed.json": [{"evidence": ["v"], "n_positive": 1}]},
+             "'evidence' must be an object"),
+            ({"strategies": "gibbs"}, {}, "'strategies' must be a list of preset names"),
+            ({"baseline": ["x"]}, {}, "'baseline' must be a preset name"),
+            ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": None, "b": 0.6, "v": 1.0}]}},
+             "'cases' must map node ids to numbers"),
         ],
         ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
-             "case-without-evidence"],
+             "case-without-evidence", "null-repetitions", "null-seed", "null-burn-in",
+             "null-epsilon-floor", "scalar-checkpoints", "numeric-network", "listed-evidence",
+             "string-strategies", "listed-baseline", "null-truth"],
     )
     def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
         for name, doc in files.items():

@@ -6,23 +6,22 @@ import pytest
 
 from conftest import (
     VASE_BLOCK_DIST,
-    VASE_NORMALIZER,
     VASE_P_B,
     VASE_P_E,
     VASE_P_E_GIVEN_B0,
 )
 from diagbn.exact import (
     EnumerationCapError,
-    d_separated,
     exact_posteriors,
     explicit_transition_matrix,
-    prior_marginals_forward,
 )
-from diagbn.network import build_network, markov_blanket
+from diagbn.network import build_network
 from diagbn.sampler import PRESETS
 from oracles import (
+    d_separated,
     d_separated_by_trails,
     joint_prob,
+    markov_blanket,
     posteriors_by_enumeration,
     posteriors_by_fractions,
     random_dag,
@@ -133,28 +132,6 @@ class TestExactPosteriors:
             freq = hits[nid] / kept
             se = math.sqrt(want * (1 - want) / kept)
             assert abs(freq - want) < 3.5 * se
-
-
-class TestPriorForward:
-    def test_single_node(self):
-        net = build_network([("a", "model", 0.3)], [])
-        est = prior_marginals_forward(net, 100_000, random.Random(2))
-        assert est["a"] == pytest.approx(0.3, abs=0.01)
-
-    def test_deterministic_link(self):
-        net = build_network(
-            [("a", "model", 0.5), ("b", "model", 0.0)], [("a", "b", 1.0)]
-        )
-        est = prior_marginals_forward(net, 100_000, random.Random(3))
-        assert est["b"] == pytest.approx(0.5, abs=0.01)
-
-    def test_vase_effect_prior_matches_normalizer(self, vase):
-        est = prior_marginals_forward(vase, 400_000, random.Random(4))
-        assert est["v"] == pytest.approx(VASE_NORMALIZER, abs=0.002)
-
-    def test_needs_samples(self, vase):
-        with pytest.raises(ValueError):
-            prior_marginals_forward(vase, 0, random.Random(1))
 
 
 class TestDSeparated:

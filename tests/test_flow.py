@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from diagbn.exact import d_separated, exact_posteriors
+from diagbn.exact import exact_posteriors
 from diagbn.flow import (
     CLAMPED,
     DIAGNOSTIC_SAMPLED,
     FORWARD_SAMPLED,
     clamp_pass,
     classify_flow,
-    evidential_children,
     no_clamp,
 )
-from diagbn.network import build_network, markov_blanket
-from oracles import random_dag, random_evidence, unclamped_by_reachability
+from diagbn.network import build_network
+from oracles import d_separated, markov_blanket, random_dag, random_evidence, unclamped_by_reachability
 
 
 def chain_net():
@@ -91,15 +90,6 @@ class TestClampPass:
             res = clamp_pass(net, ev)
             assert res.unclamped == unclamped_by_reachability(net, ev), (trial, ev)
 
-    def test_signal_trace_phases(self):
-        net = chain_net()
-        res = clamp_pass(net, {"s1": True})
-        phases = [phase for phase, _ in res.signal_trace]
-        assert set(phases) <= {"backward", "forward"}
-        # all backward records precede all forward records
-        if "forward" in phases:
-            assert phases.index("forward") >= len([p for p in phases if p == "backward"])
-
     def test_order_invariance(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -137,7 +127,7 @@ class TestClampPass:
 class TestEvidentialChildren:
     def test_vase_only_child_is_evidence(self, vase):
         clamp = clamp_pass(vase, {"v": True})
-        assert evidential_children(vase, {"v": True}, clamp, "e") == ("v",)
+        assert classify_flow(vase, {"v": True}, clamp)["e"].evidential_children == ("v",)
 
     def test_grandchild_evidence_counts(self):
         net = build_network(
@@ -146,7 +136,7 @@ class TestEvidentialChildren:
         )
         ev = {"c": True}
         clamp = clamp_pass(net, ev)
-        assert evidential_children(net, ev, clamp, "a") == ("b",)
+        assert classify_flow(net, ev, clamp)["a"].evidential_children == ("b",)
 
     def test_unobserved_sink_excluded(self):
         net = build_network(
@@ -155,13 +145,7 @@ class TestEvidentialChildren:
         )
         ev = {"b": True}
         clamp = clamp_pass(net, ev)
-        assert evidential_children(net, ev, clamp, "a") == ("b",)
-
-    def test_rejects_non_free_nodes(self, vase):
-        ev = {"v": True}
-        clamp = clamp_pass(vase, ev)
-        with pytest.raises(ValueError):
-            evidential_children(vase, ev, clamp, "v")
+        assert classify_flow(net, ev, clamp)["a"].evidential_children == ("b",)
 
 
 class TestClassifyFlow:

@@ -12,15 +12,12 @@ from diagbn.network import (
     STRICT,
     NetworkError,
     build_network,
-    joint_log_prob,
-    markov_blanket,
-    noisy_or_prob,
     parse_evidence,
     parse_network,
     serialize_network,
     validate,
 )
-from oracles import joint_prob, random_dag
+from oracles import joint_log_prob, joint_prob, markov_blanket, noisy_or_prob, random_dag
 
 VASE_JSON = json.dumps(
     {
@@ -42,7 +39,7 @@ class TestParsing:
         net = parse_network(VASE_JSON)
         assert len(net.ids) == 3
         assert len(net.edge_p) == 2
-        assert net.node_kind("v") == "sensory"
+        assert net.kind[net.index["v"]] == "sensory"
 
     def test_cycle_detected(self):
         doc = {
@@ -80,6 +77,23 @@ class TestParsing:
         doc = json.loads(VASE_JSON)
         doc["edges"].append({"from": "e", "to": "v", "p": 0.5})
         with pytest.raises(NetworkError, match="duplicate"):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"nodes": None}, '"nodes" and "edges" lists'),
+            ({"nodes": 5}, '"nodes" and "edges" lists'),
+            ({"edges": None}, '"nodes" and "edges" lists'),
+            ({"nodes": [{"id": ["e"], "kind": "model", "leak": 0.01}]}, 'string "id"'),
+            ({"edges": [{"from": ["e"], "to": "v", "p": 0.9}]}, 'string "from" and "to"'),
+        ],
+        ids=["null-nodes", "numeric-nodes", "null-edges", "listed-id", "listed-endpoint"],
+    )
+    def test_wrongly_typed_input_rejected(self, change, message):
+        doc = json.loads(VASE_JSON)
+        doc.update(change)
+        with pytest.raises(NetworkError, match=message):
             parse_network(json.dumps(doc))
 
     def test_syntax_error(self):
