@@ -53,7 +53,7 @@ class ExperimentConfig:
     seed: int
     truths: list = None  # one truth map per case; None -> exact enumeration
     epsilon_floor: float = DEFAULT_EPSILON_FLOOR
-    baseline: str = "gibbs"
+    baseline: str = None  # None -> the first strategy
     burn_in: int = 0
 
     def resolve_strategy(self, name) -> StrategySpec:
@@ -62,14 +62,18 @@ class ExperimentConfig:
         return PRESETS[name]
 
     def check(self):
-        """Reject a grid that cannot run, would score burn-in sweeps, or
-        lacks a truth for a scored node."""
+        """Reject a grid that cannot run, would score burn-in sweeps, names
+        a baseline it does not run, or lacks a truth for a scored node."""
         if not self.strategies:
             raise ValueError("need at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"strategies listed more than once: {self.strategies}")
         for name in self.strategies:
             self.resolve_strategy(name)
+        if self.baseline is not None and self.baseline not in self.strategies:
+            raise ValueError(
+                f"baseline {self.baseline!r} is not one of the strategies {self.strategies}"
+            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.checkpoints:
@@ -149,7 +153,7 @@ def load_config(path: str) -> ExperimentConfig:
         seed=int(raw["seed"]),
         truths=truths,
         epsilon_floor=float(raw.get("epsilon_floor", DEFAULT_EPSILON_FLOOR)),
-        baseline=str(raw.get("baseline", "gibbs")),
+        baseline=raw.get("baseline"),
         burn_in=int(raw.get("burn_in", 0)),
     )
     cfg.check()
@@ -235,9 +239,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     est = {nid: result.checkpoint_estimates[ck][nid] for nid in scored}
                     errors[name][ci] += error_count(est, truth, config.epsilon_floor)
         errors[name] = [round(e / cells, 6) for e in errors[name]]
-    base = config.baseline
-    if base not in config.strategies:
-        base = config.strategies[0]
+    base = config.strategies[0] if config.baseline is None else config.baseline
     time_ratio = {
         s: (seconds[s] / seconds[base]) if seconds[base] > 0 else float("nan")
         for s in config.strategies

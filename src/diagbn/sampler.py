@@ -29,6 +29,14 @@ child are forward-sampled, redrawn from their parents after the sweep's
 moves, and never paired.  Any other chain runs on the blanket map, under
 which no node is forward-sampled, so the same sweep loop serves both: its
 forward tail is empty and every free node is movable.
+
+A single-site move reuses a node's conditional until its blanket changes,
+as in Pearl's message-passing Gibbs, where a node recomputes only when a
+neighbour announces a change.  `SamplerState` caches each diagnostic-sampled
+node's (odds, p_on); `cond_odds(n)` reads x and the survival cache of n and
+of its scope children, so flipping k makes stale exactly k, the children of
+k, and every node with k or a child of k as a scope child.  A hit returns the
+floats a recompute would, so chains are bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -144,7 +152,14 @@ class MarginalAccumulator:
 
 
 class SamplerState:
-    """Mutable chain state: values, cached noisy-or survivals, scores, rng."""
+    """Mutable chain state: values, cached noisy-or survivals, scores, rng.
+
+    `odds_cache[n]` holds (cond_odds(n), p_on) for a diagnostic-sampled
+    node n, or None when it must be recomputed.  `stale[k]` lists the nodes
+    whose entry a flip of k invalidates; `flip` clears them and
+    `refresh_survivals` clears every entry.  A flip and a flip back still
+    invalidate, since `s * q / q` may differ from `s` in the last bit.
+    """
 
     def __init__(self, net, ev, clamp, flow, rng):
         self.net = net
@@ -183,7 +198,7 @@ class SamplerState:
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
         self.pair_plan = None  # built by pair_nodes on first use
-        self.pair_unions = {}  # (a, b) -> pair_scope(state, a, b)
+        self.pair_memo = {}  # (a, b) -> _pair_memo(state, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [
             [1.0 - p for p in net.child_p[j]] for j in range(n)
@@ -193,13 +208,35 @@ class SamplerState:
         self.cost = 0
         # deterministic per-node move cost, used for the benchmark cost ratios
         self.move_cost = [1 + len(self.scope_children[j]) for j in range(n)]
+        # cond_odds(d) reads x and surv of d and of its scope children, and
+        # surv of a node changes when one of its parents flips
+        stale = [[] for _ in range(n)]
+        for d in self.diagnostic:
+            reads = {d, *net.parents[d]}
+            for c in self.scope_children[d]:
+                reads.add(c)
+                reads.update(net.parents[c])
+            for k in reads:
+                stale[k].append(d)
+        self.stale = stale
+        self.odds_cache = [None] * n
 
     def refresh_survivals(self):
         for j in range(len(self.x)):
             self.surv[j] = self.net.survival(j, self.x)
+        self.odds_cache = [None] * len(self.x)
 
     def flip(self, n):
-        """Toggle node n and update the survival caches of all its children."""
+        """Toggle node n, update its children's survival caches and drop
+        the cached conditionals that read them."""
+        self.toggle(n)
+        cache = self.odds_cache
+        for k in self.stale[n]:
+            cache[k] = None
+
+    def toggle(self, n):
+        """Toggle node n and update the survival caches of all its children,
+        leaving the cached conditionals to the caller to invalidate."""
         x = self.x
         surv = self.surv
         if x[n]:
@@ -240,10 +277,8 @@ class SamplerState:
         return w
 
 
-def initialize_state(net, ev, clamp, rng, flow=None) -> SamplerState:
+def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
     """Start a chain: evidence fixed, clamped nodes false, free nodes forward-drawn."""
-    if flow is None:
-        flow = classify_flow(net, ev, clamp, blanket=True)
     state = SamplerState(net, ev, clamp, flow, rng)
     x = state.x
     for nid, value in ev.items():
@@ -260,8 +295,11 @@ def initialize_state(net, ev, clamp, rng, flow=None) -> SamplerState:
 
 def single_site_move(state: SamplerState, n, rule):
     """Resample one free node; always credit its conditional into the scores."""
-    odds = state.cond_odds(n)
-    p_on = odds / (1.0 + odds)
+    hit = state.odds_cache[n]
+    if hit is None:
+        odds = state.cond_odds(n)
+        hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
+    odds, p_on = hit
     acc = state.acc
     acc.sums[n] += p_on
     acc.counts[n] += 1
@@ -279,8 +317,15 @@ def single_site_move(state: SamplerState, n, rule):
 def pair_scope(state, a, b):
     """The nodes a pair move on (a, b) weighs: a, b, then their scope
     children in order, without repeats.  Memoized per chain."""
-    touched = state.pair_unions.get((a, b))
-    if touched is None:
+    return _pair_memo(state, a, b)[0]
+
+
+def _pair_memo(state, a, b):
+    """(pair_scope, the nodes whose cached conditional a flip of a or b
+    makes stale), built once per pair and chain.  A pair move's flips clear
+    the stale nodes once per move, not once per flip."""
+    memo = state.pair_memo.get((a, b))
+    if memo is None:
         touched = [a, b]
         seen = {a, b}
         for j in (a, b):
@@ -288,8 +333,9 @@ def pair_scope(state, a, b):
                 if c not in seen:
                     seen.add(c)
                     touched.append(c)
-        state.pair_unions[(a, b)] = touched
-    return touched
+        stale = list(dict.fromkeys(state.stale[a] + state.stale[b]))
+        memo = state.pair_memo[(a, b)] = (touched, stale)
+    return memo
 
 
 def swap_pair_move(state: SamplerState, a, b, rule):
@@ -308,10 +354,13 @@ def swap_pair_move(state: SamplerState, a, b, rule):
         acc.counts[b] += 1
         state.cost += 1
         return
-    touched = pair_scope(state, a, b)
+    touched, stale = _pair_memo(state, a, b)
+    cache = state.odds_cache
+    for k in stale:
+        cache[k] = None
     w_cur = state.restricted_weight(touched)
-    state.flip(a)
-    state.flip(b)
+    state.toggle(a)
+    state.toggle(b)
     w_swap = state.restricted_weight(touched)
     state.cost += 2 * len(touched)
     total = w_cur + w_swap
@@ -326,22 +375,25 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     else:
         stay = w_swap < w_cur and state.rng.random() >= w_swap / w_cur
     if stay:
-        state.flip(a)
-        state.flip(b)
+        state.toggle(a)
+        state.toggle(b)
 
 
 def block_pair_move(state: SamplerState, a, b, rule):
     """Resample two spouses jointly over their four joint assignments."""
     acc = state.acc
-    touched = pair_scope(state, a, b)
+    touched, stale = _pair_memo(state, a, b)
+    cache = state.odds_cache
+    for k in stale:
+        cache[k] = None
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     weights = [0.0] * 4
     weights[0] = state.restricted_weight(touched)
-    state.flip(b)
+    state.toggle(b)
     weights[1] = state.restricted_weight(touched)
-    state.flip(a)
+    state.toggle(a)
     weights[2] = state.restricted_weight(touched)
-    state.flip(b)
+    state.toggle(b)
     weights[3] = state.restricted_weight(touched)
     state.cost += 4 * len(touched)
     # current position in the walk is state 3; values of a at each walk state
@@ -372,9 +424,9 @@ def block_pair_move(state: SamplerState, a, b, rule):
         if not (weights[target] >= weights[0] or state.rng.random() < weights[target] / weights[0]):
             target = 0
     if a_vals[target] != x[a]:
-        state.flip(a)
+        state.toggle(a)
     if b_vals[target] != x[b]:
-        state.flip(b)
+        state.toggle(b)
 
 
 def forward_redraw(state: SamplerState, n):

@@ -106,7 +106,7 @@ class TestRunExperiment:
         assert post["b"] == pytest.approx(VASE_P_B, abs=1e-12)
 
     def test_missing_baseline_falls_back_to_first(self, vase):
-        config = vase_config(vase, strategies=["metropolis", "gibbs-flow"], baseline="gibbs")
+        config = vase_config(vase, strategies=["metropolis", "gibbs-flow"])
         report = run_experiment(config)
         assert report.baseline == "metropolis"
         assert report.cost_ratio["metropolis"] == 1.0

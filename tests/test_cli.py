@@ -401,13 +401,14 @@ class TestBench:
              "'evidence' must be an object"),
             ({"strategies": "gibbs"}, {}, "'strategies' must be a list of preset names"),
             ({"baseline": ["x"]}, {}, "'baseline' must be a preset name"),
+            ({"baseline": "gibbz"}, {}, "baseline 'gibbz' is not one of the strategies"),
             ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": None, "b": 0.6, "v": 1.0}]}},
              "'cases' must map node ids to numbers"),
         ],
         ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
              "case-without-evidence", "null-repetitions", "null-seed", "null-burn-in",
              "null-epsilon-floor", "scalar-checkpoints", "numeric-network", "listed-evidence",
-             "string-strategies", "listed-baseline", "null-truth"],
+             "string-strategies", "listed-baseline", "misspelled-baseline", "null-truth"],
     )
     def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
         for name, doc in files.items():

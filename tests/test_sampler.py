@@ -674,6 +674,95 @@ class TestSweeps:
             assert est["b"] == pytest.approx(VASE_P_B, abs=0.04), name
 
 
+def fresh_odds(state, n):
+    odds = state.cond_odds(n)
+    return (odds, odds / (1.0 + odds))
+
+
+def fill_odds_cache(state):
+    for d in state.diagnostic:
+        state.odds_cache[d] = fresh_odds(state, d)
+
+
+def expected_stale(state, k):
+    """The diagnostic-sampled nodes whose conditional reads a value or a
+    survival that flipping k changes: k, every node with k as a scope child,
+    k's children, and every node with one of those children as a scope child."""
+    stale = set()
+    for j in [k] + state.net.children[k]:
+        stale.add(j)
+        stale.update(d for d in state.diagnostic if j in state.scope_children[d])
+    return stale & set(state.diagnostic)
+
+
+def assert_odds_cache_coherent(state):
+    """Every entry not marked stale holds, bit for bit, what a recompute gives.
+    Returns how many entries were live."""
+    live = 0
+    for n, hit in enumerate(state.odds_cache):
+        if hit is not None:
+            assert hit == fresh_odds(state, n), state.net.ids[n]
+            live += 1
+    return live
+
+
+class TestOddsCache:
+    def test_stale_lists_match_the_conditionals_inputs(self):
+        rng = random.Random(61)
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(2, 9))
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=2)
+            for name in PRESETS:
+                state = make_state(net, ev, name, seed=trial)
+                for k in range(len(net.ids)):
+                    assert len(set(state.stale[k])) == len(state.stale[k]), (name, k)
+                    assert set(state.stale[k]) == expected_stale(state, k), (trial, name, k)
+
+    def test_cache_coherent_after_every_move(self, vase, monkeypatch):
+        import diagbn.sampler as sampler
+
+        live = [0]
+        for move in ("single_site_move", "swap_pair_move", "block_pair_move", "forward_redraw"):
+            def checked(state, *args, _move=getattr(sampler, move)):
+                _move(state, *args)
+                live[0] += assert_odds_cache_coherent(state)
+            monkeypatch.setattr(sampler, move, checked)
+        nets = [(vase, {"v": True})]
+        rng = random.Random(62)
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 9))
+            net = build_network(nodes, edges)
+            nets.append((net, random_evidence(rng, net, max_nodes=2)))
+        for trial, (net, ev) in enumerate(nets):
+            for name, strategy in PRESETS.items():
+                state = make_state(net, ev, name, seed=trial)
+                for _ in range(4):
+                    run_sweep(state, strategy)
+        assert live[0] > 0  # the check saw cache hits to compare
+
+    def test_external_flip_invalidates_its_stale_list(self):
+        rng = random.Random(63)
+        for trial in range(20):
+            nodes, edges = random_dag(rng, rng.randint(3, 9))
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=2)
+            state = make_state(net, ev, "gibbs", seed=trial)
+            for j in state.free:
+                fill_odds_cache(state)
+                state.flip(j)
+                dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
+                assert dropped == expected_stale(state, j), (trial, j)
+                assert_odds_cache_coherent(state)
+
+    def test_refresh_survivals_clears_the_cache(self, vase):
+        state = make_state(vase, {"v": True})
+        fill_odds_cache(state)
+        assert all(state.odds_cache[d] is not None for d in state.diagnostic)
+        state.refresh_survivals()
+        assert state.odds_cache == [None] * len(vase.ids)
+
+
 class TestFlowVsBlanketConditioning:
     def test_flow_and_blanket_conditionals_differ_when_children_are_omitted(self):
         # A cause with an unobserved child sink: flow-aware conditioning skips
@@ -773,7 +862,9 @@ class TestInitializeState:
         ev = {"s1": True, "s2": False}
         clamp = clamp_pass(net, ev)
         assert "m2" in clamp.clamped_false
-        state = initialize_state(net, ev, clamp, random.Random(0))
+        state = initialize_state(
+            net, ev, clamp, random.Random(0), classify_flow(net, ev, clamp, blanket=True)
+        )
         assert state.x[net.index["s1"]] == 1
         assert state.x[net.index["s2"]] == 0
         assert state.x[net.index["m2"]] == 0
@@ -782,15 +873,18 @@ class TestInitializeState:
     def test_same_seed_same_state(self, vase):
         ev = {"v": True}
         clamp = no_clamp(vase, ev)
-        a = initialize_state(vase, ev, clamp, random.Random(7))
-        b = initialize_state(vase, ev, clamp, random.Random(7))
+        flow = classify_flow(vase, ev, clamp, blanket=True)
+        a = initialize_state(vase, ev, clamp, random.Random(7), flow)
+        b = initialize_state(vase, ev, clamp, random.Random(7), flow)
         assert a.x == b.x
 
     def test_tiny_leaks_start_nearly_all_false(self):
         net = build_network([(f"m{i}", "model", 0.001) for i in range(10)], [])
         trues = 0
+        clamp = no_clamp(net, {})
+        flow = classify_flow(net, {}, clamp, blanket=True)
         for seed in range(200):
-            state = initialize_state(net, {}, no_clamp(net, {}), random.Random(seed))
+            state = initialize_state(net, {}, clamp, random.Random(seed), flow)
             trues += sum(state.x)
         assert trues < 20  # expectation is 200 * 10 * 0.001 = 2
 
@@ -820,7 +914,9 @@ class TestAccumulator:
         ev = {"s1": True}
         clamp = clamp_pass(net, ev)
         assert "m2" in clamp.clamped_false
-        state = initialize_state(net, ev, clamp, random.Random(0))
+        state = initialize_state(
+            net, ev, clamp, random.Random(0), classify_flow(net, ev, clamp, blanket=True)
+        )
         est = estimate_marginals(net, ev, clamp, state.acc)
         assert est["m2"] == 0.0
         assert est["s1"] == 1.0
