@@ -63,7 +63,8 @@ class ExperimentConfig:
 
     def check(self):
         """Reject a grid that cannot run, would score burn-in sweeps, names
-        a baseline it does not run, or lacks a truth for a scored node."""
+        a baseline it does not run, has no finite nonnegative accuracy floor,
+        or lacks a truth for a scored node."""
         if not self.strategies:
             raise ValueError("need at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):
@@ -76,6 +77,10 @@ class ExperimentConfig:
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        # max(band, nan) is the band, and an infinite floor accepts every
+        # estimate; neither writes valid JSON
+        if not (math.isfinite(self.epsilon_floor) and self.epsilon_floor >= 0):
+            raise ValueError(f"epsilon_floor must be finite and nonnegative, got {self.epsilon_floor!r}")
         if not self.checkpoints:
             raise ValueError("need at least one checkpoint")
         early = [c for c in self.checkpoints if c <= self.burn_in]

@@ -143,6 +143,8 @@ def generate_cases(
     inside positive_range. Evidence generated this way is always consistent
     and carries the correlations a real case would.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     sensory = [nid for nid in net.ids if net.kind[net.index[nid]] == SENSORY]
     ev_lo, ev_hi = evidence_range
     pos_lo, pos_hi = positive_range

@@ -42,6 +42,7 @@ floats a recompute would, so chains are bit-identical with or without it.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -387,45 +388,43 @@ def block_pair_move(state: SamplerState, a, b, rule):
     for k in stale:
         cache[k] = None
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
-    weights = [0.0] * 4
-    weights[0] = state.restricted_weight(touched)
+    w0 = state.restricted_weight(touched)
     state.toggle(b)
-    weights[1] = state.restricted_weight(touched)
+    w1 = state.restricted_weight(touched)
     state.toggle(a)
-    weights[2] = state.restricted_weight(touched)
+    w2 = state.restricted_weight(touched)
     state.toggle(b)
-    weights[3] = state.restricted_weight(touched)
+    w3 = state.restricted_weight(touched)
     state.cost += 4 * len(touched)
-    # current position in the walk is state 3; values of a at each walk state
+    # the walk now stands at state 3: a flipped, b at its original value.
+    # The sums add in walk order, as a running sum from 0 would, and 0 + w
+    # is w for every float, so each mass is the same float it always was.
     x = state.x
-    av = 1 - x[a]  # a's original value (a was flipped once)
-    bv = x[b]  # b is back to its original value
-    a_vals = [av, av, 1 - av, 1 - av]
-    b_vals = [bv, 1 - bv, 1 - bv, bv]
-    total = sum(weights)
-    a_mass = sum(w for w, v in zip(weights, a_vals) if v)
-    b_mass = sum(w for w, v in zip(weights, b_vals) if v)
-    acc.sums[a] += a_mass / total
-    acc.sums[b] += b_mass / total
+    total = w0 + w1 + w2 + w3
+    acc.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
+    acc.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
     acc.counts[a] += 1
     acc.counts[b] += 1
     if rule == GIBBS:
         u = state.rng.random() * total
-        target = 3
-        run = 0.0
-        for k in range(4):
-            run += weights[k]
-            if u < run:
-                target = k
-                break
+        if u < w0:
+            target = 0
+        elif u < w0 + w1:
+            target = 1
+        elif u < w0 + w1 + w2:
+            target = 2
+        else:
+            target = 3
     else:
         # the chain is logically still at walk state 0; propose one of the others
         target = 1 + state.rng.randrange(3)
-        if not (weights[target] >= weights[0] or state.rng.random() < weights[target] / weights[0]):
+        w = (w1, w2, w3)[target - 1]
+        if not (w >= w0 or state.rng.random() < w / w0):
             target = 0
-    if a_vals[target] != x[a]:
+    # from state 3, a moves back for targets 0 and 1, b moves for 1 and 2
+    if target < 2:
         state.toggle(a)
-    if b_vals[target] != x[b]:
+    if target == 1 or target == 2:
         state.toggle(b)
 
 
@@ -480,6 +479,13 @@ class _PairPlan:
     child-true gate reads a free child.  `spouses` maps every node with
     links, in index order, to its fixed spouse list, or to None when `links`
     keeps its links for the gate to read on every sweep.
+
+    The gated spouse map is then a function of the values of the free
+    children those links name, `gate_values(x)`, and of nothing else.  The
+    plan keeps the last such values and the map built from them (`last`);
+    `pair_nodes` reuses that map while the values are equal, so it holds the
+    same lists in the same order a rebuild would.  Keying on values rather
+    than on flips keeps it right when a caller writes `x` directly.
     """
 
     def __init__(self, state: SamplerState, strategy: StrategySpec):
@@ -499,6 +505,9 @@ class _PairPlan:
             on = [others for c, others in links if cover_gated or x[c]]
             if on:
                 self.spouses[j] = _spouse_union(on)
+        gate = sorted({c for links in self.links.values() for c, _ in links if state.is_free[c]})
+        self.gate_values = operator.itemgetter(*gate) if gate else None
+        self.last = (None, None)  # (gate values, the spouse map built from them)
 
 
 def _spouse_union(groups):
@@ -513,7 +522,9 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     Returns (pairs, singles) covering every diagnostic-sampled node exactly
     once; forward-sampled nodes are redrawn from their parents and never
     paired.  Child-true gates on free children read the current state on
-    every call; everything else comes from the chain's plan for this strategy.
+    every call, through the plan's last spouse map when the gated children
+    hold the values it was built from; everything else comes from the
+    chain's plan for this strategy.
     """
     plan = state.pair_plan
     if plan is None or plan.strategy is not strategy:
@@ -522,14 +533,18 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     if plan.links:
         # child-true policies: the shared child is currently on, observed or sampled
         x = state.x
-        spouses = {}
-        for j, mates in plan.spouses.items():
-            if mates is None:
-                live = [others for c, others in plan.links[j] if x[c]]
-                if not live:
-                    continue
-                mates = _spouse_union(live)
-            spouses[j] = mates
+        key = plan.gate_values(x)
+        seen, spouses = plan.last
+        if key != seen:
+            spouses = {}
+            for j, mates in plan.spouses.items():
+                if mates is None:
+                    live = [others for c, others in plan.links[j] if x[c]]
+                    if not live:
+                        continue
+                    mates = _spouse_union(live)
+                spouses[j] = mates
+            plan.last = (key, spouses)
     rng = state.rng
     order = list(spouses)
     rng.shuffle(order)
@@ -585,14 +600,11 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     """
     backward = state.sweep_idx % 2 == 1
     pairs, singles = pair_nodes(state, strategy)
-    partner = {}
-    swapping = set()
+    partner = {}  # both ways, for the pairs whose swap coin came up
     for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
         if state.rng.random() < SWAP_FRACTION:
-            swapping.add(a)
-            swapping.add(b)
+            partner[a] = b
+            partner[b] = a
     order = state.topo_diagnostic_reversed if backward else state.topo_free
     done = set()
     for j in order:
@@ -601,7 +613,7 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
         if state.forward_sampled[j]:
             forward_redraw(state, j)
             continue
-        if j in swapping:
+        if j in partner:
             swap_pair_move(state, j, partner[j], strategy.rule)
             done.add(partner[j])
         else:

@@ -31,6 +31,7 @@ from diagbn.sampler import (
     OPTIMIZED_FWD_BWD,
     SamplerState,
     StrategySpec,
+    _pair_memo,
     clamp_and_flow,
     run_sweep,
 )
@@ -508,6 +509,58 @@ def reference_pair_nodes(state, strategy):
     singles = [j for j in movable if j not in done]
     assert 2 * len(pairs) + len(singles) == len(movable_set)
     return pairs, singles
+
+
+def reference_block_pair_move(state: SamplerState, a, b, rule):
+    """The block move as first written: weights in a list, masses by
+    generator sums.  The library's straight-line move must reproduce its
+    values, credits, cost and RNG draws exactly."""
+    acc = state.acc
+    touched, stale = _pair_memo(state, a, b)
+    cache = state.odds_cache
+    for k in stale:
+        cache[k] = None
+    # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
+    weights = [0.0] * 4
+    weights[0] = state.restricted_weight(touched)
+    state.toggle(b)
+    weights[1] = state.restricted_weight(touched)
+    state.toggle(a)
+    weights[2] = state.restricted_weight(touched)
+    state.toggle(b)
+    weights[3] = state.restricted_weight(touched)
+    state.cost += 4 * len(touched)
+    # current position in the walk is state 3; values of a at each walk state
+    x = state.x
+    av = 1 - x[a]  # a's original value (a was flipped once)
+    bv = x[b]  # b is back to its original value
+    a_vals = [av, av, 1 - av, 1 - av]
+    b_vals = [bv, 1 - bv, 1 - bv, bv]
+    total = sum(weights)
+    a_mass = sum(w for w, v in zip(weights, a_vals) if v)
+    b_mass = sum(w for w, v in zip(weights, b_vals) if v)
+    acc.sums[a] += a_mass / total
+    acc.sums[b] += b_mass / total
+    acc.counts[a] += 1
+    acc.counts[b] += 1
+    if rule == GIBBS:
+        u = state.rng.random() * total
+        target = 3
+        run = 0.0
+        for k in range(4):
+            run += weights[k]
+            if u < run:
+                target = k
+                break
+    else:
+        # the chain is logically still at walk state 0; propose one of the others
+        target = 1 + state.rng.randrange(3)
+        if not (weights[target] >= weights[0] or state.rng.random() < weights[target] / weights[0]):
+            target = 0
+    if a_vals[target] != x[a]:
+        state.toggle(a)
+    if b_vals[target] != x[b]:
+        state.toggle(b)
 
 
 # ---------------------------------------------------------------------------

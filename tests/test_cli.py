@@ -307,6 +307,25 @@ class TestGen:
         assert rc == 2
         assert "cases-out" in err
 
+    def test_negative_case_count_exits_2(self, tmp_path, capsys):
+        cases_out = tmp_path / "cases.json"
+        rc, _, err = run_cli(
+            [
+                "gen",
+                "--models", "5",
+                "--sensors", "3",
+                "--links", "8",
+                "--seed", "1",
+                "--out", str(tmp_path / "net.json"),
+                "--cases", "-2",
+                "--cases-out", str(cases_out),
+            ],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "n_cases must be at least 1" in err, err
+        assert not cases_out.exists()
+
     def test_infeasible_request_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(
             [
@@ -372,6 +391,18 @@ class TestBench:
         # a unit-wide band swallows every possible miss
         assert all(v == 0.0 for errs in doc["mean_errors"].values() for v in errs)
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_bad_epsilon_floor_override_exits_2(self, vase_files, tmp_path, capsys, floor):
+        config_path = self.write_bundle(tmp_path, vase_files)
+        out = tmp_path / "report.json"
+        rc, _, err = run_cli(
+            ["bench", "--config", config_path, "--out", str(out),
+             "--epsilon-floor", floor], capsys
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "epsilon_floor must be finite and nonnegative" in err, err
+        assert not out.exists()
+
     def test_checkpoint_inside_burn_in_exits_2(self, vase_files, tmp_path, capsys):
         config_path = self.write_bundle(
             tmp_path, vase_files, burn_in=50, checkpoints=[10, 50, 100]
@@ -404,11 +435,15 @@ class TestBench:
             ({"baseline": "gibbz"}, {}, "baseline 'gibbz' is not one of the strategies"),
             ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": None, "b": 0.6, "v": 1.0}]}},
              "'cases' must map node ids to numbers"),
+            ({"epsilon_floor": float("nan")}, {}, "epsilon_floor must be finite and nonnegative"),
+            ({"epsilon_floor": float("inf")}, {}, "epsilon_floor must be finite and nonnegative"),
+            ({"epsilon_floor": -0.5}, {}, "epsilon_floor must be finite and nonnegative"),
         ],
         ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
              "case-without-evidence", "null-repetitions", "null-seed", "null-burn-in",
              "null-epsilon-floor", "scalar-checkpoints", "numeric-network", "listed-evidence",
-             "string-strategies", "listed-baseline", "misspelled-baseline", "null-truth"],
+             "string-strategies", "listed-baseline", "misspelled-baseline", "null-truth",
+             "nan-epsilon-floor", "infinite-epsilon-floor", "negative-epsilon-floor"],
     )
     def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
         for name, doc in files.items():

@@ -38,6 +38,7 @@ from diagbn.sampler import (
     sample_posteriors,
     setup_chain,
     single_site_move,
+    spouse_links,
     swap_pair_move,
 )
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     metropolis_accept,
     random_dag,
     random_evidence,
+    reference_block_pair_move,
     reference_pair_nodes,
     transition_distribution,
 )
@@ -338,6 +340,39 @@ class TestBlockPairMove:
             assert counts[key] / n == pytest.approx(want, abs=0.01)
 
 
+class TestBlockMoveMatchesReference:
+    """The straight-line block move against the move as first written."""
+
+    @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
+    def test_same_moves_as_reference(self, vase, rule):
+        rng = random.Random(2015)
+        problems = [(vase, {"v": True})]
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            problems.append((net, random_evidence(rng, net, max_nodes=3)))
+        moved = 0
+        for trial, (net, ev) in enumerate(problems):
+            for name in ("block-spouses-cover", "gibbs-flow"):
+                state = make_state(net, ev, name, seed=trial)
+                if len(state.diagnostic) < 2:
+                    continue
+                ref = copy.deepcopy(state)
+                for step in range(30):
+                    a, b = rng.sample(state.diagnostic, 2)
+                    block_pair_move(state, a, b, rule)
+                    reference_block_pair_move(ref, a, b, rule)
+                    where = (trial, name, step)
+                    assert state.x == ref.x, where
+                    assert state.surv == ref.surv, where
+                    assert state.acc.sums == ref.acc.sums, where
+                    assert state.acc.counts == ref.acc.counts, where
+                    assert state.cost == ref.cost, where
+                    assert state.rng.getstate() == ref.rng.getstate(), where
+                    moved += 1
+        assert moved > 1000
+
+
 class TestSwapPairMove:
     def test_gibbs_move_probability(self, vase):
         state = make_state(vase, {"v": True})
@@ -529,6 +564,9 @@ class TestPairingMatchesReference:
     """The per-chain pairing plan against the pairing as first written."""
 
     def test_same_pairs_and_draws_as_reference(self):
+        # each round calls twice on one state (the second reuses the gated
+        # spouse map), then flips every gate child and back (A -> B -> A),
+        # then moves the state at random
         assert len(PAIR_PRESETS) == 6
         rng = random.Random(2013)
         formed = 0
@@ -540,18 +578,33 @@ class TestPairingMatchesReference:
                 strategy = PRESETS[name]
                 state = make_state(net, ev, name, seed=trial)
                 ref = copy.deepcopy(state)
-                for call in range(6):
+                gate = sorted({
+                    c for links in spouse_links(state, strategy).values()
+                    for c, _ in links if state.is_free[c]
+                })
+
+                def check(*where):
                     got = pair_nodes(state, strategy)
                     want = reference_pair_nodes(ref, strategy)
-                    assert got == want, (trial, name, call)
-                    assert state.rng.getstate() == ref.rng.getstate(), (trial, name, call)
-                    formed += len(got[0])
-                    # move the state so the child-true gate sees new values
+                    assert got == want, (trial, name) + where
+                    assert state.rng.getstate() == ref.rng.getstate(), (trial, name) + where
+                    return len(got[0])
+
+                def flip(j):
+                    state.flip(j)
+                    ref.flip(j)
+
+                for call in range(6):
+                    formed += check(call, "fresh")
+                    check(call, "unchanged")
+                    for c in gate:
+                        flip(c)
+                        check(call, "flipped", c)
+                        flip(c)
+                        check(call, "restored", c)
                     for _ in range(2):
                         if state.free:
-                            j = rng.choice(state.free)
-                            state.flip(j)
-                            ref.flip(j)
+                            flip(rng.choice(state.free))
         assert formed > 0
 
     def test_oracle_has_a_kernel_for_every_pair_formed(self):
