@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"epsilon_floor must be finite and nonnegative, got {self.epsilon_floor!r}")
         if not self.checkpoints:
             raise ValueError("need at least one checkpoint")
+        if len(set(self.checkpoints)) != len(self.checkpoints):
+            raise ValueError(f"checkpoints listed more than once: {self.checkpoints}")
         early = [c for c in self.checkpoints if c <= self.burn_in]
         if early:
             raise ValueError(
@@ -171,8 +173,8 @@ class Report:
     checkpoints: list
     mean_errors: dict  # strategy -> [mean error count per checkpoint]
     cost_ratio: dict  # strategy -> deterministic move-cost ratio vs baseline
-    time_ratio: dict  # strategy -> measured wall-clock ratio vs baseline
-    seconds: dict  # strategy -> absolute wall seconds (not serialized by default)
+    time_ratio: dict  # strategy -> measured wall-clock ratio vs baseline (never serialized)
+    seconds: dict  # strategy -> absolute wall seconds (never serialized)
     baseline: str
     seed: int
     repetitions: int
@@ -180,8 +182,9 @@ class Report:
     epsilon_floor: float
     n_scored_nodes: int
 
-    def to_jsonable(self, include_wall_time: bool = False) -> dict:
-        out = {
+    def to_jsonable(self) -> dict:
+        """The deterministic part of the report; wall time stays out."""
+        return {
             "baseline": self.baseline,
             "checkpoints": self.checkpoints,
             "cost_ratio": {k: self.cost_ratio[k] for k in self.strategies},
@@ -194,10 +197,6 @@ class Report:
             "seed_rule": "cell seed = derive_seed(seed, strategy, case_index, repetition)",
             "strategies": self.strategies,
         }
-        if include_wall_time:
-            out["time_ratio"] = {k: self.time_ratio[k] for k in self.strategies}
-            out["seconds"] = {k: self.seconds[k] for k in self.strategies}
-        return out
 
 
 def _case_truths(config) -> list:
@@ -266,15 +265,14 @@ def run_experiment(config: ExperimentConfig) -> Report:
     )
 
 
-def render_table(report: Report, measured_time: bool = True) -> str:
-    """Plain-text comparison table: one strategy per row, a time-ratio
-    column, then mean error count at each sweep checkpoint."""
-    time_col = "Time" if measured_time else "Cost"
-    ratios = report.time_ratio if measured_time else report.cost_ratio
-    header = ["Strategy", time_col] + [str(c) for c in report.checkpoints]
+def render_table(report: Report) -> str:
+    """Plain-text comparison table: one strategy per row, its measured
+    wall-clock ratio to the baseline (Time), then its mean error count at
+    each sweep checkpoint.  The table is the only place wall time shows."""
+    header = ["Strategy", "Time"] + [str(c) for c in report.checkpoints]
     rows = []
     for s in report.strategies:
-        row = [s, f"{ratios[s]:.2f}"] + [f"{e:.1f}" for e in report.mean_errors[s]]
+        row = [s, f"{report.time_ratio[s]:.2f}"] + [f"{e:.1f}" for e in report.mean_errors[s]]
         rows.append(row)
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     lines = []

@@ -112,8 +112,8 @@ def _cmd_gen(args):
         seed=args.seed,
     )
     net = generate_network(params)
-    with open(args.out, "w") as fh:
-        fh.write(serialize_network(net))
+    # draw the cases before writing anything, so a request that fails writes nothing
+    cases = None
     if args.cases:
         if not args.cases_out:
             raise ValueError("--cases requires --cases-out")
@@ -124,6 +124,9 @@ def _cmd_gen(args):
             tuple(args.positive_range),
             seed=args.cases_seed if args.cases_seed is not None else args.seed + 1,
         )
+    with open(args.out, "w") as fh:
+        fh.write(serialize_network(net))
+    if cases is not None:
         _dump_json(cases_to_jsonable(cases), args.cases_out)
 
 

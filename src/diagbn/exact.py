@@ -35,6 +35,7 @@ from .sampler import (
 )
 
 _CHUNK = 1 << 15  # rows per factor table when enumerating posteriors
+_MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
 
 
 class EnumerationCapError(ValueError):
@@ -140,12 +141,6 @@ class TransitionMatrix:
     # label -> the kernel's transpose, built on the first sweep
     _transposed: dict = field(default=None, init=False, repr=False, compare=False)
 
-    def kernel(self, label):
-        for lab, mat in self.moves:
-            if lab == label:
-                return mat
-        raise KeyError(label)
-
     def apply_sweep(self, vec: np.ndarray) -> np.ndarray:
         """One sweep applied to a distribution (or to each row of a matrix)."""
         if self._transposed is None:
@@ -168,7 +163,6 @@ def explicit_transition_matrix(
     net: Network,
     ev: dict,
     strategy: StrategySpec,
-    cap: int = 12,
     collapse_forward: bool = False,
 ) -> TransitionMatrix:
     """Build every kernel the strategy's sweeps are made of, exactly.
@@ -186,9 +180,9 @@ def explicit_transition_matrix(
     chain = SamplerState(net, ev, clamp, flow, None)
     fs = chain.forward_sampled
     chain_nodes = chain.diagnostic if collapse_forward else chain.free
-    if len(chain_nodes) > cap:
+    if len(chain_nodes) > _MATRIX_CAP:
         raise EnumerationCapError(
-            f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {cap}"
+            f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {_MATRIX_CAP}"
         )
     size = 1 << len(chain_nodes)
     bit = {j: 1 << k for k, j in enumerate(chain_nodes)}

@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .network import MODEL, SENSORY, STRICT, Network, build_network, validate
+from .network import MODEL, SENSORY, Network, build_network, validate
 
 TWO_LAYER = "two-layer"
 LAYERED_CAUSAL = "layered-causal"
+
+_MAX_ATTEMPTS = 5000  # forward-sampled worlds drawn per case before giving up
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def generate_network(params: GeneratorParams) -> Network:
     for u, v in sorted(chosen):
         edges.append((u, v, rng.uniform(*p.link_range)))
     net = build_network(nodes, edges)
-    problems = validate(net, STRICT)
+    problems = validate(net)
     assert not problems, problems
     return net
 
@@ -134,14 +136,14 @@ def generate_cases(
     evidence_range: tuple,
     positive_range: tuple,
     seed: int,
-    max_attempts: int = 5000,
 ) -> list:
     """Draw diagnostic test cases by observing forward-sampled worlds.
 
     Each case forward-samples a complete world and reveals a random subset
     of sensory nodes, retrying until the number of true observations lands
-    inside positive_range. Evidence generated this way is always consistent
-    and carries the correlations a real case would.
+    inside positive_range, for at most `_MAX_ATTEMPTS` worlds per case.
+    Evidence generated this way is always consistent and carries the
+    correlations a real case would.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
@@ -162,7 +164,7 @@ def generate_cases(
     cases = []
     x = [0] * len(net.ids)
     for case_idx in range(n_cases):
-        for attempt in range(max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             for j in net.topo:
                 x[j] = 1 if rng.random() < 1.0 - net.survival(j, x) else 0
             k = rng.randint(ev_lo, ev_hi)
@@ -175,7 +177,7 @@ def generate_cases(
         else:
             raise ValueError(
                 f"could not hit positive_range {positive_range} for case {case_idx} "
-                f"in {max_attempts} attempts; ranges look infeasible for this network"
+                f"in {_MAX_ATTEMPTS} attempts; ranges look infeasible for this network"
             )
     return cases
 

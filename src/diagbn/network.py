@@ -80,9 +80,6 @@ class Network:
             raise NetworkError(f"cycle detected through node {stuck!r}")
         return order
 
-    def __len__(self):
-        return len(self.ids)
-
     def survival(self, j, x) -> float:
         """P(node j stays off | its parents), with x[i] the value of node i:
         1 - leak, times 1 - p for each parent that is on, in parent order."""
@@ -113,18 +110,14 @@ def build_network(nodes, edges) -> Network:
     return Network(nodes, edges)
 
 
-def validate(net: Network, profile: str = STRICT) -> list[str]:
-    """Check profile-specific constraints, returning a list of violations.
+def validate(net: Network) -> list[str]:
+    """Check the strict profile's constraints, returning a list of violations.
 
     The strict profile guarantees every assignment has strictly positive
     probability (needed for sampler irreducibility): each leak must lie in
     the open interval (0, 1) and no edge may have p = 1.  The permissive
-    profile accepts anything the structural checks let through.
+    profile adds nothing to the structural checks, so it has no validation.
     """
-    if profile == PERMISSIVE:
-        return []
-    if profile != STRICT:
-        raise ValueError(f"unknown profile {profile!r}")
     problems = []
     for i, nid in enumerate(net.ids):
         leak = net.leak[i]
@@ -177,7 +170,7 @@ def parse_network(text: str, profile: str = STRICT) -> Network:
         edges.append((entry["from"], entry["to"], entry.get("p", 0.0)))
     net = build_network(nodes, edges)
     if profile == STRICT:
-        problems = validate(net, STRICT)
+        problems = validate(net)
         if problems:
             raise NetworkError("; ".join(problems))
     return net

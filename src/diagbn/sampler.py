@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from . import flow as flowmod
 from .flow import ClampResult, clamp_pass, classify_flow, evidence_cover, no_clamp
-from .network import STRICT, validate
+from .network import validate
 
 GIBBS = "gibbs"
 METROPOLIS = "metropolis"
@@ -92,6 +92,8 @@ class StrategySpec:
     def __post_init__(self):
         if self.move_policy not in _POLICIES:
             raise ValueError(f"unknown move policy {self.move_policy!r}")
+        if self.rule not in (GIBBS, METROPOLIS):
+            raise ValueError(f"unknown rule {self.rule!r}; rules: {GIBBS!r}, {METROPOLIS!r}")
 
     @property
     def pair_move(self):
@@ -166,7 +168,6 @@ class SamplerState:
         self.net = net
         self.ev = ev
         self.clamp = clamp
-        self.flow = flow
         self.rng = rng
         n = len(net.ids)
         self.x = [0] * n
@@ -664,11 +665,9 @@ def estimate_marginals(net, ev, clamp: ClampResult, acc: MarginalAccumulator) ->
 
 @dataclass
 class ChainResult:
-    estimates: dict
-    checkpoint_estimates: dict
+    checkpoint_estimates: dict  # checkpoint sweep -> estimates after it
     cost: int
     seconds: float
-    sweeps: int
 
 
 def clamp_and_flow(net, ev, strategy: StrategySpec):
@@ -696,7 +695,7 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     if not 0 <= burn_in < sweeps:
         raise ValueError(f"burn-in must be within [0, sweeps), got {burn_in} with {sweeps} sweeps")
-    problems = validate(net, STRICT)
+    problems = validate(net)
     if problems:
         raise ValueError("network fails strict validation: " + "; ".join(problems))
     wanted = set(checkpoints)
@@ -718,10 +717,11 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
 
 
 def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> ChainResult:
-    """Run one chain and return final (and any checkpointed) estimates."""
+    """Run one chain and return its estimates at each checkpoint, its move
+    cost and its sweep-loop seconds.  List `sweeps` among the checkpoints
+    for the estimates at the end of the chain."""
     [(state, marks, seconds)] = _run_chains(net, ev, strategy, sweeps, [seed], burn_in, checkpoints)
-    final = estimate_marginals(net, ev, state.clamp, state.acc)
-    return ChainResult(final, marks, state.cost, seconds, sweeps)
+    return ChainResult(marks, state.cost, seconds)
 
 
 def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> dict:

@@ -895,16 +895,17 @@ def reference_transition_matrix(
 def reference_apply_sweep(tm: TransitionMatrix, vec: np.ndarray) -> np.ndarray:
     """`TransitionMatrix.apply_sweep` as first written: each kernel found by
     label and applied as `out @ kernel`."""
+    kernel = dict(tm.moves)
     out = np.asarray(vec, dtype=float)
     for kind, labels in tm.sweep_stages:
         if kind == "mixture":
             mixed = np.zeros_like(out)
             for lab in labels:
-                mixed += out @ tm.kernel(lab)
+                mixed += out @ kernel[lab]
             out = mixed / len(labels)
         else:
             for lab in labels:
-                out = out @ tm.kernel(lab)
+                out = out @ kernel[lab]
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -90,9 +91,7 @@ class TestRunExperiment:
         report = run_experiment(vase_config(vase))
         plain = report.to_jsonable()
         assert "time_ratio" not in plain and "seconds" not in plain
-        timed = report.to_jsonable(include_wall_time=True)
-        assert "time_ratio" in timed and "seconds" in timed
-        assert timed["time_ratio"]["gibbs"] == 1.0
+        assert report.time_ratio["gibbs"] == 1.0
 
     def test_explicit_truths_match_enumeration_default(self, vase):
         exact = exact_posteriors(vase, {"v": True})
@@ -208,11 +207,9 @@ class TestRenderTable:
         assert "50" in lines[0] and "200" in lines[0]
         assert len(lines) == 2 + len(report.strategies)
         assert lines[2].startswith("gibbs")
-        # all rows align to the header grid
-        assert len(set(len(l.rstrip()) for l in (lines[0], lines[1]))) >= 1
-
-    def test_cost_column_variant(self, vase):
-        report = run_experiment(vase_config(vase))
-        text = render_table(report, measured_time=False)
-        assert "Cost" in text.splitlines()[0]
-        assert "1.00" in text
+        # all rows align to the header grid: equal lengths, and every cell
+        # starts where its header column does
+        assert len(set(len(line) for line in lines)) == 1
+        starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+        for line in lines[1:]:
+            assert [m.start() for m in re.finditer(r"\S+", line)] == starts, line

@@ -265,7 +265,7 @@ class TestGen:
         assert rc == 0
         net = parse_network(out.read_text(), profile=STRICT)
         assert len(net.ids) == 30
-        assert validate(net, STRICT) == []
+        assert validate(net) == []
 
     def test_gen_with_cases_is_deterministic(self, tmp_path, capsys):
         blobs = []
@@ -325,6 +325,16 @@ class TestGen:
         assert rc == 2
         assert err.startswith("error:") and "n_cases must be at least 1" in err, err
         assert not cases_out.exists()
+
+    def test_failed_cases_write_no_file(self, tmp_path, monkeypatch, capsys):
+        # the network is written only once the cases are drawn
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--models", "5", "--sensors", "3", "--links", "8", "--seed", "1",
+                "--out", "net.json"]
+        for cases in (["--cases", "-2", "--cases-out", "c.json"], ["--cases", "3"]):
+            rc, _, err = run_cli(argv + cases, capsys)
+            assert rc == 2 and err.startswith("error:"), err
+            assert list(tmp_path.iterdir()) == [], cases
 
     def test_infeasible_request_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(
@@ -438,12 +448,14 @@ class TestBench:
             ({"epsilon_floor": float("nan")}, {}, "epsilon_floor must be finite and nonnegative"),
             ({"epsilon_floor": float("inf")}, {}, "epsilon_floor must be finite and nonnegative"),
             ({"epsilon_floor": -0.5}, {}, "epsilon_floor must be finite and nonnegative"),
+            ({"checkpoints": [50, 50, 100]}, {}, "checkpoints listed more than once"),
         ],
         ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
              "case-without-evidence", "null-repetitions", "null-seed", "null-burn-in",
              "null-epsilon-floor", "scalar-checkpoints", "numeric-network", "listed-evidence",
              "string-strategies", "listed-baseline", "misspelled-baseline", "null-truth",
-             "nan-epsilon-floor", "infinite-epsilon-floor", "negative-epsilon-floor"],
+             "nan-epsilon-floor", "infinite-epsilon-floor", "negative-epsilon-floor",
+             "duplicate-checkpoint"],
     )
     def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
         for name, doc in files.items():

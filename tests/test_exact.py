@@ -231,7 +231,7 @@ class TestTransitionMatrix:
 
     def test_single_site_rows_are_the_conditional(self, vase):
         tm = explicit_transition_matrix(vase, {"v": True}, PRESETS["gibbs"])
-        mat = tm.kernel(("single", "e")).toarray()
+        mat = dict(tm.moves)[("single", "e")].toarray()
         k_e = tm.node_order.index("e")
         k_b = tm.node_order.index("b")
         for s, state in enumerate(tm.states):
@@ -241,7 +241,7 @@ class TestTransitionMatrix:
 
     def test_swap_kernel_structure(self, vase):
         tm = explicit_transition_matrix(vase, {"v": True}, PRESETS["swap-spouses-cover"])
-        mat = tm.kernel(("swap", "e", "b")).toarray()
+        mat = dict(tm.moves)[("swap", "e", "b")].toarray()
         idx = {state: i for i, state in enumerate(tm.states)}
         # equal-value states are fixed points; moves connect only (1,0)<->(0,1)
         for state, i in idx.items():
@@ -253,7 +253,7 @@ class TestTransitionMatrix:
 
     def test_block_kernel_rows_equal_block_distribution(self, vase):
         tm = explicit_transition_matrix(vase, {"v": True}, PRESETS["block-spouses-cover"])
-        mat = tm.kernel(("block", "e", "b")).toarray()
+        mat = dict(tm.moves)[("block", "e", "b")].toarray()
         order = tm.node_order
         assert order == ("e", "b")
         for i in range(len(tm.states)):
@@ -280,7 +280,7 @@ class TestTransitionMatrix:
         nodes, edges = random_dag(rng, 16)
         net = build_network(nodes, edges)
         with pytest.raises(EnumerationCapError):
-            explicit_transition_matrix(net, {}, PRESETS["gibbs"], cap=12)
+            explicit_transition_matrix(net, {}, PRESETS["gibbs"])
 
 
 def assert_same_matrix(got, want):

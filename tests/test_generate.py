@@ -12,7 +12,7 @@ from diagbn.generate import (
     generate_cases,
     generate_network,
 )
-from diagbn.network import MODEL, SENSORY, STRICT, serialize_network, validate
+from diagbn.network import MODEL, SENSORY, serialize_network, validate
 
 
 def kinds(net):
@@ -114,7 +114,7 @@ class TestGenerateNetwork:
                 seed=seed,
             )
             net = generate_network(params)
-            assert validate(net, STRICT) == []
+            assert validate(net) == []
 
     def test_parameters_land_in_ranges(self):
         params = GeneratorParams(
@@ -237,7 +237,7 @@ class TestGenerateCases:
             )
         )
         with pytest.raises(ValueError, match="infeasible"):
-            generate_cases(net, 2, (4, 4), (4, 4), seed=61, max_attempts=50)
+            generate_cases(net, 2, (4, 4), (4, 4), seed=61)
 
     def test_evidence_range_larger_than_sensory_rejected(self, small_net):
         with pytest.raises(ValueError, match="sensory"):

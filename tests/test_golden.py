@@ -58,7 +58,8 @@ def golden_record() -> list:
         ev = json.load(fh)[0]["evidence"]
     for name, strategy in PRESETS.items():
         res = run_chain(net, ev, strategy, SWEEPS, seed=20260822, burn_in=20, checkpoints=(5, 100, SWEEPS))
-        record.append(["fixture", name, res.estimates, res.checkpoint_estimates, res.cost])
+        final = res.checkpoint_estimates[SWEEPS]  # SWEEPS is a checkpoint: the chain's end
+        record.append(["fixture", name, final, res.checkpoint_estimates, res.cost])
     return record
 
 

@@ -130,24 +130,24 @@ class TestParsing:
 
 class TestValidate:
     def test_vase_strict_clean(self, vase):
-        assert validate(vase, STRICT) == []
+        assert validate(vase) == []
 
     def test_zero_leak_fails_strict_passes_permissive(self):
         net = build_network(
             [("e", "model", 0.01), ("b", "model", 0.02), ("v", "sensory", 0.0)],
             [("e", "v", 0.9), ("b", "v", 0.8)],
         )
-        strict = validate(net, STRICT)
+        strict = validate(net)
         assert len(strict) == 1 and "v" in strict[0]
-        assert validate(net, PERMISSIVE) == []
+        assert parse_network(serialize_network(net), profile=PERMISSIVE).leak == net.leak
 
     def test_certain_edge_fails_strict(self):
         net = build_network(
             [("a", "model", 0.5), ("b", "model", 0.5)],
             [("a", "b", 1.0)],
         )
-        assert validate(net, STRICT) != []
-        assert validate(net, PERMISSIVE) == []
+        assert validate(net) != []
+        assert parse_network(serialize_network(net), profile=PERMISSIVE).edge_p == net.edge_p
 
 
 class TestNoisyOr:
