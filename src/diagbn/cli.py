@@ -114,6 +114,8 @@ def _cmd_gen(args):
     net = generate_network(params)
     # draw the cases before writing anything, so a request that fails writes nothing
     cases = None
+    if args.cases_out and not args.cases:
+        raise ValueError("--cases-out requires --cases")
     if args.cases:
         if not args.cases_out:
             raise ValueError("--cases requires --cases-out")

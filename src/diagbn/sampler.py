@@ -37,6 +37,14 @@ node's (odds, p_on); `cond_odds(n)` reads x and the survival cache of n and
 of its scope children, so flipping k makes stale exactly k, the children of
 k, and every node with k or a child of k as a scope child.  A hit returns the
 floats a recompute would, so chains are bit-identical with or without it.
+
+Every chain draws from a `ChainRandom`, which draws the numbers
+`random.Random` draws from the same seed and leaves it in the same state,
+but shuffles and picks below n without a Python call per draw.  A
+single-site sweep visits its shuffled order in one loop, with the move's
+lookups bound once per sweep; pair schedules call `single_site_move` per
+node, and both paths fill a missing conditional through
+`SamplerState.fill_odds`.
 """
 
 from __future__ import annotations
@@ -125,6 +133,36 @@ PRESETS = {
 }
 
 
+class ChainRandom(random.Random):
+    """`random.Random` with `shuffle` and `randrange(n)` inlined.
+
+    Both draw as CPython's `_randbelow_with_getrandbits` does: with k the
+    bit length of n, `getrandbits(k)` until the value is below n.  So they
+    return what `random.Random` returns and leave the generator in the
+    state it would, and a chain is the same whichever of the two it runs on.
+    """
+
+    def randrange(self, start, *args, **kwargs):
+        if args or kwargs or type(start) is not int or start < 1:
+            return super().randrange(start, *args, **kwargs)
+        getrandbits = self.getrandbits
+        k = start.bit_length()
+        r = getrandbits(k)
+        while r >= start:
+            r = getrandbits(k)
+        return r
+
+    def shuffle(self, x):
+        # Fisher-Yates from the back, drawing j below n for position n - 1
+        getrandbits = self.getrandbits
+        for n in range(len(x), 1, -1):
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            x[n - 1], x[j] = x[j], x[n - 1]
+
+
 def derive_seed(master, *tags) -> int:
     """Stable 63-bit seed for a labelled sub-stream of a master seed."""
     text = ":".join([str(master)] + [str(t) for t in tags])
@@ -158,7 +196,7 @@ class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng.
 
     `odds_cache[n]` holds (cond_odds(n), p_on) for a diagnostic-sampled
-    node n, or None when it must be recomputed.  `stale[k]` lists the nodes
+    node n, or None when `fill_odds` must recompute it.  `stale[k]` lists the nodes
     whose entry a flip of k invalidates; `flip` clears them and
     `refresh_survivals` clears every entry.  A flip and a flip back still
     invalidate, since `s * q / q` may differ from `s` in the last bit.
@@ -250,6 +288,12 @@ class SamplerState:
             for c, q in zip(self.net.children[n], self.child_q[n]):
                 surv[c] *= q
 
+    def fill_odds(self, n):
+        """Compute, cache and return n's (odds, p_on), for a cache miss."""
+        odds = self.cond_odds(n)
+        hit = self.odds_cache[n] = (odds, odds / (1.0 + odds))
+        return hit
+
     def cond_odds(self, n) -> float:
         """Odds of n being on given its conditioning scope, from the caches."""
         surv = self.surv
@@ -296,12 +340,9 @@ def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
 
 
 def single_site_move(state: SamplerState, n, rule):
-    """Resample one free node; always credit its conditional into the scores."""
-    hit = state.odds_cache[n]
-    if hit is None:
-        odds = state.cond_odds(n)
-        hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
-    odds, p_on = hit
+    """Resample one free node; always credit its conditional into the scores.
+    `_single_site_sweep` makes the same move, visit for visit."""
+    odds, p_on = state.odds_cache[n] or state.fill_odds(n)
     acc = state.acc
     acc.sums[n] += p_on
     acc.counts[n] += 1
@@ -586,6 +627,38 @@ def _run_pair_events(state, strategy, pairs, singles):
             block_pair_move(state, ev[1], ev[2], strategy.rule)
 
 
+def _single_site_sweep(state: SamplerState, rule):
+    """`single_site_move` on every diagnostic-sampled node in shuffled
+    order, in one loop: the lookups are bound and the cost is charged once
+    per sweep, with the same sum."""
+    order = list(state.diagnostic)
+    rng = state.rng
+    rng.shuffle(order)
+    draw = rng.random
+    cache = state.odds_cache
+    fill = state.fill_odds
+    flip = state.flip
+    x = state.x
+    sums = state.acc.sums
+    counts = state.acc.counts
+    move_cost = state.move_cost
+    gibbs = rule == GIBBS
+    cost = 0
+    for n in order:
+        odds, p_on = cache[n] or fill(n)
+        sums[n] += p_on
+        counts[n] += 1
+        cost += move_cost[n]
+        if gibbs:
+            if (draw() < p_on) != x[n]:
+                flip(n)
+        else:
+            ratio = (1.0 - p_on) / p_on if x[n] else odds
+            if ratio >= 1.0 or draw() < ratio:
+                flip(n)
+    state.cost += cost
+
+
 def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     """One pass of the alternating schedule.
 
@@ -632,10 +705,7 @@ def run_sweep(state: SamplerState, strategy: StrategySpec):
         _fwd_bwd_sweep(state, strategy)
     else:
         if strategy.move_policy == SINGLE_SITE:
-            order = list(state.diagnostic)
-            state.rng.shuffle(order)
-            for j in order:
-                single_site_move(state, j, strategy.rule)
+            _single_site_sweep(state, strategy.rule)
         else:
             pairs, singles = pair_nodes(state, strategy)
             _run_pair_events(state, strategy, pairs, singles)
@@ -701,7 +771,7 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     wanted = set(checkpoints)
     runs = []
     for seed in seeds:
-        state = setup_chain(net, ev, strategy, random.Random(seed))
+        state = setup_chain(net, ev, strategy, ChainRandom(seed))
         marks = {}
         t0 = time.perf_counter()
         for s in range(1, sweeps + 1):

@@ -563,6 +563,29 @@ def reference_block_pair_move(state: SamplerState, a, b, rule):
         state.toggle(b)
 
 
+def reference_single_site_move(state: SamplerState, n, rule):
+    """The single-site move as the single-site sweep called it, once per
+    node.  The library's sweep loop must reproduce its values, credits,
+    cached conditionals, cost and RNG draws exactly."""
+    hit = state.odds_cache[n]
+    if hit is None:
+        odds = state.cond_odds(n)
+        hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
+    odds, p_on = hit
+    acc = state.acc
+    acc.sums[n] += p_on
+    acc.counts[n] += 1
+    state.cost += state.move_cost[n]
+    if rule == GIBBS:
+        want = 1 if state.rng.random() < p_on else 0
+        if want != state.x[n]:
+            state.flip(n)
+    else:
+        ratio = (1.0 - p_on) / p_on if state.x[n] else odds
+        if ratio >= 1.0 or state.rng.random() < ratio:
+            state.flip(n)
+
+
 # ---------------------------------------------------------------------------
 # the exact oracle as first written: one Python pass per enumerated state
 

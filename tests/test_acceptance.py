@@ -23,7 +23,14 @@ from diagbn.exact import (
 )
 from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
 from diagbn.network import build_network
-from diagbn.sampler import PRESETS, initialize_state, run_sweep, sample_posteriors, setup_chain
+from diagbn.sampler import (
+    PRESETS,
+    ChainRandom,
+    initialize_state,
+    run_sweep,
+    sample_posteriors,
+    setup_chain,
+)
 from oracles import (
     conditional_by_enumeration,
     conditional_prob,
@@ -221,7 +228,7 @@ def test_criterion_5_vase_convergence(vase):
 
 
 def _single_cause_hop_rate(net, ev, cause_idx, strategy, seed, sweeps):
-    state = setup_chain(net, ev, strategy, random.Random(seed))
+    state = setup_chain(net, ev, strategy, ChainRandom(seed))
     prev = None
     hops = 0
     for _ in range(sweeps):

@@ -336,6 +336,16 @@ class TestGen:
             assert rc == 2 and err.startswith("error:"), err
             assert list(tmp_path.iterdir()) == [], cases
 
+    def test_cases_out_requires_cases(self, tmp_path, monkeypatch, capsys):
+        # a case file named without a case count is an error, not a silent no-op
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--models", "5", "--sensors", "3", "--links", "8", "--seed", "1",
+                "--out", "net.json", "--cases-out", "c.json"]
+        for cases in ([], ["--cases", "0"]):
+            rc, _, err = run_cli(argv + cases, capsys)
+            assert rc == 2 and "--cases-out requires --cases" in err, err
+            assert list(tmp_path.iterdir()) == [], cases
+
     def test_infeasible_request_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(
             [

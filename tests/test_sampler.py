@@ -27,11 +27,13 @@ from diagbn.sampler import (
     PRESETS,
     SINGLE_SITE,
     SWAP_FRACTION,
+    ChainRandom,
     StrategySpec,
     block_pair_move,
     clamp_and_flow,
     derive_seed,
     estimate_marginals,
+    forward_redraw,
     initialize_state,
     pair_nodes,
     run_chain,
@@ -52,6 +54,7 @@ from oracles import (
     random_evidence,
     reference_block_pair_move,
     reference_pair_nodes,
+    reference_single_site_move,
     transition_distribution,
 )
 
@@ -380,6 +383,73 @@ class TestBlockMoveMatchesReference:
                     assert state.rng.getstate() == ref.rng.getstate(), where
                     moved += 1
         assert moved > 1000
+
+
+class TestSingleSiteSweepMatchesReference:
+    """The single-site sweep loop against the move as first written, called
+    node by node in the same shuffled order."""
+
+    @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
+    def test_same_sweeps_as_reference(self, vase, rule):
+        rng = random.Random(2016)
+        problems = [(vase, {"v": True})]
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            problems.append((net, random_evidence(rng, net, max_nodes=3)))
+        visits = 0
+        for trial, (net, ev) in enumerate(problems):
+            for flow_aware in (False, True):
+                strategy = StrategySpec("single", False, flow_aware, SINGLE_SITE, rule)
+                state = setup_chain(net, ev, strategy, ChainRandom(trial))
+                ref = copy.deepcopy(state)
+                ref.rng = random.Random()
+                ref.rng.setstate(state.rng.getstate())
+                for sweep in range(20):
+                    run_sweep(state, strategy)
+                    order = list(ref.diagnostic)
+                    ref.rng.shuffle(order)
+                    for n in order:
+                        reference_single_site_move(ref, n, rule)
+                    for n in ref.topo_forward:
+                        forward_redraw(ref, n)
+                    visits += len(order)
+                    where = (trial, flow_aware, sweep)
+                    assert state.x == ref.x, where
+                    assert state.surv == ref.surv, where
+                    assert state.odds_cache == ref.odds_cache, where
+                    assert state.acc.sums == ref.acc.sums, where
+                    assert state.acc.counts == ref.acc.counts, where
+                    assert state.cost == ref.cost, where
+                    assert state.rng.getstate() == ref.rng.getstate(), where
+        assert visits > 5000
+
+
+class TestChainRandom:
+    """The chain RNG draws what `random.Random` draws from the same seed."""
+
+    def test_same_draws_as_random(self):
+        ours, ref = ChainRandom(2024), random.Random(2024)
+        for n in range(131):
+            xs, ys = list(range(n)), list(range(n))
+            ours.shuffle(xs)
+            ref.shuffle(ys)
+            assert xs == ys, n
+            assert ours.random() == ref.random()
+        # every n up to 300, powers of two among them, three draws each
+        for n in range(1, 301):
+            for _ in range(3):
+                assert ours.randrange(n) == ref.randrange(n), n
+            assert ours.random() == ref.random()
+        # the forms it does not inline are random.Random's own
+        assert ours.randrange(3, 40, 4) == ref.randrange(3, 40, 4)
+        assert ours.randint(5, 9) == ref.randint(5, 9)
+        assert ours.getstate() == ref.getstate()
+
+    def test_rejects_empty_range(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                ChainRandom(1).randrange(bad)
 
 
 class TestSwapPairMove:
@@ -795,6 +865,12 @@ class TestOddsCache:
                 _move(state, *args)
                 live[0] += assert_odds_cache_coherent(state)
             monkeypatch.setattr(sampler, move, checked)
+        # the single-site sweep loop makes its moves without calling
+        # single_site_move, so check after each of its flips and each sweep
+        def checked_flip(state, n, _flip=sampler.SamplerState.flip):
+            _flip(state, n)
+            live[0] += assert_odds_cache_coherent(state)
+        monkeypatch.setattr(sampler.SamplerState, "flip", checked_flip)
         nets = [(vase, {"v": True})]
         rng = random.Random(62)
         for _ in range(40):
@@ -806,6 +882,7 @@ class TestOddsCache:
                 state = make_state(net, ev, name, seed=trial)
                 for _ in range(4):
                     run_sweep(state, strategy)
+                    live[0] += assert_odds_cache_coherent(state)
         assert live[0] > 0  # the check saw cache hits to compare
 
     def test_external_flip_invalidates_its_stale_list(self):
