@@ -30,25 +30,30 @@ moves, and never paired.  Any other chain runs on the blanket map, under
 which no node is forward-sampled, so the same sweep loop serves both: its
 forward tail is empty and every free node is movable.
 
-A single-site move reuses a node's conditional until its blanket changes,
-as in Pearl's message-passing Gibbs, where a node recomputes only when a
-neighbour announces a change.  `SamplerState` caches each diagnostic-sampled
-node's (odds, p_on); `cond_odds(n)` reads x and the survival cache of n and
-of its scope children, so flipping k makes stale exactly k, the children of
-k, and every node with k or a child of k as a scope child.  A hit returns the
-floats a recompute would, so chains are bit-identical with or without it.
+A single-site move reuses a node's conditional until a value it read
+changes, as in Pearl's message-passing Gibbs, where a node recomputes only
+when a neighbour announces a change.  `SamplerState` caches each
+diagnostic-sampled node's (odds, p_on).  The conditional of d reads x and
+the survival cache of d, x of each scope child, and the survival cache of a
+scope child only while that child is on.  So flipping k makes stale every
+node with k as a scope child, k's children, and, for each child of k that
+is on, every node with that child as a scope child (k among them when the
+child is in k's scope).  A hit returns the floats a recompute would, so
+chains are bit-identical with or without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
 but shuffles and picks below n without a Python call per draw.  A
-single-site sweep visits its shuffled order in one loop, with the move's
-lookups bound once per sweep; pair schedules call `single_site_move` per
+single-site sweep runs in one loop per rule and then redraws its forward
+tail inline, with lookups bound once and its fixed cost charged once per
+sweep; pair schedules call `single_site_move` and `forward_redraw` per
 node, and both paths fill a missing conditional through
 `SamplerState.fill_odds`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import random
@@ -155,12 +160,17 @@ class ChainRandom(random.Random):
     def shuffle(self, x):
         # Fisher-Yates from the back, drawing j below n for position n - 1
         getrandbits = self.getrandbits
-        for n in range(len(x), 1, -1):
-            k = n.bit_length()
+        for n, k, last in _shuffle_steps(len(x)):
             j = getrandbits(k)
             while j >= n:
                 j = getrandbits(k)
-            x[n - 1], x[j] = x[j], x[n - 1]
+            x[last], x[j] = x[j], x[last]
+
+
+@functools.lru_cache(maxsize=128)
+def _shuffle_steps(size):
+    """(n, bit length of n, n - 1) for each step of a shuffle of `size` items."""
+    return tuple((n, n.bit_length(), n - 1) for n in range(size, 1, -1))
 
 
 def derive_seed(master, *tags) -> int:
@@ -195,9 +205,10 @@ class MarginalAccumulator:
 class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng.
 
-    `odds_cache[n]` holds (cond_odds(n), p_on) for a diagnostic-sampled
-    node n, or None when `fill_odds` must recompute it.  `stale[k]` lists the nodes
-    whose entry a flip of k invalidates; `flip` clears them and
+    `odds_cache[n]` holds (odds, p_on) of n's conditional for a
+    diagnostic-sampled node n, or None when `fill_odds` must recompute it.
+    A flip of k clears the nodes `stale[k]` lists, whatever the values, and
+    for each (c, readers) in `stale_via[k]` clears the readers when c is on;
     `refresh_survivals` clears every entry.  A flip and a flip back still
     invalidate, since `s * q / q` may differ from `s` in the last bit.
     """
@@ -246,19 +257,22 @@ class SamplerState:
         self.acc = MarginalAccumulator.zeros(n)
         self.sweep_idx = 0
         self.cost = 0
-        # deterministic per-node move cost, used for the benchmark cost ratios
+        # deterministic per-node move cost, used for the benchmark cost ratios;
+        # a single-site sweep moves every diagnostic node and redraws the rest
         self.move_cost = [1 + len(self.scope_children[j]) for j in range(n)]
-        # cond_odds(d) reads x and surv of d and of its scope children, and
-        # surv of a node changes when one of its parents flips
-        stale = [[] for _ in range(n)]
+        self.sweep_cost = sum(self.move_cost[j] for j in self.diagnostic) + len(self.topo_forward)
+        # the conditional of d reads x and surv of d, x of its scope children
+        # and surv of the scope children that are on; surv of a node changes
+        # when one of its parents flips
+        readers = [[] for _ in range(n)]  # c -> the nodes with c as a scope child
+        stale = [[] for _ in range(n)]  # k -> k's diagnostic children
         for d in self.diagnostic:
-            reads = {d, *net.parents[d]}
             for c in self.scope_children[d]:
-                reads.add(c)
-                reads.update(net.parents[c])
-            for k in reads:
+                readers[c].append(d)
+            for k in net.parents[d]:
                 stale[k].append(d)
-        self.stale = stale
+        self.stale = [r + s for r, s in zip(readers, stale)]
+        self.stale_via = [[(c, readers[c]) for c in net.children[k] if readers[c]] for k in range(n)]
         self.odds_cache = [None] * n
 
     def refresh_survivals(self):
@@ -268,11 +282,16 @@ class SamplerState:
 
     def flip(self, n):
         """Toggle node n, update its children's survival caches and drop
-        the cached conditionals that read them."""
+        the cached conditionals that read a value this changed."""
         self.toggle(n)
         cache = self.odds_cache
         for k in self.stale[n]:
             cache[k] = None
+        x = self.x
+        for c, readers in self.stale_via[n]:
+            if x[c]:
+                for k in readers:
+                    cache[k] = None
 
     def toggle(self, n):
         """Toggle node n and update the survival caches of all its children,
@@ -289,31 +308,26 @@ class SamplerState:
                 surv[c] *= q
 
     def fill_odds(self, n):
-        """Compute, cache and return n's (odds, p_on), for a cache miss."""
-        odds = self.cond_odds(n)
-        hit = self.odds_cache[n] = (odds, odds / (1.0 + odds))
-        return hit
-
-    def cond_odds(self, n) -> float:
-        """Odds of n being on given its conditioning scope, from the caches."""
+        """Compute, cache and return the odds and probability of n being on
+        given its conditioning scope, for a cache miss.  An off child
+        contributes q alone; an on child the ratio of its on-probabilities
+        with n on and off, from its survival cache."""
         surv = self.surv
         x = self.x
         sn = surv[n]
         odds = (1.0 - sn) / sn
         xn = x[n]
         for c, q in zip(self.scope_children[n], self.scope_q[n]):
-            sc = surv[c]
-            if xn:
-                s1 = sc
-                s0 = sc / q
-            else:
-                s0 = sc
-                s1 = sc * q
-            if x[c]:
-                odds *= (1.0 - s1) / (1.0 - s0)
-            else:
+            if not x[c]:
                 odds *= q
-        return odds
+            elif xn:
+                sc = surv[c]
+                odds *= (1.0 - sc) / (1.0 - sc / q)
+            else:
+                sc = surv[c]
+                odds *= (1.0 - sc * q) / (1.0 - sc)
+        hit = self.odds_cache[n] = (odds, odds / (1.0 + odds))
+        return hit
 
     def restricted_weight(self, nodes) -> float:
         """Product of current factor values over a set of node indices."""
@@ -376,7 +390,11 @@ def _pair_memo(state, a, b):
                 if c not in seen:
                     seen.add(c)
                     touched.append(c)
-        stale = list(dict.fromkeys(state.stale[a] + state.stale[b]))
+        # every node a flip of a or b may clear, whatever the values
+        stale = list(dict.fromkeys(
+            [a, b] + state.stale[a] + state.stale[b]
+            + [d for k in (a, b) for _, readers in state.stale_via[k] for d in readers]
+        ))
         memo = state.pair_memo[(a, b)] = (touched, stale)
     return memo
 
@@ -629,8 +647,9 @@ def _run_pair_events(state, strategy, pairs, singles):
 
 def _single_site_sweep(state: SamplerState, rule):
     """`single_site_move` on every diagnostic-sampled node in shuffled
-    order, in one loop: the lookups are bound and the cost is charged once
-    per sweep, with the same sum."""
+    order, then `forward_redraw` on the forward tail, each in one loop: the
+    lookups are bound and the cost is charged once per sweep, with the same
+    sum."""
     order = list(state.diagnostic)
     rng = state.rng
     rng.shuffle(order)
@@ -641,22 +660,29 @@ def _single_site_sweep(state: SamplerState, rule):
     x = state.x
     sums = state.acc.sums
     counts = state.acc.counts
-    move_cost = state.move_cost
-    gibbs = rule == GIBBS
-    cost = 0
-    for n in order:
-        odds, p_on = cache[n] or fill(n)
-        sums[n] += p_on
-        counts[n] += 1
-        cost += move_cost[n]
-        if gibbs:
+    if rule == GIBBS:
+        for n in order:
+            p_on = (cache[n] or fill(n))[1]
+            sums[n] += p_on
+            counts[n] += 1
             if (draw() < p_on) != x[n]:
                 flip(n)
-        else:
+    else:
+        for n in order:
+            odds, p_on = cache[n] or fill(n)
+            sums[n] += p_on
+            counts[n] += 1
             ratio = (1.0 - p_on) / p_on if x[n] else odds
             if ratio >= 1.0 or draw() < ratio:
                 flip(n)
-    state.cost += cost
+    surv = state.surv
+    for n in state.topo_forward:
+        p_on = 1.0 - surv[n]
+        sums[n] += p_on
+        counts[n] += 1
+        if (draw() < p_on) != x[n]:
+            flip(n)
+    state.cost += state.sweep_cost
 
 
 def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
@@ -701,14 +727,13 @@ def run_sweep(state: SamplerState, strategy: StrategySpec):
     then the forward-sampled ones, if the flow map has any, are redrawn in
     topological order.
     """
-    if strategy.move_policy == OPTIMIZED_FWD_BWD:
+    if strategy.move_policy == SINGLE_SITE:
+        _single_site_sweep(state, strategy.rule)
+    elif strategy.move_policy == OPTIMIZED_FWD_BWD:
         _fwd_bwd_sweep(state, strategy)
     else:
-        if strategy.move_policy == SINGLE_SITE:
-            _single_site_sweep(state, strategy.rule)
-        else:
-            pairs, singles = pair_nodes(state, strategy)
-            _run_pair_events(state, strategy, pairs, singles)
+        pairs, singles = pair_nodes(state, strategy)
+        _run_pair_events(state, strategy, pairs, singles)
         for j in state.topo_forward:
             forward_redraw(state, j)
     state.sweep_idx += 1

@@ -569,7 +569,7 @@ def reference_single_site_move(state: SamplerState, n, rule):
     cached conditionals, cost and RNG draws exactly."""
     hit = state.odds_cache[n]
     if hit is None:
-        odds = state.cond_odds(n)
+        odds = reference_cond_odds(state, n)
         hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
     odds, p_on = hit
     acc = state.acc
@@ -584,6 +584,63 @@ def reference_single_site_move(state: SamplerState, n, rule):
         ratio = (1.0 - p_on) / p_on if state.x[n] else odds
         if ratio >= 1.0 or state.rng.random() < ratio:
             state.flip(n)
+
+
+def reference_cond_odds(state: SamplerState, n) -> float:
+    """Odds of n being on given its conditioning scope, from the caches."""
+    surv = state.surv
+    x = state.x
+    sn = surv[n]
+    odds = (1.0 - sn) / sn
+    xn = x[n]
+    for c, q in zip(state.scope_children[n], state.scope_q[n]):
+        sc = surv[c]
+        if xn:
+            s1 = sc
+            s0 = sc / q
+        else:
+            s0 = sc
+            s1 = sc * q
+        if x[c]:
+            odds *= (1.0 - s1) / (1.0 - s0)
+        else:
+            odds *= q
+    return odds
+
+
+def reference_stale(state: SamplerState) -> list:
+    """The invalidation rule as first written, blind to values: k -> every
+    diagnostic-sampled node whose conditional reads x or surv of a node
+    that a flip of k may change."""
+    net = state.net
+    # cond_odds(d) reads x and surv of d and of its scope children, and
+    # surv of a node changes when one of its parents flips
+    stale = [[] for _ in range(len(net.ids))]
+    for d in state.diagnostic:
+        reads = {d, *net.parents[d]}
+        for c in state.scope_children[d]:
+            reads.add(c)
+            reads.update(net.parents[c])
+        for k in reads:
+            stale[k].append(d)
+    return stale
+
+
+def reference_flip(state: SamplerState, stale, n):
+    """The flip as first written, clearing `reference_stale`'s list."""
+    x = state.x
+    surv = state.surv
+    if x[n]:
+        x[n] = 0
+        for c, q in zip(state.net.children[n], state.child_q[n]):
+            surv[c] /= q
+    else:
+        x[n] = 1
+        for c, q in zip(state.net.children[n], state.child_q[n]):
+            surv[c] *= q
+    cache = state.odds_cache
+    for k in stale[n]:
+        cache[k] = None
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from diagbn.sampler import (
     SWAP_FRACTION,
     ChainRandom,
     StrategySpec,
+    _pair_memo,
     block_pair_move,
     clamp_and_flow,
     derive_seed,
@@ -53,8 +54,11 @@ from oracles import (
     random_dag,
     random_evidence,
     reference_block_pair_move,
+    reference_cond_odds,
+    reference_flip,
     reference_pair_nodes,
     reference_single_site_move,
+    reference_stale,
     transition_distribution,
 )
 
@@ -156,7 +160,7 @@ class TestConditionalProb:
             for _ in range(30):
                 for nid in state_free_ids(state):
                     fresh = conditional_prob(net, state, nid, flow[nid])
-                    odds = state.cond_odds(net.index[nid])
+                    odds = reference_cond_odds(state, net.index[nid])
                     cached = odds / (1.0 + odds)
                     assert cached == pytest.approx(fresh, abs=1e-10), (trial, name, nid)
                 state.flip(rng.choice(state.free))
@@ -387,7 +391,8 @@ class TestBlockMoveMatchesReference:
 
 class TestSingleSiteSweepMatchesReference:
     """The single-site sweep loop against the move as first written, called
-    node by node in the same shuffled order."""
+    node by node in the same shuffled order, with the forward tail redrawn
+    after it and every flip clearing the value-blind stale lists."""
 
     @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
     def test_same_sweeps_as_reference(self, vase, rule):
@@ -397,7 +402,7 @@ class TestSingleSiteSweepMatchesReference:
             nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
             net = build_network(nodes, edges)
             problems.append((net, random_evidence(rng, net, max_nodes=3)))
-        visits = 0
+        visits = live = 0
         for trial, (net, ev) in enumerate(problems):
             for flow_aware in (False, True):
                 strategy = StrategySpec("single", False, flow_aware, SINGLE_SITE, rule)
@@ -405,6 +410,10 @@ class TestSingleSiteSweepMatchesReference:
                 ref = copy.deepcopy(state)
                 ref.rng = random.Random()
                 ref.rng.setstate(state.rng.getstate())
+                # every flip of the reference, forward_redraw's too, clears
+                # the value-blind lists
+                stale = reference_stale(ref)
+                ref.flip = lambda n, ref=ref, stale=stale: reference_flip(ref, stale, n)
                 for sweep in range(20):
                     run_sweep(state, strategy)
                     order = list(ref.diagnostic)
@@ -417,12 +426,16 @@ class TestSingleSiteSweepMatchesReference:
                     where = (trial, flow_aware, sweep)
                     assert state.x == ref.x, where
                     assert state.surv == ref.surv, where
-                    assert state.odds_cache == ref.odds_cache, where
+                    for n, (got, want) in enumerate(zip(state.odds_cache, ref.odds_cache)):
+                        if got is not None and want is not None:
+                            assert got == want, where + (n,)
+                            live += 1
                     assert state.acc.sums == ref.acc.sums, where
                     assert state.acc.counts == ref.acc.counts, where
                     assert state.cost == ref.cost, where
                     assert state.rng.getstate() == ref.rng.getstate(), where
         assert visits > 5000
+        assert live > 1000
 
 
 class TestChainRandom:
@@ -812,7 +825,7 @@ class TestSweeps:
 
 
 def fresh_odds(state, n):
-    odds = state.cond_odds(n)
+    odds = reference_cond_odds(state, n)
     return (odds, odds / (1.0 + odds))
 
 
@@ -821,14 +834,21 @@ def fill_odds_cache(state):
         state.odds_cache[d] = fresh_odds(state, d)
 
 
+def scope_readers(state, c):
+    """The diagnostic-sampled nodes with c as a scope child."""
+    return {d for d in state.diagnostic if c in state.scope_children[d]}
+
+
 def expected_stale(state, k):
     """The diagnostic-sampled nodes whose conditional reads a value or a
-    survival that flipping k changes: k, every node with k as a scope child,
-    k's children, and every node with one of those children as a scope child."""
-    stale = set()
-    for j in [k] + state.net.children[k]:
-        stale.add(j)
-        stale.update(d for d in state.diagnostic if j in state.scope_children[d])
+    survival that flipping k changes, in the current state: every node with
+    k as a scope child, k's children, and every node with an on child of k
+    as a scope child.  A conditional reads the survival of a scope child
+    only while that child is on, and k's own value only through them."""
+    stale = scope_readers(state, k) | set(state.net.children[k])
+    for c in state.net.children[k]:
+        if state.x[c]:
+            stale |= scope_readers(state, c)
     return stale & set(state.diagnostic)
 
 
@@ -853,8 +873,39 @@ class TestOddsCache:
             for name in PRESETS:
                 state = make_state(net, ev, name, seed=trial)
                 for k in range(len(net.ids)):
-                    assert len(set(state.stale[k])) == len(state.stale[k]), (name, k)
-                    assert set(state.stale[k]) == expected_stale(state, k), (trial, name, k)
+                    where = (trial, name, k)
+                    assert len(set(state.stale[k])) == len(state.stale[k]), where
+                    children = set(net.children[k])
+                    assert set(state.stale[k]) == scope_readers(state, k) | (
+                        children & set(state.diagnostic)), where
+                    via = dict(state.stale_via[k])
+                    assert len(via) == len(state.stale_via[k]), where
+                    assert via == {
+                        c: readers for c in net.children[k]
+                        if (readers := sorted(scope_readers(state, c)))
+                    }, where
+                    on = set(state.stale[k]).union(
+                        *(readers for c, readers in state.stale_via[k] if state.x[c]))
+                    assert on == expected_stale(state, k), where
+
+    def test_pair_memo_clears_the_value_blind_union(self):
+        # a pair move clears once, before its flips, so it keeps the lists
+        # of the flip as first written, whatever the values
+        rng = random.Random(65)
+        pairs = 0
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(2, 9))
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=2)
+            for name in PRESETS:
+                state = make_state(net, ev, name, seed=trial)
+                old = reference_stale(state)
+                for a, b in itertools.permutations(state.diagnostic, 2):
+                    stale = _pair_memo(state, a, b)[1]
+                    assert len(set(stale)) == len(stale), (trial, name, a, b)
+                    assert set(stale) == set(old[a]) | set(old[b]), (trial, name, a, b)
+                    pairs += 1
+        assert pairs > 1000
 
     def test_cache_coherent_after_every_move(self, vase, monkeypatch):
         import diagbn.sampler as sampler
@@ -898,6 +949,40 @@ class TestOddsCache:
                 dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
                 assert dropped == expected_stale(state, j), (trial, j)
                 assert_odds_cache_coherent(state)
+
+    def test_coherent_where_the_rule_reads_values(self):
+        # true findings turn their parents on, and on parents turn free
+        # children on, so both branches of the value-dependent clause occur:
+        # a reader of an off child of the flipped node stays live, and a
+        # reader of an on child that `stale[k]` leaves out is cleared
+        rng = random.Random(66)
+        kept = cleared = 0
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3, p_true=1.0)
+            for name in ("gibbs", "gibbs-flow"):
+                state = make_state(net, ev, name, seed=trial)
+                for _ in range(20):
+                    if not state.free:
+                        break
+                    fill_odds_cache(state)
+                    k = rng.choice(state.free)
+                    blind = set(state.stale[k])
+                    off = on = set()
+                    for c, readers in state.stale_via[k]:
+                        if state.x[c]:
+                            on = on | set(readers)
+                        else:
+                            off = off | set(readers)
+                    state.flip(k)
+                    assert_odds_cache_coherent(state)
+                    live = {d for d in state.diagnostic if state.odds_cache[d] is not None}
+                    assert not live & (blind | on), (trial, name, k)
+                    kept += len((off - blind - on) & live)
+                    cleared += len(on - blind)
+        assert kept > 100
+        assert cleared > 100
 
     def test_refresh_survivals_clears_the_cache(self, vase):
         state = make_state(vase, {"v": True})
