@@ -163,23 +163,17 @@ def explicit_transition_matrix(
     net: Network,
     ev: dict,
     strategy: StrategySpec,
-    collapse_forward: bool = False,
 ) -> TransitionMatrix:
     """Build every kernel the strategy's sweeps are made of, exactly.
 
-    With collapse_forward=True the state space enumerates only the
-    diagnostic-sampled nodes and pi is the posterior with the forward
-    region summed out; flow-aware single and pair kernels are honest
-    reversible chains on that space.  Otherwise the space covers all free
-    nodes and forward redraws appear as explicit kernels in product stages.
-    A move whose conditional has zero weight in some state it may run from
-    raises ValueError naming the move.
+    The state space covers all free nodes, and forward redraws appear as
+    explicit kernels in product stages.  A move whose conditional has zero
+    weight in some state it may run from raises ValueError naming the move.
     """
     # the chain's own layout: its nodes, scopes, pair rule and visit orders
     clamp, flow = clamp_and_flow(net, ev, strategy)
     chain = SamplerState(net, ev, clamp, flow, None)
-    fs = chain.forward_sampled
-    chain_nodes = chain.diagnostic if collapse_forward else chain.free
+    chain_nodes = chain.free
     if len(chain_nodes) > _MATRIX_CAP:
         raise EnumerationCapError(
             f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {_MATRIX_CAP}"
@@ -197,8 +191,7 @@ def explicit_transition_matrix(
             w *= F[:, k]
         return w
 
-    # the forward region sums out of a collapsed space: weigh only the rest
-    weights = weight(j for j in range(len(net.ids)) if not (collapse_forward and fs[j]))
+    weights = weight(range(len(net.ids)))
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("state space has zero total probability")
@@ -295,14 +288,13 @@ def explicit_transition_matrix(
             add_move(label, pair_entries, a, b, kind, strategy.rule, gate)
             mixture_labels.append(label)
     fs_labels = []
-    if not collapse_forward:
-        for j in chain.topo_forward:
-            label = ("fs", net.ids[j])
-            add_move(label, redraw_entries, j)
-            fs_labels.append(label)
+    for j in chain.topo_forward:
+        label = ("fs", net.ids[j])
+        add_move(label, redraw_entries, j)
+        fs_labels.append(label)
 
-    if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:
-        fwd = [("fs" if fs[j] else "single", net.ids[j]) for j in chain.topo_free]
+    if strategy.move_policy == OPTIMIZED_FWD_BWD:
+        fwd = [("fs" if chain.forward_sampled[j] else "single", net.ids[j]) for j in chain.topo_free]
         bwd = [("single", net.ids[j]) for j in chain.topo_diagnostic_reversed]
         stages = [("product", bwd), ("product", fwd)]
     else:

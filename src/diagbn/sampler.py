@@ -35,10 +35,14 @@ changes, as in Pearl's message-passing Gibbs, where a node recomputes only
 when a neighbour announces a change.  `SamplerState` caches each
 diagnostic-sampled node's (odds, p_on).  The conditional of d reads x and
 the survival cache of d, x of each scope child, and the survival cache of a
-scope child only while that child is on.  So flipping k makes stale every
+scope child only while that child is on.  So toggling k makes stale every
 node with k as a scope child, k's children, and, for each child of k that
 is on, every node with that child as a scope child (k among them when the
-child is in k's scope).  A hit returns the floats a recompute would, so
+child is in k's scope).  `SamplerState.invalidate` applies that rule for
+every move: a flip after its toggle, a pair move to both nodes after its
+last toggle.  The rule reads only whether a child is on, and a pair move
+changes no value but its own nodes', whose readers are on their own lists,
+so that clears all it must.  A hit returns the floats a recompute would, so
 chains are bit-identical with or without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
@@ -207,10 +211,10 @@ class SamplerState:
 
     `odds_cache[n]` holds (odds, p_on) of n's conditional for a
     diagnostic-sampled node n, or None when `fill_odds` must recompute it.
-    A flip of k clears the nodes `stale[k]` lists, whatever the values, and
-    for each (c, readers) in `stale_via[k]` clears the readers when c is on;
-    `refresh_survivals` clears every entry.  A flip and a flip back still
-    invalidate, since `s * q / q` may differ from `s` in the last bit.
+    `invalidate(k)` clears the nodes `stale[k]` lists, whatever the values,
+    and for each (c, readers) in `stale_via[k]` clears the readers when c is
+    on; `refresh_survivals` clears every entry.  A toggle and a toggle back
+    still invalidate, since `s * q / q` may differ from `s` in the last bit.
     """
 
     def __init__(self, net, ev, clamp, flow, rng):
@@ -249,7 +253,7 @@ class SamplerState:
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
         self.pair_plan = None  # built by pair_nodes on first use
-        self.pair_memo = {}  # (a, b) -> _pair_memo(state, a, b)
+        self.pair_memo = {}  # (a, b) -> pair_scope(self, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [
             [1.0 - p for p in net.child_p[j]] for j in range(n)
@@ -284,6 +288,11 @@ class SamplerState:
         """Toggle node n, update its children's survival caches and drop
         the cached conditionals that read a value this changed."""
         self.toggle(n)
+        self.invalidate(n)
+
+    def invalidate(self, n):
+        """Drop the cached conditionals that read a value a toggle of n
+        changes, judged by the current values of n's children."""
         cache = self.odds_cache
         for k in self.stale[n]:
             cache[k] = None
@@ -374,15 +383,8 @@ def single_site_move(state: SamplerState, n, rule):
 def pair_scope(state, a, b):
     """The nodes a pair move on (a, b) weighs: a, b, then their scope
     children in order, without repeats.  Memoized per chain."""
-    return _pair_memo(state, a, b)[0]
-
-
-def _pair_memo(state, a, b):
-    """(pair_scope, the nodes whose cached conditional a flip of a or b
-    makes stale), built once per pair and chain.  A pair move's flips clear
-    the stale nodes once per move, not once per flip."""
-    memo = state.pair_memo.get((a, b))
-    if memo is None:
+    touched = state.pair_memo.get((a, b))
+    if touched is None:
         touched = [a, b]
         seen = {a, b}
         for j in (a, b):
@@ -390,13 +392,8 @@ def _pair_memo(state, a, b):
                 if c not in seen:
                     seen.add(c)
                     touched.append(c)
-        # every node a flip of a or b may clear, whatever the values
-        stale = list(dict.fromkeys(
-            [a, b] + state.stale[a] + state.stale[b]
-            + [d for k in (a, b) for _, readers in state.stale_via[k] for d in readers]
-        ))
-        memo = state.pair_memo[(a, b)] = (touched, stale)
-    return memo
+        state.pair_memo[(a, b)] = touched
+    return touched
 
 
 def swap_pair_move(state: SamplerState, a, b, rule):
@@ -415,10 +412,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
         acc.counts[b] += 1
         state.cost += 1
         return
-    touched, stale = _pair_memo(state, a, b)
-    cache = state.odds_cache
-    for k in stale:
-        cache[k] = None
+    touched = pair_scope(state, a, b)
     w_cur = state.restricted_weight(touched)
     state.toggle(a)
     state.toggle(b)
@@ -438,15 +432,14 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     if stay:
         state.toggle(a)
         state.toggle(b)
+    state.invalidate(a)
+    state.invalidate(b)
 
 
 def block_pair_move(state: SamplerState, a, b, rule):
     """Resample two spouses jointly over their four joint assignments."""
     acc = state.acc
-    touched, stale = _pair_memo(state, a, b)
-    cache = state.odds_cache
-    for k in stale:
-        cache[k] = None
+    touched = pair_scope(state, a, b)
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     w0 = state.restricted_weight(touched)
     state.toggle(b)
@@ -486,6 +479,8 @@ def block_pair_move(state: SamplerState, a, b, rule):
         state.toggle(a)
     if target == 1 or target == 2:
         state.toggle(b)
+    state.invalidate(a)
+    state.invalidate(b)
 
 
 def forward_redraw(state: SamplerState, n):

@@ -31,8 +31,8 @@ from diagbn.sampler import (
     OPTIMIZED_FWD_BWD,
     SamplerState,
     StrategySpec,
-    _pair_memo,
     clamp_and_flow,
+    pair_scope,
     run_sweep,
 )
 
@@ -516,9 +516,10 @@ def reference_block_pair_move(state: SamplerState, a, b, rule):
     generator sums.  The library's straight-line move must reproduce its
     values, credits, cost and RNG draws exactly."""
     acc = state.acc
-    touched, stale = _pair_memo(state, a, b)
+    touched = pair_scope(state, a, b)
+    stale = reference_stale(state)
     cache = state.odds_cache
-    for k in stale:
+    for k in stale[a] + stale[b]:
         cache[k] = None
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     weights = [0.0] * 4
@@ -969,6 +970,31 @@ def reference_transition_matrix(
         pi=pi,
         moves=moves,
         sweep_stages=stages,
+    )
+
+
+def collapsed_space(tm: TransitionMatrix) -> TransitionMatrix:
+    """The full-space matrix `tm` cut down to its diagnostic-sampled nodes,
+    as `reference_transition_matrix(..., collapse_forward=True)` builds it:
+    the rows and columns whose forward-sampled bits are 0, pi summed over
+    those bits, the forward redraws dropped and the rest one mixture stage.
+    No diagnostic move reads a forward-sampled value, so the cut kernels
+    are the collapsed ones."""
+    forward = {label[1] for label, _ in tm.moves if label[0] == "fs"}
+    keep = [k for k, nid in enumerate(tm.node_order) if nid not in forward]
+    mask = sum(1 << k for k, nid in enumerate(tm.node_order) if nid in forward)
+    full = np.arange(len(tm.states))
+    rows = full[(full & mask) == 0]
+    # a cut state's index packs its kept bits, in the order rows lists them
+    packed = np.zeros(len(full), dtype=int)
+    packed[rows] = np.arange(len(rows))
+    moves = [(label, mat[rows][:, rows]) for label, mat in tm.moves if label[0] != "fs"]
+    return TransitionMatrix(
+        node_order=tuple(tm.node_order[k] for k in keep),
+        states=[tuple(tm.states[s][k] for k in keep) for s in rows],
+        pi=np.bincount(packed[full & ~mask], weights=tm.pi, minlength=len(rows)),
+        moves=moves,
+        sweep_stages=[("mixture", [label for label, _ in moves])] if moves else [],
     )
 
 

@@ -32,6 +32,7 @@ from diagbn.sampler import (
     setup_chain,
 )
 from oracles import (
+    collapsed_space,
     conditional_by_enumeration,
     conditional_prob,
     d_separated,
@@ -95,11 +96,7 @@ def test_criterion_2_detailed_balance_and_fixed_point(vase):
                 target_ev[cid] = False
             target = exact_posteriors(net, target_ev)
             full = explicit_transition_matrix(net, ev, strategy)
-            db_space = (
-                explicit_transition_matrix(net, ev, strategy, collapse_forward=True)
-                if strategy.flow_aware
-                else full
-            )
+            db_space = collapsed_space(full) if strategy.flow_aware else full
             # reversibility, move by move (forward redraws are not reversible
             # kernels; they are covered by the sweep fixed point below)
             for label, mat in db_space.moves:

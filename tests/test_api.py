@@ -35,14 +35,6 @@ import diagbn
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (function, parameter) defaults that no shipped call passes but that stay
-EXEMPT_PARAMETERS = {
-    # criterion 2 checks detailed balance of the flow-aware moves, which
-    # holds only on the collapsed space this flag builds
-    ("explicit_transition_matrix", "collapse_forward"),
-}
-
-
 def library_sources():
     paths = glob.glob(os.path.join(ROOT, "src", "diagbn", "*.py"))
     return sorted(p for p in paths if os.path.basename(p) != "__init__.py")
@@ -138,8 +130,7 @@ def test_every_default_is_passed_by_shipped_code():
         f"{name}({param})"
         for path in library_sources()
         for name, param, position in defaulted_parameters(parse(path))
-        if (name, param) not in EXEMPT_PARAMETERS
-        and not any(passes(call, param, position) for call in calls.get(name, []))
+        if not any(passes(call, param, position) for call in calls.get(name, []))
     )
     assert not unpassed, f"defaults that only tests override: {unpassed}"
 

@@ -29,7 +29,6 @@ from diagbn.sampler import (
     SWAP_FRACTION,
     ChainRandom,
     StrategySpec,
-    _pair_memo,
     block_pair_move,
     clamp_and_flow,
     derive_seed,
@@ -888,24 +887,40 @@ class TestOddsCache:
                         *(readers for c, readers in state.stale_via[k] if state.x[c]))
                     assert on == expected_stale(state, k), where
 
-    def test_pair_memo_clears_the_value_blind_union(self):
-        # a pair move clears once, before its flips, so it keeps the lists
-        # of the flip as first written, whatever the values
+    def test_pair_moves_clear_by_the_flip_rule(self):
+        # a pair move toggles its way through its joint values and then
+        # clears, at the final values, what a flip of each of its nodes
+        # would; `kept` counts entries it keeps that the value-blind lists
+        # of both nodes would clear, so the test sees the rule read values
         rng = random.Random(65)
-        pairs = 0
+        pair_presets = [name for name, spec in PRESETS.items() if spec.pair_move]
+        moves = kept = 0
         for trial in range(40):
-            nodes, edges = random_dag(rng, rng.randint(2, 9))
+            nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
             net = build_network(nodes, edges)
-            ev = random_evidence(rng, net, max_nodes=2)
-            for name in PRESETS:
+            ev = random_evidence(rng, net, max_nodes=3, p_true=1.0)
+            for name, rule in itertools.product(pair_presets, (GIBBS, METROPOLIS)):
                 state = make_state(net, ev, name, seed=trial)
-                old = reference_stale(state)
-                for a, b in itertools.permutations(state.diagnostic, 2):
-                    stale = _pair_memo(state, a, b)[1]
-                    assert len(set(stale)) == len(stale), (trial, name, a, b)
-                    assert set(stale) == set(old[a]) | set(old[b]), (trial, name, a, b)
-                    pairs += 1
-        assert pairs > 1000
+                if len(state.diagnostic) < 2:
+                    continue
+                blind = reference_stale(state)
+                move = swap_pair_move if PRESETS[name].pair_move == "swap" else block_pair_move
+                for step in range(10):
+                    a, b = rng.sample(state.diagnostic, 2)
+                    fill_odds_cache(state)
+                    identity = move is swap_pair_move and state.x[a] == state.x[b]
+                    move(state, a, b, rule)
+                    where = (trial, name, rule, step, a, b)
+                    dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
+                    if identity:
+                        assert not dropped, where
+                        continue
+                    assert dropped == expected_stale(state, a) | expected_stale(state, b), where
+                    assert_odds_cache_coherent(state)
+                    kept += len((set(blind[a]) | set(blind[b])) - dropped)
+                    moves += 1
+        assert moves > 1000
+        assert kept > 100
 
     def test_cache_coherent_after_every_move(self, vase, monkeypatch):
         import diagbn.sampler as sampler
