@@ -48,11 +48,12 @@ chains are bit-identical with or without the cache.
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
 but shuffles and picks below n without a Python call per draw.  A
-single-site sweep runs in one loop per rule and then redraws its forward
-tail inline, with lookups bound once and its fixed cost charged once per
-sweep; pair schedules call `single_site_move` and `forward_redraw` per
-node, and both paths fill a missing conditional through
-`SamplerState.fill_odds`.
+single-site chain runs a stretch of sweeps per call, from one checkpoint
+or the end of burn-in to the next: each sweep runs one loop per rule and
+then redraws its forward tail inline, with lookups bound and the visit
+counts and cost charged once per stretch between checkpoints.  Pair
+schedules call `single_site_move` and `forward_redraw` per node, and both
+paths fill a missing conditional through `SamplerState.fill_odds`.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
 
 def single_site_move(state: SamplerState, n, rule):
     """Resample one free node; always credit its conditional into the scores.
-    `_single_site_sweep` makes the same move, visit for visit."""
+    `_single_site_sweeps` makes the same move, visit for visit."""
     odds, p_on = state.odds_cache[n] or state.fill_odds(n)
     acc = state.acc
     acc.sums[n] += p_on
@@ -640,44 +641,49 @@ def _run_pair_events(state, strategy, pairs, singles):
             block_pair_move(state, ev[1], ev[2], strategy.rule)
 
 
-def _single_site_sweep(state: SamplerState, rule):
-    """`single_site_move` on every diagnostic-sampled node in shuffled
-    order, then `forward_redraw` on the forward tail, each in one loop: the
-    lookups are bound and the cost is charged once per sweep, with the same
-    sum."""
-    order = list(state.diagnostic)
+def _single_site_sweeps(state: SamplerState, rule, count):
+    """`count` sweeps of `single_site_move` on every diagnostic-sampled node
+    in shuffled order, then `forward_redraw` on the forward tail, each in
+    one loop: the lookups are bound, and the visit counts, cost and sweep
+    index charged, once for all `count` sweeps, with the same totals."""
+    diagnostic = state.diagnostic
+    forward = state.topo_forward
     rng = state.rng
-    rng.shuffle(order)
+    shuffle = rng.shuffle
     draw = rng.random
     cache = state.odds_cache
     fill = state.fill_odds
     flip = state.flip
     x = state.x
+    surv = state.surv
     sums = state.acc.sums
-    counts = state.acc.counts
-    if rule == GIBBS:
-        for n in order:
-            p_on = (cache[n] or fill(n))[1]
+    gibbs = rule == GIBBS
+    for _ in range(count):
+        order = list(diagnostic)
+        shuffle(order)
+        if gibbs:
+            for n in order:
+                p_on = (cache[n] or fill(n))[1]
+                sums[n] += p_on
+                if (draw() < p_on) != x[n]:
+                    flip(n)
+        else:
+            for n in order:
+                odds, p_on = cache[n] or fill(n)
+                sums[n] += p_on
+                ratio = (1.0 - p_on) / p_on if x[n] else odds
+                if ratio >= 1.0 or draw() < ratio:
+                    flip(n)
+        for n in forward:
+            p_on = 1.0 - surv[n]
             sums[n] += p_on
-            counts[n] += 1
             if (draw() < p_on) != x[n]:
                 flip(n)
-    else:
-        for n in order:
-            odds, p_on = cache[n] or fill(n)
-            sums[n] += p_on
-            counts[n] += 1
-            ratio = (1.0 - p_on) / p_on if x[n] else odds
-            if ratio >= 1.0 or draw() < ratio:
-                flip(n)
-    surv = state.surv
-    for n in state.topo_forward:
-        p_on = 1.0 - surv[n]
-        sums[n] += p_on
-        counts[n] += 1
-        if (draw() < p_on) != x[n]:
-            flip(n)
-    state.cost += state.sweep_cost
+    counts = state.acc.counts
+    for n in diagnostic + forward:
+        counts[n] += count
+    state.cost += count * state.sweep_cost
+    state.sweep_idx += count
 
 
 def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
@@ -723,8 +729,9 @@ def run_sweep(state: SamplerState, strategy: StrategySpec):
     topological order.
     """
     if strategy.move_policy == SINGLE_SITE:
-        _single_site_sweep(state, strategy.rule)
-    elif strategy.move_policy == OPTIMIZED_FWD_BWD:
+        _single_site_sweeps(state, strategy.rule, 1)
+        return
+    if strategy.move_policy == OPTIMIZED_FWD_BWD:
         _fwd_bwd_sweep(state, strategy)
     else:
         pairs, singles = pair_nodes(state, strategy)
@@ -778,24 +785,41 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     Each chain is set up and swept `sweeps` times.  A checkpoint estimates
     from the credits held after that sweep; the credits are cleared after
     sweep `burn_in`, so a checkpoint at or before it covers burn-in sweeps
-    only (the benchmark grid rejects such checkpoints).  Returns (state,
-    checkpoint estimates, sweep-loop seconds) per chain.
+    only (the benchmark grid rejects such checkpoints); the survival caches
+    are recomputed after every 20000th sweep.  The chain runs in stretches
+    between those stops: a single-site chain makes one `_single_site_sweeps`
+    call per stretch, so its visit counts and cost are charged once per
+    stretch between checkpoints, and any other chain calls `run_sweep` once
+    per sweep.  Returns (state, checkpoint estimates, sweep-loop seconds)
+    per chain.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
-    if not 0 <= burn_in < sweeps:
-        raise ValueError(f"burn-in must be within [0, sweeps), got {burn_in} with {sweeps} sweeps")
+    if type(burn_in) is not int or not 0 <= burn_in < sweeps:
+        raise ValueError(
+            f"burn-in must be an integer in [0, sweeps), got {burn_in} with {sweeps} sweeps")
+    bad = [c for c in checkpoints if type(c) is not int or not 1 <= c <= sweeps]
+    if bad:
+        raise ValueError(f"checkpoints must be integers in [1, {sweeps}], got {bad}")
     problems = validate(net)
     if problems:
         raise ValueError("network fails strict validation: " + "; ".join(problems))
     wanted = set(checkpoints)
+    stops = sorted({*wanted, burn_in, sweeps, *range(20000, sweeps + 1, 20000)} - {0})
+    single = strategy.move_policy == SINGLE_SITE
     runs = []
     for seed in seeds:
         state = setup_chain(net, ev, strategy, ChainRandom(seed))
         marks = {}
         t0 = time.perf_counter()
-        for s in range(1, sweeps + 1):
-            run_sweep(state, strategy)
+        done = 0
+        for s in stops:
+            if single:
+                _single_site_sweeps(state, strategy.rule, s - done)
+            else:
+                for _ in range(s - done):
+                    run_sweep(state, strategy)
+            done = s
             if s in wanted:
                 marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
             if s == burn_in:

@@ -17,6 +17,7 @@ kernel of the sweep the library runs, by replaying the unmodified
 import itertools
 import math
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +26,18 @@ from scipy import sparse
 from diagbn import flow as flowmod
 from diagbn.exact import EnumerationCapError, TransitionMatrix
 from diagbn.flow import FlowInfo, evidence_cover
-from diagbn.network import Network, NetworkError
+from diagbn.network import Network, NetworkError, validate
 from diagbn.sampler import (
     GIBBS,
     OPTIMIZED_FWD_BWD,
+    ChainRandom,
     SamplerState,
     StrategySpec,
     clamp_and_flow,
+    estimate_marginals,
     pair_scope,
     run_sweep,
+    setup_chain,
 )
 
 
@@ -642,6 +646,35 @@ def reference_flip(state: SamplerState, stale, n):
     cache = state.odds_cache
     for k in stale[n]:
         cache[k] = None
+
+
+def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
+    """The chain loop as first written, one `run_sweep` call per sweep with
+    the checkpoint, burn-in and refresh checks after each.  The library's
+    stretch-at-a-time loop must reproduce its chains exactly."""
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    if not 0 <= burn_in < sweeps:
+        raise ValueError(f"burn-in must be within [0, sweeps), got {burn_in} with {sweeps} sweeps")
+    problems = validate(net)
+    if problems:
+        raise ValueError("network fails strict validation: " + "; ".join(problems))
+    wanted = set(checkpoints)
+    runs = []
+    for seed in seeds:
+        state = setup_chain(net, ev, strategy, ChainRandom(seed))
+        marks = {}
+        t0 = time.perf_counter()
+        for s in range(1, sweeps + 1):
+            run_sweep(state, strategy)
+            if s in wanted:
+                marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
+            if s == burn_in:
+                state.acc.reset()
+            if s % 20000 == 0:
+                state.refresh_survivals()  # bound float drift on very long runs
+        runs.append((state, marks, time.perf_counter() - t0))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,8 @@ from diagbn.sampler import (
     SWAP_FRACTION,
     ChainRandom,
     StrategySpec,
+    _run_chains,
+    _single_site_sweeps,
     block_pair_move,
     clamp_and_flow,
     derive_seed,
@@ -56,6 +59,7 @@ from oracles import (
     reference_cond_odds,
     reference_flip,
     reference_pair_nodes,
+    reference_run_chains,
     reference_single_site_move,
     reference_stale,
     transition_distribution,
@@ -391,10 +395,17 @@ class TestBlockMoveMatchesReference:
 class TestSingleSiteSweepMatchesReference:
     """The single-site sweep loop against the move as first written, called
     node by node in the same shuffled order, with the forward tail redrawn
-    after it and every flip clearing the value-blind stale lists."""
+    after it and every flip clearing the value-blind stale lists.  The loop
+    runs one `run_sweep` per sweep, or the same 20 sweeps as stretches of
+    1, 2, 5 and 12 sweeps, compared at the end of each stretch."""
 
-    @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
-    def test_same_sweeps_as_reference(self, vase, rule):
+    @pytest.mark.parametrize("rule, stretches", [
+        pytest.param(GIBBS, None, id="gibbs"),
+        pytest.param(METROPOLIS, None, id="metropolis"),
+        pytest.param(GIBBS, (1, 2, 5, 12), id="gibbs-stretches"),
+        pytest.param(METROPOLIS, (1, 2, 5, 12), id="metropolis-stretches"),
+    ])
+    def test_same_sweeps_as_reference(self, vase, rule, stretches):
         rng = random.Random(2016)
         problems = [(vase, {"v": True})]
         for _ in range(40):
@@ -413,15 +424,22 @@ class TestSingleSiteSweepMatchesReference:
                 # the value-blind lists
                 stale = reference_stale(ref)
                 ref.flip = lambda n, ref=ref, stale=stale: reference_flip(ref, stale, n)
-                for sweep in range(20):
-                    run_sweep(state, strategy)
-                    order = list(ref.diagnostic)
-                    ref.rng.shuffle(order)
-                    for n in order:
-                        reference_single_site_move(ref, n, rule)
-                    for n in ref.topo_forward:
-                        forward_redraw(ref, n)
-                    visits += len(order)
+                sweep = 0
+                for length in stretches or [1] * 20:
+                    if stretches is None:
+                        run_sweep(state, strategy)
+                    else:
+                        _single_site_sweeps(state, rule, length)
+                    for _ in range(length):
+                        order = list(ref.diagnostic)
+                        ref.rng.shuffle(order)
+                        for n in order:
+                            reference_single_site_move(ref, n, rule)
+                        for n in ref.topo_forward:
+                            forward_redraw(ref, n)
+                        visits += len(order)
+                    sweep += length
+                    assert state.sweep_idx == sweep
                     where = (trial, flow_aware, sweep)
                     assert state.x == ref.x, where
                     assert state.surv == ref.surv, where
@@ -434,7 +452,8 @@ class TestSingleSiteSweepMatchesReference:
                     assert state.cost == ref.cost, where
                     assert state.rng.getstate() == ref.rng.getstate(), where
         assert visits > 5000
-        assert live > 1000
+        # one comparison per stretch, not per sweep, when run in stretches
+        assert live > (1000 if stretches is None else 300)
 
 
 class TestChainRandom:
@@ -1088,6 +1107,79 @@ class TestDeterminism:
         assert derive_seed(1, "x", 0) == derive_seed(1, "x", 0)
         seen = {derive_seed(1, "x", k) for k in range(100)}
         assert len(seen) == 100
+
+
+def _chain_problems(vase, count=40):
+    rng = random.Random(1313)
+    problems = [(vase, {"v": True})]
+    for _ in range(count):
+        nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+        net = build_network(nodes, edges)
+        problems.append((net, random_evidence(rng, net, max_nodes=3)))
+    return problems
+
+
+class TestChainStretches:
+    """`_run_chains` sweeps a stretch at a time between its stops; the
+    chains, estimates and costs are those of the loop that swept one
+    `run_sweep` at a time and checked every sweep."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_same_chains_as_reference(self, vase, name):
+        strategy = PRESETS[name]
+        schedules = [(0, (1, 20)), (7, (3, 7, 8, 20))]
+        for trial, (net, ev) in enumerate(_chain_problems(vase)):
+            for burn_in, checkpoints in schedules:
+                where = (trial, burn_in)
+                got = run_chain(net, ev, strategy, 20, trial, burn_in, checkpoints)
+                [(ref, marks, _)] = reference_run_chains(
+                    net, ev, strategy, 20, [trial], burn_in, checkpoints)
+                assert got.checkpoint_estimates == marks, where
+                assert got.cost == ref.cost, where
+                merged = sample_posteriors(net, ev, strategy, 20, trial, burn_in, chains=2)
+                seeds = [derive_seed(trial, "chain", k) for k in range(2)]
+                runs = reference_run_chains(net, ev, strategy, 20, seeds, burn_in)
+                acc = runs[0][0].acc
+                acc.merge(runs[1][0].acc)
+                assert merged == estimate_marginals(net, ev, runs[0][0].clamp, acc), where
+
+    @pytest.mark.parametrize("name", ["gibbs", "block-spouses-cover"])
+    def test_survivals_refresh_between_stretches(self, name):
+        # three causes of one observed effect: the effect's survival cache
+        # drifts in its last bits over 20000 sweeps, so only a refresh after
+        # sweep 20000 leaves it equal to the reference's
+        net = build_network(
+            [("a", "model", 0.13), ("b", "model", 0.21), ("c", "model", 0.17),
+             ("s", "sensory", 0.07)],
+            [("a", "s", 0.63), ("b", "s", 0.71), ("c", "s", 0.47)],
+        )
+        strategy = PRESETS[name]
+        checkpoints = (19999, 20000, 20001, 20003)
+        [(state, marks, _)] = _run_chains(net, {"s": True}, strategy, 20003, [5], 0, checkpoints)
+        [(ref, ref_marks, _)] = reference_run_chains(
+            net, {"s": True}, strategy, 20003, [5], 0, checkpoints)
+        assert marks == ref_marks
+        assert state.surv == ref.surv
+        assert state.acc == ref.acc
+        assert state.cost == ref.cost
+        assert state.rng.getstate() == ref.rng.getstate()
+
+    @pytest.mark.parametrize("checkpoints, bad", [
+        ((5000,), [5000]),
+        ((0, 50), [0]),
+        ((-3,), [-3]),
+        ((10, 101, 2.5, 100, "7"), [101, 2.5, "7"]),
+        ((5.0,), [5.0]),
+        ((True,), [True]),
+    ], ids=["past-the-end", "zero", "negative", "mixed", "float", "bool"])
+    def test_checkpoints_outside_the_chain_are_rejected(self, vase, checkpoints, bad):
+        with pytest.raises(ValueError, match=re.escape(f"in [1, 100], got {bad}")):
+            run_chain(vase, {"v": True}, PRESETS["gibbs"], 100, 1, checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("burn_in", [7.5, 7.0, -1, 100])
+    def test_burn_in_outside_the_chain_is_rejected(self, vase, burn_in):
+        with pytest.raises(ValueError, match="burn-in must be an integer in"):
+            run_chain(vase, {"v": True}, PRESETS["gibbs"], 100, 1, burn_in, (100,))
 
 
 class TestInitializeState:
