@@ -150,6 +150,12 @@ def load_config(path: str) -> ExperimentConfig:
             type(c) is dict and all(type(v) in (int, float) for v in c.values()) for c in tr["cases"]
         ):
             raise ValueError(f"truth file {raw['truth']}: 'cases' must map node ids to numbers")
+        for k, per_case in enumerate(tr["cases"]):
+            for nid, v in per_case.items():
+                if not 0.0 <= v <= 1.0:  # false for NaN too
+                    raise ValueError(
+                        f"truth file {raw['truth']}: case {k} gives node {nid!r} the truth {v!r},"
+                        " not a probability in [0, 1]")
         truths = [{str(k): float(v) for k, v in per_case.items()} for per_case in tr["cases"]]
     cfg = ExperimentConfig(
         net=net,

@@ -15,6 +15,13 @@ Swap moves preserve the number of active nodes in the pair, so they are
 never run alone: a swap policy swaps a pair on a fraction `SWAP_FRACTION`
 of its visits and moves the two nodes single-site on the rest.
 
+Pairs are drawn from a candidate map fixed for the chain, so which pairs
+form never depends on the chain's values.  A child-true policy moves a pair
+jointly only while a child linking it is on; that gate is read when the
+pair moves, and a shut gate moves the two nodes single-site instead.
+Neither move changes the gate, so each pair event keeps the posterior
+invariant whatever the gate reads.
+
 Marginals are estimated Rao-Blackwell style: every move credits each touched
 node with its conditional probability of being on under the move's restricted
 distribution, and the estimate is the running mean of those credits.
@@ -60,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -121,7 +127,7 @@ class StrategySpec:
     @property
     def cover_gated(self) -> bool:
         """True when pairs may move through any child in the evidence cover,
-        False when the shared child must be true."""
+        False when a child linking the pair must be on when it moves."""
         return _POLICIES[self.move_policy][1]
 
 
@@ -506,10 +512,11 @@ def spouse_links(state: SamplerState, strategy: StrategySpec) -> dict:
     Maps each diagnostic-sampled node, in index order, to its links: one
     (child, other diagnostic-sampled parents of that child) entry per scope
     child, inside the evidence cover for cover-gated policies.  A node may
-    pair with any parent listed in its links; child-true policies further
-    require that link's child to be on.  Pairs form only through children
-    that carry evidence flow: a forward-sampled child couples nothing in the
-    collapsed posterior, and gating on its sampled value biases the chain.
+    pair with any parent listed in its links; under child-true policies the
+    pair moves jointly only while one of the children linking it is on, and
+    that gate is read when the pair moves, never when pairs are chosen.
+    Pairs form only through children that carry evidence flow: a
+    forward-sampled child couples nothing in the collapsed posterior.
     """
     net = state.net
     is_diagnostic = [False] * len(net.ids)
@@ -527,80 +534,48 @@ def spouse_links(state: SamplerState, strategy: StrategySpec) -> dict:
 
 
 class _PairPlan:
-    """The gates of `spouse_links` that stay fixed for one chain.
+    """The candidate pairs of `spouse_links` for one chain, and their gates.
 
-    Cover gates read the evidence alone, and evidence and clamped nodes
-    never change value within a chain, so a node's spouse list (the union of
-    its links' parents, in link order, without repeats) is fixed unless a
-    child-true gate reads a free child.  `spouses` maps every node with
-    links, in index order, to its fixed spouse list, or to None when `links`
-    keeps its links for the gate to read on every sweep.
-
-    The gated spouse map is then a function of the values of the free
-    children those links name, `gate_values(x)`, and of nothing else.  The
-    plan keeps the last such values and the map built from them (`last`);
-    `pair_nodes` reuses that map while the values are equal, so it holds the
-    same lists in the same order a rebuild would.  Keying on values rather
-    than on flips keeps it right when a caller writes `x` directly.
+    `spouses` maps every node with a link, in index order, to its partners
+    in link order without repeats; `gates` maps a child-true pair (either
+    way round) to the free children that link it.  A cover link always
+    counts.  A child-true link through a child fixed on (true evidence)
+    leaves the pair ungated, one through a free child gates it on that
+    child, and one through a child fixed off (false evidence or clamped)
+    is dropped, since it could never open.  Neither map reads a free value.
     """
 
     def __init__(self, state: SamplerState, strategy: StrategySpec):
         x = state.x
-        cover_gated = strategy.cover_gated
+        is_free = state.is_free
         self.strategy = strategy
         self.spouses = {}
-        self.links = {}
+        self.gates = {}
         for j, links in spouse_links(state, strategy).items():
-            if not links:
-                continue
-            if not cover_gated and any(state.is_free[c] for c, _ in links):
-                self.spouses[j] = None
-                self.links[j] = links
-                continue
-            # child-true policies: the shared child is on, here fixed by evidence
-            on = [others for c, others in links if cover_gated or x[c]]
-            if on:
-                self.spouses[j] = _spouse_union(on)
-        gate = sorted({c for links in self.links.values() for c, _ in links if state.is_free[c]})
-        self.gate_values = operator.itemgetter(*gate) if gate else None
-        self.last = (None, None)  # (gate values, the spouse map built from them)
-
-
-def _spouse_union(groups):
-    if len(groups) == 1:
-        return groups[0]
-    return list(dict.fromkeys(b for others in groups for b in others))
+            if not strategy.cover_gated:
+                links = [(c, others) for c, others in links if is_free[c] or x[c]]
+                ungated = {b for c, others in links if not is_free[c] for b in others}
+                for c, others in links:
+                    for b in others:
+                        if is_free[c] and b not in ungated:
+                            self.gates.setdefault((j, b), []).append(c)
+            if links:
+                self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
 
 
 def pair_nodes(state: SamplerState, strategy: StrategySpec):
-    """Greedy random pairing of eligible spouses; everyone else moves alone.
+    """Greedy random pairing of candidate spouses; everyone else moves alone.
 
     Returns (pairs, singles) covering every diagnostic-sampled node exactly
     once; forward-sampled nodes are redrawn from their parents and never
-    paired.  Child-true gates on free children read the current state on
-    every call, through the plan's last spouse map when the gated children
-    hold the values it was built from; everything else comes from the
-    chain's plan for this strategy.
+    paired.  The candidates come from the chain's plan for this strategy
+    and the draws from the chain's rng alone: pairing reads no value of the
+    chain, and a child-true gate is read when its pair moves (`_pair_event`).
     """
     plan = state.pair_plan
     if plan is None or plan.strategy is not strategy:
         plan = state.pair_plan = _PairPlan(state, strategy)
     spouses = plan.spouses
-    if plan.links:
-        # child-true policies: the shared child is currently on, observed or sampled
-        x = state.x
-        key = plan.gate_values(x)
-        seen, spouses = plan.last
-        if key != seen:
-            spouses = {}
-            for j, mates in plan.spouses.items():
-                if mates is None:
-                    live = [others for c, others in plan.links[j] if x[c]]
-                    if not live:
-                        continue
-                    mates = _spouse_union(live)
-                spouses[j] = mates
-            plan.last = (key, spouses)
     rng = state.rng
     order = list(spouses)
     rng.shuffle(order)
@@ -620,25 +595,40 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     return pairs, singles
 
 
+def _pair_event(state: SamplerState, strategy: StrategySpec, a, b):
+    """Move a pair from `pair_nodes` once.
+
+    A pair whose gate children are all off moves as two single-site moves;
+    otherwise a block policy makes the block move, and a swap policy swaps
+    on a fraction `SWAP_FRACTION` of events and moves a and b single-site
+    on the rest.  No move on a or b changes a gate child, so every branch
+    keeps the posterior invariant on its own.
+    """
+    gate = state.pair_plan.gates.get((a, b))
+    rule = strategy.rule
+    if gate is None or any(state.x[c] for c in gate):
+        if strategy.pair_move == "block":
+            block_pair_move(state, a, b, rule)
+            return
+        if state.rng.random() < SWAP_FRACTION:
+            swap_pair_move(state, a, b, rule)
+            return
+    single_site_move(state, a, rule)
+    single_site_move(state, b, rule)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
 
 def _run_pair_events(state, strategy, pairs, singles):
-    events = [("p",) + p for p in pairs] + [("s", j) for j in singles]
+    events = pairs + singles
     state.rng.shuffle(events)
-    swap = strategy.pair_move == "swap"
     for ev in events:
-        if ev[0] == "s":
-            single_site_move(state, ev[1], strategy.rule)
-        elif swap:
-            if state.rng.random() < SWAP_FRACTION:
-                swap_pair_move(state, ev[1], ev[2], strategy.rule)
-            else:
-                single_site_move(state, ev[1], strategy.rule)
-                single_site_move(state, ev[2], strategy.rule)
+        if type(ev) is tuple:
+            _pair_event(state, strategy, *ev)
         else:
-            block_pair_move(state, ev[1], ev[2], strategy.rule)
+            single_site_move(state, ev, strategy.rule)
 
 
 def _single_site_sweeps(state: SamplerState, rule, count):
@@ -692,7 +682,8 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     Forward passes visit every free node in topological order, redrawing
     forward-sampled nodes from their freshly updated parents; backward passes
     revisit only the diagnostic-sampled nodes, in reverse order.  Pairings
-    and swap coins are fresh per pass.
+    are fresh per pass, and a pair makes its `_pair_event` at the position
+    of whichever of its nodes the pass reaches first, gate shut or not.
 
     Only the posterior of the diagnostic-sampled nodes stays invariant, not
     the joint: the backward pass leaves forward-sampled nodes stale, no
@@ -700,12 +691,9 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     since forward-sampled nodes carry no evidence back to it.
     """
     backward = state.sweep_idx % 2 == 1
-    pairs, singles = pair_nodes(state, strategy)
-    partner = {}  # both ways, for the pairs whose swap coin came up
-    for a, b in pairs:
-        if state.rng.random() < SWAP_FRACTION:
-            partner[a] = b
-            partner[b] = a
+    pairs, _ = pair_nodes(state, strategy)
+    partner = dict(pairs)
+    partner.update((b, a) for a, b in pairs)
     order = state.topo_diagnostic_reversed if backward else state.topo_free
     done = set()
     for j in order:
@@ -715,7 +703,7 @@ def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
             forward_redraw(state, j)
             continue
         if j in partner:
-            swap_pair_move(state, j, partner[j], strategy.rule)
+            _pair_event(state, strategy, j, partner[j])
             done.add(partner[j])
         else:
             single_site_move(state, j, strategy.rule)

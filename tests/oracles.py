@@ -443,78 +443,6 @@ def conditional_prob(net, state, nid, info: FlowInfo) -> float:
     return w1 / (w1 + w0)
 
 
-def _reference_qualifying_children(state, strategy):
-    """Per free node, the children whose shared parents may pair this sweep."""
-    net = state.net
-    if strategy.cover_gated:
-        # true evidence nodes and their ancestors: positive diagnostic reach
-        good = [False] * len(net.ids)
-        stack = [net.index[nid] for nid, value in state.ev.items() if value]
-        for j in stack:
-            good[j] = True
-        while stack:
-            j = stack.pop()
-            for i in net.parents[j]:
-                if not good[i]:
-                    good[i] = True
-                    stack.append(i)
-        return lambda c: good[c]
-    # child-true policies: the shared child is currently on, observed or sampled
-    x = state.x
-    return lambda c: bool(x[c])
-
-
-def reference_pair_nodes(state, strategy):
-    """The pairing as first written: every candidate structure rebuilt per
-    call.  The library's per-chain plan must reproduce its pairs, its
-    singles and its RNG draws exactly."""
-    net = state.net
-    qualifies = _reference_qualifying_children(state, strategy)
-    if strategy.flow_aware:
-        movable = [j for j in state.free if not state.forward_sampled[j]]
-    else:
-        movable = list(state.free)
-    movable_set = set(movable)
-    candidates = {}
-    for j in movable:
-        kids = [c for c in net.children[j] if qualifies(c)]
-        if strategy.flow_aware:
-            # pair only through children that carry evidence flow: a
-            # forward-sampled child couples nothing in the collapsed
-            # posterior, and gating on its sampled value biases the chain
-            kids = [c for c in kids if not state.forward_sampled[c]]
-        if kids:
-            candidates[j] = kids
-    order = list(candidates)
-    state.rng.shuffle(order)
-    matched = {}
-    for a in order:
-        if a in matched:
-            continue
-        partners = []
-        seen = set()
-        for c in candidates[a]:
-            for b in net.parents[c]:
-                if b != a and b in candidates and b not in matched and b not in seen:
-                    seen.add(b)
-                    partners.append(b)
-        if partners:
-            b = partners[state.rng.randrange(len(partners))]
-            matched[a] = b
-            matched[b] = a
-    pairs = []
-    done = set()
-    for a in order:
-        if a in matched and a not in done:
-            b = matched[a]
-            pairs.append((a, b))
-            done.add(a)
-            done.add(b)
-    singles = [j for j in movable if j not in done]
-    assert 2 * len(pairs) + len(singles) == len(movable_set)
-    return pairs, singles
-
-
 def reference_block_pair_move(state: SamplerState, a, b, rule):
     """The block move as first written: weights in a list, masses by
     generator sums.  The library's straight-line move must reproduce its

@@ -459,13 +459,18 @@ class TestBench:
             ({"epsilon_floor": float("inf")}, {}, "epsilon_floor must be finite and nonnegative"),
             ({"epsilon_floor": -0.5}, {}, "epsilon_floor must be finite and nonnegative"),
             ({"checkpoints": [50, 50, 100]}, {}, "checkpoints listed more than once"),
+        ] + [
+            ({"truth": "truth.json"}, {"truth.json": {"cases": [{"e": t, "b": 0.62}]}},
+             f"case 0 gives node 'e' the truth {t!r}, not a probability in [0, 1]")
+            for t in (float("nan"), 1.5, -0.2, float("inf"))
         ],
         ids=["no-strategies", "duplicate-strategy", "missing-key", "truth-misses-node",
              "case-without-evidence", "null-repetitions", "null-seed", "null-burn-in",
              "null-epsilon-floor", "scalar-checkpoints", "numeric-network", "listed-evidence",
              "string-strategies", "listed-baseline", "misspelled-baseline", "null-truth",
              "nan-epsilon-floor", "infinite-epsilon-floor", "negative-epsilon-floor",
-             "duplicate-checkpoint"],
+             "duplicate-checkpoint", "nan-truth", "truth-above-1", "negative-truth",
+             "infinite-truth"],
     )
     def test_bad_config_exits_2(self, vase_files, tmp_path, capsys, overrides, files, message):
         for name, doc in files.items():

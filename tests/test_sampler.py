@@ -19,6 +19,7 @@ from diagbn.flow import (
     classify_flow,
     no_clamp,
 )
+from diagbn import sampler
 from diagbn.exact import explicit_transition_matrix
 from diagbn.network import build_network
 from diagbn.sampler import (
@@ -30,6 +31,7 @@ from diagbn.sampler import (
     SWAP_FRACTION,
     ChainRandom,
     StrategySpec,
+    _pair_event,
     _run_chains,
     _single_site_sweeps,
     block_pair_move,
@@ -44,7 +46,6 @@ from diagbn.sampler import (
     sample_posteriors,
     setup_chain,
     single_site_move,
-    spouse_links,
     swap_pair_move,
 )
 from oracles import (
@@ -58,7 +59,6 @@ from oracles import (
     reference_block_pair_move,
     reference_cond_odds,
     reference_flip,
-    reference_pair_nodes,
     reference_run_chains,
     reference_single_site_move,
     reference_stale,
@@ -578,7 +578,10 @@ class TestPairing:
         assert pairs == []
         assert set(singles) == {net.index["a"], net.index["b"]}
 
-    def test_child_true_requires_child_currently_true(self):
+    def test_child_true_pairs_whatever_the_child_holds(self, monkeypatch):
+        # {a, b} forms whether m is on or off; m gates the event: off, a and
+        # b each move single-site and no coin is drawn, on, the pair swaps
+        # when the coin comes up
         net = build_network(
             [
                 ("a", "model", 0.1),
@@ -588,16 +591,48 @@ class TestPairing:
             ],
             [("a", "m", 0.5), ("b", "m", 0.5), ("m", "s", 0.9)],
         )
+        strategy = PRESETS["swap-spouses-child-true"]
         state = make_state(net, {"s": True}, "swap-spouses-child-true")
-        force(state, "m", 0)
-        pairs, singles = pair_nodes(state, PRESETS["swap-spouses-child-true"])
-        assert pairs == []
-        assert set(singles) == {net.index["a"], net.index["b"], net.index["m"]}
-        force(state, "m", 1)
-        pairs, singles = pair_nodes(state, PRESETS["swap-spouses-child-true"])
-        assert len(pairs) == 1
-        a, b = pairs[0]
-        assert {net.ids[a], net.ids[b]} == {"a", "b"}
+        ja, jb = net.index["a"], net.index["b"]
+        moves = []
+        monkeypatch.setattr(sampler, "single_site_move", lambda st, n, rule: moves.append(n))
+        monkeypatch.setattr(sampler, "swap_pair_move", lambda st, a, b, rule: moves.append((a, b)))
+        swaps = 0
+        for m in (0, 1):
+            force(state, "m", m)
+            pairs, singles = pair_nodes(state, strategy)
+            assert len(pairs) == 1 and set(pairs[0]) == {ja, jb}
+            assert singles == [net.index["m"]]
+            for _ in range(40):
+                moves.clear()
+                rng = copy.deepcopy(state.rng)
+                _pair_event(state, strategy, ja, jb)
+                if not m:
+                    assert moves == [ja, jb]
+                    assert state.rng.getstate() == rng.getstate()
+                elif rng.random() < SWAP_FRACTION:
+                    assert moves == [(ja, jb)]
+                    swaps += 1
+                else:
+                    assert moves == [ja, jb]
+        assert 0 < swaps < 40
+
+    def test_child_true_plan_drops_children_fixed_off(self):
+        # a and b share a free child m, a true and a false finding; c and d
+        # only the false one: the true finding leaves {a, b} ungated, and
+        # {c, d} could never open, so it never forms
+        net = build_network(
+            [(n, "model", 0.1) for n in "abcdm"]
+            + [("s", "sensory", 0.01), ("t", "sensory", 0.01)],
+            [("a", "m", 0.5), ("b", "m", 0.5), ("a", "s", 0.5), ("b", "s", 0.5)]
+            + [(n, "t", 0.5) for n in "abcd"],
+        )
+        strategy = PRESETS["swap-spouses-child-true"]
+        state = make_state(net, {"s": True, "t": False}, "swap-spouses-child-true")
+        pairs, singles = pair_nodes(state, strategy)
+        assert [{net.ids[a], net.ids[b]} for a, b in pairs] == [{"a", "b"}]
+        assert {net.ids[j] for j in singles} == {"c", "d", "m"}
+        assert state.pair_plan.gates == {}
 
     def test_flow_aware_never_pairs_through_forward_sampled_child(self):
         # a and b are diagnostic through separate observed children; the one
@@ -676,12 +711,12 @@ PAIR_PRESETS = [name for name, spec in PRESETS.items() if spec.move_policy != SI
 
 
 class TestPairingMatchesReference:
-    """The per-chain pairing plan against the pairing as first written."""
+    """The per-chain pairing plan: fixed for the chain, and matched by the
+    transition-matrix oracle's pair kernels."""
 
-    def test_same_pairs_and_draws_as_reference(self):
-        # each round calls twice on one state (the second reuses the gated
-        # spouse map), then flips every gate child and back (A -> B -> A),
-        # then moves the state at random
+    def test_pairing_reads_no_chain_value(self):
+        # two copies of a chain with one rng state and different free
+        # values pair alike and draw alike, plan built or not
         assert len(PAIR_PRESETS) == 6
         rng = random.Random(2013)
         formed = 0
@@ -692,34 +727,18 @@ class TestPairingMatchesReference:
             for name in PAIR_PRESETS:
                 strategy = PRESETS[name]
                 state = make_state(net, ev, name, seed=trial)
-                ref = copy.deepcopy(state)
-                gate = sorted({
-                    c for links in spouse_links(state, strategy).values()
-                    for c, _ in links if state.is_free[c]
-                })
-
-                def check(*where):
-                    got = pair_nodes(state, strategy)
-                    want = reference_pair_nodes(ref, strategy)
-                    assert got == want, (trial, name) + where
-                    assert state.rng.getstate() == ref.rng.getstate(), (trial, name) + where
-                    return len(got[0])
-
-                def flip(j):
-                    state.flip(j)
-                    ref.flip(j)
-
+                other = copy.deepcopy(state)
+                for j in other.free:
+                    other.flip(j)
                 for call in range(6):
-                    formed += check(call, "fresh")
-                    check(call, "unchanged")
-                    for c in gate:
-                        flip(c)
-                        check(call, "flipped", c)
-                        flip(c)
-                        check(call, "restored", c)
-                    for _ in range(2):
-                        if state.free:
-                            flip(rng.choice(state.free))
+                    got = pair_nodes(state, strategy)
+                    assert got == pair_nodes(other, strategy), (trial, name, call)
+                    assert state.rng.getstate() == other.rng.getstate(), (trial, name, call)
+                    formed += len(got[0])
+                    for chain in (state, other):
+                        for j in chain.free:
+                            if rng.random() < 0.5:
+                                chain.flip(j)
         assert formed > 0
 
     def test_oracle_has_a_kernel_for_every_pair_formed(self):
@@ -755,17 +774,20 @@ class TestPairingMatchesReference:
             [("a", "m", 0.5), ("b", "m", 0.5), ("m", "s", 0.9)],
         )
         cover, child_true = PRESETS["swap-spouses-cover"], PRESETS["swap-spouses-child-true"]
+        ja, jb, jm = (net.index[n] for n in "abm")
         state = make_state(net, {"s": True}, "swap-spouses-cover")
         force(state, "m", 0)
         assert len(pair_nodes(state, cover)[0]) == 1
         plan = state.pair_plan
         pair_nodes(state, cover)
-        assert state.pair_plan is plan
-        # m is off: the cover gate still pairs a and b through it, the
-        # child-true gate must not
-        assert pair_nodes(state, child_true)[0] == []
+        assert state.pair_plan is plan and plan.gates == {}
+        # m is off: both gates pair a and b through it, and only the
+        # child-true plan gates the pair's moves on m
+        assert len(pair_nodes(state, child_true)[0]) == 1
         assert state.pair_plan is not plan and state.pair_plan.strategy is child_true
+        assert state.pair_plan.gates == {(ja, jb): [jm], (jb, ja): [jm]}
         assert len(pair_nodes(state, cover)[0]) == 1
+        assert state.pair_plan.strategy is cover
 
 
 class TestSweeps:

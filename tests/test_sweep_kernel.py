@@ -24,7 +24,7 @@ EXACT_PRESETS = [
     "block-spouses-cover",
     "swap-spouses-cover",
 ]
-# these pick pairs by reading the state their own moves change
+# these read a pair's gate when it moves: both nodes single-site while shut
 CHILD_TRUE_PRESETS = [
     "block-spouses-parent-true",
     "swap-spouses-child-true",
@@ -82,20 +82,7 @@ def stationarity_error(net, ev, strategy):
     return err, np.abs(P.sum(axis=1) - 1.0).max()
 
 
-@pytest.mark.parametrize(
-    "name",
-    EXACT_PRESETS
-    + [
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="pair selection reads the chain state (ROADMAP item 1)",
-            ),
-        )
-        for name in CHILD_TRUE_PRESETS
-    ],
-)
+@pytest.mark.parametrize("name", EXACT_PRESETS + CHILD_TRUE_PRESETS)
 def test_sweep_keeps_posterior_on_net_b(name):
     net, ev = net_b()
     err, row_err = stationarity_error(net, ev, PRESETS[name])
@@ -105,7 +92,7 @@ def test_sweep_keeps_posterior_on_net_b(name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [25, 73])
-@pytest.mark.parametrize("name", EXACT_PRESETS)
+@pytest.mark.parametrize("name", EXACT_PRESETS + CHILD_TRUE_PRESETS)
 def test_sweep_keeps_posterior_on_generated_nets(name, seed):
     # both seeds give 4 free nodes, one of which clamping pins and one of
     # which the flow map forward-samples, so every chain layout is covered
