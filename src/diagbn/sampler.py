@@ -54,13 +54,16 @@ chains are bit-identical with or without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
-but shuffles and picks below n without a Python call per draw.  A
-single-site chain runs a stretch of sweeps per call, from one checkpoint
-or the end of burn-in to the next: each sweep runs one loop per rule and
-then redraws its forward tail inline, with lookups bound and the visit
-counts and cost charged once per stretch between checkpoints.  Pair
-schedules call `single_site_move` and `forward_redraw` per node, and both
-paths fill a missing conditional through `SamplerState.fill_odds`.
+but shuffles and picks below n without a Python call per draw.  Every
+chain runs a stretch of sweeps per `run_sweep` call, from one checkpoint
+or the end of burn-in to the next, with lookups bound once per stretch.
+A single-site sweep runs one loop per rule and then redraws its forward
+tail inline, and its visit counts and cost are charged once per stretch.
+A pair sweep lists its visits and runs them in one loop, making its
+single-site moves, forward redraws and identity swaps inline and calling
+the block and swap moves; the cost of its inline moves is charged once
+per stretch.  Both loops fill a missing conditional through
+`SamplerState.fill_odds`.
 """
 
 from __future__ import annotations
@@ -371,7 +374,9 @@ def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
 
 def single_site_move(state: SamplerState, n, rule):
     """Resample one free node; always credit its conditional into the scores.
-    `_single_site_sweeps` makes the same move, visit for visit."""
+    Both sweep loops make this move inline, visit for visit, and call
+    neither it nor `forward_redraw`; the two stay as the moves' reference
+    form, which the benchmark's tracer wraps by name."""
     odds, p_on = state.odds_cache[n] or state.fill_odds(n)
     acc = state.acc
     acc.sums[n] += p_on
@@ -491,7 +496,8 @@ def block_pair_move(state: SamplerState, a, b, rule):
 
 
 def forward_redraw(state: SamplerState, n):
-    """Draw a forward-sampled node straight from its noisy-or distribution."""
+    """Draw a forward-sampled node straight from its noisy-or distribution.
+    Both sweep loops make this move inline (see `single_site_move`)."""
     p_on = 1.0 - state.surv[n]
     acc = state.acc
     acc.sums[n] += p_on
@@ -561,6 +567,7 @@ class _PairPlan:
                             self.gates.setdefault((j, b), []).append(c)
             if links:
                 self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
+        self.order = list(self.spouses)
 
 
 def pair_nodes(state: SamplerState, strategy: StrategySpec):
@@ -570,65 +577,31 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     once; forward-sampled nodes are redrawn from their parents and never
     paired.  The candidates come from the chain's plan for this strategy
     and the draws from the chain's rng alone: pairing reads no value of the
-    chain, and a child-true gate is read when its pair moves (`_pair_event`).
+    chain, and a child-true gate is read when its pair moves (`_pair_sweeps`).
     """
     plan = state.pair_plan
     if plan is None or plan.strategy is not strategy:
         plan = state.pair_plan = _PairPlan(state, strategy)
     spouses = plan.spouses
     rng = state.rng
-    order = list(spouses)
+    randrange = rng.randrange
+    order = list(plan.order)
     rng.shuffle(order)
-    matched = set()
+    matched = [False] * len(state.x)
     pairs = []
     for a in order:
-        if a in matched:
+        if matched[a]:
             continue
-        partners = [b for b in spouses[a] if b not in matched]
+        partners = [b for b in spouses[a] if not matched[b]]
         if partners:
-            b = partners[rng.randrange(len(partners))]
-            matched.add(a)
-            matched.add(b)
+            b = partners[randrange(len(partners))]
+            matched[a] = matched[b] = True
             pairs.append((a, b))
-    singles = [j for j in state.diagnostic if j not in matched]
-    assert 2 * len(pairs) + len(singles) == len(state.diagnostic)
-    return pairs, singles
-
-
-def _pair_event(state: SamplerState, strategy: StrategySpec, a, b):
-    """Move a pair from `pair_nodes` once.
-
-    A pair whose gate children are all off moves as two single-site moves;
-    otherwise a block policy makes the block move, and a swap policy swaps
-    on a fraction `SWAP_FRACTION` of events and moves a and b single-site
-    on the rest.  No move on a or b changes a gate child, so every branch
-    keeps the posterior invariant on its own.
-    """
-    gate = state.pair_plan.gates.get((a, b))
-    rule = strategy.rule
-    if gate is None or any(state.x[c] for c in gate):
-        if strategy.pair_move == "block":
-            block_pair_move(state, a, b, rule)
-            return
-        if state.rng.random() < SWAP_FRACTION:
-            swap_pair_move(state, a, b, rule)
-            return
-    single_site_move(state, a, rule)
-    single_site_move(state, b, rule)
+    return pairs, [j for j in state.diagnostic if not matched[j]]
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _run_pair_events(state, strategy, pairs, singles):
-    events = pairs + singles
-    state.rng.shuffle(events)
-    for ev in events:
-        if type(ev) is tuple:
-            _pair_event(state, strategy, *ev)
-        else:
-            single_site_move(state, ev, strategy.rule)
 
 
 def _single_site_sweeps(state: SamplerState, rule, count):
@@ -676,57 +649,129 @@ def _single_site_sweeps(state: SamplerState, rule, count):
     state.sweep_idx += count
 
 
-def _fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
-    """One pass of the alternating schedule.
+def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
+    """`count` sweeps of a pair schedule, each a visit list and one loop
+    over it, with the lookups bound and the cost of the inline moves
+    charged once for all `count` sweeps.
 
-    Forward passes visit every free node in topological order, redrawing
-    forward-sampled nodes from their freshly updated parents; backward passes
-    revisit only the diagnostic-sampled nodes, in reverse order.  Pairings
-    are fresh per pass, and a pair makes its `_pair_event` at the position
-    of whichever of its nodes the pass reaches first, gate shut or not.
+    The visit list reads no chain value.  The random schedule shuffles
+    `pair_nodes`'s pairs and singles together and appends the forward tail.
+    The alternating schedule walks every free node in topological order on
+    forward passes, and only the diagnostic-sampled ones, in reverse, on
+    backward passes; pairings are fresh per pass, and a pair moves at the
+    position of whichever of its nodes the pass reaches first.
 
-    Only the posterior of the diagnostic-sampled nodes stays invariant, not
-    the joint: the backward pass leaves forward-sampled nodes stale, no
-    longer drawn from their moved parents.  That marginal is the target,
-    since forward-sampled nodes carry no evidence back to it.
+    A node visit is a forward redraw for a forward-sampled node and a
+    single-site move otherwise, each the move `forward_redraw` or
+    `single_site_move` makes, written inline.  A pair reads its gate when
+    it is visited: while every child linking it is off, its two nodes move
+    single-site.  Otherwise a block policy makes the block move, and a swap
+    policy swaps on a fraction `SWAP_FRACTION` of visits, crediting an
+    exchange of equal values inline as `swap_pair_move` would, and moves
+    the two nodes single-site on the rest.  No move on a pair changes a
+    gate child, so every branch keeps the posterior invariant on its own.
+
+    Under the alternating schedule only the posterior of the
+    diagnostic-sampled nodes stays invariant, not the joint: the backward
+    pass leaves forward-sampled nodes stale, no longer drawn from their
+    moved parents.  That marginal is the target, since forward-sampled
+    nodes carry no evidence back to it.
     """
-    backward = state.sweep_idx % 2 == 1
-    pairs, _ = pair_nodes(state, strategy)
-    partner = dict(pairs)
-    partner.update((b, a) for a, b in pairs)
-    order = state.topo_diagnostic_reversed if backward else state.topo_free
-    done = set()
-    for j in order:
-        if j in done:
-            continue
-        if state.forward_sampled[j]:
-            forward_redraw(state, j)
-            continue
-        if j in partner:
-            _pair_event(state, strategy, j, partner[j])
-            done.add(partner[j])
-        else:
-            single_site_move(state, j, strategy.rule)
-
-
-def run_sweep(state: SamplerState, strategy: StrategySpec):
-    """Visit every free node once under the strategy's policy.
-
-    The diagnostic-sampled nodes move in random order, alone or in pairs;
-    then the forward-sampled ones, if the flow map has any, are redrawn in
-    topological order.
-    """
-    if strategy.move_policy == SINGLE_SITE:
-        _single_site_sweeps(state, strategy.rule, 1)
-        return
-    if strategy.move_policy == OPTIMIZED_FWD_BWD:
-        _fwd_bwd_sweep(state, strategy)
-    else:
+    rule = strategy.rule
+    gibbs = rule == GIBBS
+    block = strategy.pair_move == "block"
+    alternating = strategy.move_policy == OPTIMIZED_FWD_BWD
+    rng = state.rng
+    shuffle = rng.shuffle
+    draw = rng.random
+    cache = state.odds_cache
+    fill = state.fill_odds
+    flip = state.flip
+    x = state.x
+    is_on = x.__getitem__
+    surv = state.surv
+    sums = state.acc.sums
+    counts = state.acc.counts
+    move_cost = state.move_cost
+    forward_sampled = state.forward_sampled
+    tail = state.topo_forward
+    cost = 0
+    for sweep in range(state.sweep_idx, state.sweep_idx + count):
         pairs, singles = pair_nodes(state, strategy)
-        _run_pair_events(state, strategy, pairs, singles)
-        for j in state.topo_forward:
-            forward_redraw(state, j)
-    state.sweep_idx += 1
+        if not alternating:
+            visits = pairs + singles
+            shuffle(visits)
+            visits += tail
+        else:
+            first = {}
+            for a, b in pairs:
+                first[a] = (a, b)
+                first[b] = (b, a)
+            visits = []
+            for j in state.topo_diagnostic_reversed if sweep % 2 else state.topo_free:
+                if j in first:
+                    pair = first[j]
+                    if pair is not None:
+                        visits.append(pair)
+                        first[pair[1]] = None
+                else:
+                    visits.append(j)
+        gates = state.pair_plan.gates
+        for v in visits:
+            if type(v) is tuple:
+                gate = gates.get(v)
+                if gate is None or any(map(is_on, gate)):
+                    a, b = v
+                    if block:
+                        block_pair_move(state, a, b, rule)
+                        continue
+                    if draw() < SWAP_FRACTION:
+                        if x[a] == x[b]:
+                            # the identity exchange: each node credited its value
+                            sums[a] += x[a]
+                            sums[b] += x[b]
+                            counts[a] += 1
+                            counts[b] += 1
+                            cost += 1
+                        else:
+                            swap_pair_move(state, a, b, rule)
+                        continue
+                nodes = v
+            elif forward_sampled[v]:
+                p_on = 1.0 - surv[v]
+                sums[v] += p_on
+                counts[v] += 1
+                cost += 1
+                if (draw() < p_on) != x[v]:
+                    flip(v)
+                continue
+            else:
+                nodes = (v,)
+            for n in nodes:
+                odds, p_on = cache[n] or fill(n)
+                sums[n] += p_on
+                counts[n] += 1
+                cost += move_cost[n]
+                if gibbs:
+                    if (draw() < p_on) != x[n]:
+                        flip(n)
+                else:
+                    ratio = (1.0 - p_on) / p_on if x[n] else odds
+                    if ratio >= 1.0 or draw() < ratio:
+                        flip(n)
+    state.cost += cost
+    state.sweep_idx += count
+
+
+def run_sweep(state: SamplerState, strategy: StrategySpec, count):
+    """Sweep `count` times under the strategy's policy, each sweep visiting
+    every diagnostic-sampled node once, alone or in a pair, and redrawing
+    the forward-sampled ones from their parents (under the alternating
+    schedule, on forward passes only)."""
+    if strategy.move_policy == SINGLE_SITE:
+        _single_site_sweeps(state, strategy.rule, count)
+    else:
+        _pair_sweeps(state, strategy, count)
 
 
 def estimate_marginals(net, ev, clamp: ClampResult, acc: MarginalAccumulator) -> dict:
@@ -775,11 +820,8 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     sweep `burn_in`, so a checkpoint at or before it covers burn-in sweeps
     only (the benchmark grid rejects such checkpoints); the survival caches
     are recomputed after every 20000th sweep.  The chain runs in stretches
-    between those stops: a single-site chain makes one `_single_site_sweeps`
-    call per stretch, so its visit counts and cost are charged once per
-    stretch between checkpoints, and any other chain calls `run_sweep` once
-    per sweep.  Returns (state, checkpoint estimates, sweep-loop seconds)
-    per chain.
+    between those stops, one `run_sweep` call per stretch.  Returns (state,
+    checkpoint estimates, sweep-loop seconds) per chain.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
@@ -794,7 +836,6 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
         raise ValueError("network fails strict validation: " + "; ".join(problems))
     wanted = set(checkpoints)
     stops = sorted({*wanted, burn_in, sweeps, *range(20000, sweeps + 1, 20000)} - {0})
-    single = strategy.move_policy == SINGLE_SITE
     runs = []
     for seed in seeds:
         state = setup_chain(net, ev, strategy, ChainRandom(seed))
@@ -802,11 +843,7 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
         t0 = time.perf_counter()
         done = 0
         for s in stops:
-            if single:
-                _single_site_sweeps(state, strategy.rule, s - done)
-            else:
-                for _ in range(s - done):
-                    run_sweep(state, strategy)
+            run_sweep(state, strategy, s - done)
             done = s
             if s in wanted:
                 marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)

@@ -30,14 +30,20 @@ from diagbn.network import Network, NetworkError, validate
 from diagbn.sampler import (
     GIBBS,
     OPTIMIZED_FWD_BWD,
+    SWAP_FRACTION,
     ChainRandom,
     SamplerState,
     StrategySpec,
+    _PairPlan,
+    block_pair_move,
     clamp_and_flow,
     estimate_marginals,
+    forward_redraw,
     pair_scope,
     run_sweep,
     setup_chain,
+    single_site_move,
+    swap_pair_move,
 )
 
 
@@ -594,7 +600,7 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
         marks = {}
         t0 = time.perf_counter()
         for s in range(1, sweeps + 1):
-            run_sweep(state, strategy)
+            run_sweep(state, strategy, 1)
             if s in wanted:
                 marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
             if s == burn_in:
@@ -603,6 +609,109 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
                 state.refresh_survivals()  # bound float drift on very long runs
         runs.append((state, marks, time.perf_counter() - t0))
     return runs
+
+
+def reference_pair_nodes(state: SamplerState, strategy: StrategySpec):
+    """`pair_nodes` as first written on the fixed plan, with a set of
+    matched nodes.  The library's pairing must make the same pairs and
+    draws."""
+    plan = state.pair_plan
+    if plan is None or plan.strategy is not strategy:
+        plan = state.pair_plan = _PairPlan(state, strategy)
+    spouses = plan.spouses
+    rng = state.rng
+    order = list(spouses)
+    rng.shuffle(order)
+    matched = set()
+    pairs = []
+    for a in order:
+        if a in matched:
+            continue
+        partners = [b for b in spouses[a] if b not in matched]
+        if partners:
+            b = partners[rng.randrange(len(partners))]
+            matched.add(a)
+            matched.add(b)
+            pairs.append((a, b))
+    singles = [j for j in state.diagnostic if j not in matched]
+    assert 2 * len(pairs) + len(singles) == len(state.diagnostic)
+    return pairs, singles
+
+
+def reference_pair_event(state: SamplerState, strategy: StrategySpec, a, b):
+    """Move a pair from `pair_nodes` once.
+
+    A pair whose gate children are all off moves as two single-site moves;
+    otherwise a block policy makes the block move, and a swap policy swaps
+    on a fraction `SWAP_FRACTION` of events and moves a and b single-site
+    on the rest.  No move on a or b changes a gate child, so every branch
+    keeps the posterior invariant on its own.
+    """
+    gate = state.pair_plan.gates.get((a, b))
+    rule = strategy.rule
+    if gate is None or any(state.x[c] for c in gate):
+        if strategy.pair_move == "block":
+            block_pair_move(state, a, b, rule)
+            return
+        if state.rng.random() < SWAP_FRACTION:
+            swap_pair_move(state, a, b, rule)
+            return
+    single_site_move(state, a, rule)
+    single_site_move(state, b, rule)
+
+
+def _reference_run_pair_events(state, strategy, pairs, singles):
+    events = pairs + singles
+    state.rng.shuffle(events)
+    for ev in events:
+        if type(ev) is tuple:
+            reference_pair_event(state, strategy, *ev)
+        else:
+            single_site_move(state, ev, strategy.rule)
+
+
+def _reference_fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
+    """One pass of the alternating schedule.
+
+    Forward passes visit every free node in topological order, redrawing
+    forward-sampled nodes from their freshly updated parents; backward passes
+    revisit only the diagnostic-sampled nodes, in reverse order.  Pairings
+    are fresh per pass, and a pair makes its `reference_pair_event` at the
+    position of whichever of its nodes the pass reaches first, gate shut or
+    not.
+    """
+    backward = state.sweep_idx % 2 == 1
+    pairs, _ = reference_pair_nodes(state, strategy)
+    partner = dict(pairs)
+    partner.update((b, a) for a, b in pairs)
+    order = state.topo_diagnostic_reversed if backward else state.topo_free
+    done = set()
+    for j in order:
+        if j in done:
+            continue
+        if state.forward_sampled[j]:
+            forward_redraw(state, j)
+            continue
+        if j in partner:
+            reference_pair_event(state, strategy, j, partner[j])
+            done.add(partner[j])
+        else:
+            single_site_move(state, j, strategy.rule)
+
+
+def reference_pair_sweep(state: SamplerState, strategy: StrategySpec):
+    """One sweep of a pair schedule as first written: a call per pair
+    event, per single-site move and per forward redraw.  The library's
+    stretch loop must reproduce its values, credits, cached conditionals,
+    cost and RNG draws exactly."""
+    if strategy.move_policy == OPTIMIZED_FWD_BWD:
+        _reference_fwd_bwd_sweep(state, strategy)
+    else:
+        pairs, singles = reference_pair_nodes(state, strategy)
+        _reference_run_pair_events(state, strategy, pairs, singles)
+        for j in state.topo_forward:
+            forward_redraw(state, j)
+    state.sweep_idx += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1207,7 @@ def sweep_kernel(net, ev, strategy, sweep_idx):
             chain.x[j] = (s >> k) & 1
         chain.refresh_survivals()
         chain.sweep_idx = sweep_idx
-        run_sweep(chain, strategy)
+        run_sweep(chain, strategy, 1)
         return sum(chain.x[j] << k for k, j in enumerate(free))
 
     for s in range(size):

@@ -229,7 +229,7 @@ def _single_cause_hop_rate(net, ev, cause_idx, strategy, seed, sweeps):
     prev = None
     hops = 0
     for _ in range(sweeps):
-        run_sweep(state, strategy)
+        run_sweep(state, strategy, 1)
         trues = [i for i in cause_idx if state.x[i]]
         label = trues[0] if len(trues) == 1 else None
         if label is not None:

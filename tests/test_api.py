@@ -9,6 +9,10 @@ benchmark in `perfbench/`.  Three checks hold the library to them:
 - every method, dataclass field and `self.` attribute a library class
   defines is read as an attribute in shipped code.
 
+The converse holds too: every function `perfbench/spans.py` wraps by name
+exists, since the benchmark's traced run would otherwise stop on an
+AttributeError that no other test meets.
+
 Anything else serves only tests: a test reference belongs in
 `tests/oracles.py`, a setting with one value in use is a module constant,
 and code that serves only its own tests goes.
@@ -29,6 +33,7 @@ caught by reading:
 
 import ast
 import glob
+import importlib
 import os
 
 import diagbn
@@ -176,3 +181,25 @@ def test_every_class_attribute_is_read_by_shipped_code():
         if name not in read
     )
     assert not unread, f"attributes only tests read: {unread}"
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # read with ast: perfbench is a directory of scripts, not a package
+    tree = parse(os.path.join(ROOT, "perfbench", "spans.py"))
+    [listed] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets)
+    ]
+    functions = ast.literal_eval(listed)
+    assert ("sampler", "single_site_move") in functions
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in functions
+        if not callable(getattr(importlib.import_module(f"diagbn.{module}"), attr, None))
+    ]
+    # the one method spans.py patches on its class
+    if not callable(getattr(importlib.import_module("diagbn.exact").TransitionMatrix, "apply_sweep", None)):
+        missing.append("exact.TransitionMatrix.apply_sweep")
+    assert not missing, f"perfbench/spans.py traces what diagbn lacks: {missing}"

@@ -23,15 +23,16 @@ from diagbn import sampler
 from diagbn.exact import explicit_transition_matrix
 from diagbn.network import build_network
 from diagbn.sampler import (
+    BLOCK_SPOUSES_PARENT_TRUE,
     GIBBS,
     METROPOLIS,
     OPTIMIZED_FWD_BWD,
     PRESETS,
     SINGLE_SITE,
     SWAP_FRACTION,
+    SWAP_SPOUSES_CHILD_TRUE,
     ChainRandom,
     StrategySpec,
-    _pair_event,
     _run_chains,
     _single_site_sweeps,
     block_pair_move,
@@ -48,6 +49,7 @@ from diagbn.sampler import (
     single_site_move,
     swap_pair_move,
 )
+import oracles
 from oracles import (
     MoveProposal,
     conditional_by_enumeration,
@@ -427,7 +429,7 @@ class TestSingleSiteSweepMatchesReference:
                 sweep = 0
                 for length in stretches or [1] * 20:
                     if stretches is None:
-                        run_sweep(state, strategy)
+                        run_sweep(state, strategy, 1)
                     else:
                         _single_site_sweeps(state, rule, length)
                     for _ in range(length):
@@ -454,6 +456,76 @@ class TestSingleSiteSweepMatchesReference:
         assert visits > 5000
         # one comparison per stretch, not per sweep, when run in stretches
         assert live > (1000 if stretches is None else 300)
+
+
+PAIR_PRESETS = [name for name, spec in PRESETS.items() if spec.move_policy != SINGLE_SITE]
+PAIR_SPECS = [PRESETS[name] for name in PAIR_PRESETS] + [
+    StrategySpec(f"{policy}-{rule}-{flow_aware}", False, flow_aware, policy, rule)
+    for policy in (BLOCK_SPOUSES_PARENT_TRUE, SWAP_SPOUSES_CHILD_TRUE, OPTIMIZED_FWD_BWD)
+    for rule in (GIBBS, METROPOLIS)
+    for flow_aware in (False, True)
+]
+
+
+class TestPairSweepMatchesReference:
+    """The pair-schedule stretch loop against the sweep as first written, a
+    call per pair event, single-site move and forward redraw.  The loop
+    runs one sweep per `run_sweep` call, or the same 20 sweeps as stretches
+    of 1, 2, 5 and 12 sweeps, compared at the end of each stretch."""
+
+    @pytest.mark.parametrize("stretches", [None, (1, 2, 5, 12)], ids=["sweeps", "stretches"])
+    def test_same_sweeps_as_reference(self, vase, monkeypatch, stretches):
+        # the reference's pair events tally which gate and coin branch ran
+        tally = dict.fromkeys(["open", "shut", "swap", "stay", "identity"], 0)
+
+        def tallied(state, strategy, a, b, _event=oracles.reference_pair_event):
+            gate = state.pair_plan.gates.get((a, b))
+            if gate is None or any(state.x[c] for c in gate):
+                tally["open"] += 1
+                if strategy.pair_move == "swap":
+                    coin = random.Random()
+                    coin.setstate(state.rng.getstate())
+                    if coin.random() < SWAP_FRACTION:
+                        tally["swap"] += 1
+                        tally["identity"] += state.x[a] == state.x[b]
+                    else:
+                        tally["stay"] += 1
+            else:
+                tally["shut"] += 1
+            _event(state, strategy, a, b)
+
+        monkeypatch.setattr(oracles, "reference_pair_event", tallied)
+        rng = random.Random(2017)
+        problems = [(vase, {"v": True})]
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            problems.append((net, random_evidence(rng, net, max_nodes=3)))
+        live = 0
+        for trial, (net, ev) in enumerate(problems):
+            for strategy in PAIR_SPECS:
+                state = setup_chain(net, ev, strategy, ChainRandom(trial))
+                ref = copy.deepcopy(state)
+                ref.rng = random.Random()
+                ref.rng.setstate(state.rng.getstate())
+                sweep = 0
+                for length in stretches or [1] * 20:
+                    run_sweep(state, strategy, length)
+                    for _ in range(length):
+                        oracles.reference_pair_sweep(ref, strategy)
+                    sweep += length
+                    where = (trial, strategy.name, sweep)
+                    assert state.sweep_idx == ref.sweep_idx == sweep, where
+                    assert state.x == ref.x, where
+                    assert state.surv == ref.surv, where
+                    assert state.odds_cache == ref.odds_cache, where
+                    live += sum(hit is not None for hit in state.odds_cache)
+                    assert state.acc.sums == ref.acc.sums, where
+                    assert state.acc.counts == ref.acc.counts, where
+                    assert state.cost == ref.cost, where
+                    assert state.rng.getstate() == ref.rng.getstate(), where
+        assert live > 1000
+        assert min(tally.values()) > 100, tally
 
 
 class TestChainRandom:
@@ -579,9 +651,11 @@ class TestPairing:
         assert set(singles) == {net.index["a"], net.index["b"]}
 
     def test_child_true_pairs_whatever_the_child_holds(self, monkeypatch):
-        # {a, b} forms whether m is on or off; m gates the event: off, a and
-        # b each move single-site and no coin is drawn, on, the pair swaps
-        # when the coin comes up
+        # {a, b} forms whether m is on or off; m gates the pair's visit: off,
+        # a and b each move single-site and no coin is drawn, on, the pair
+        # swaps when the coin comes up.  A forward pass reaches the pair
+        # before m, so the gate reads the m forced before the sweep, and
+        # under the Gibbs rule every single-site move draws once
         net = build_network(
             [
                 ("a", "model", 0.1),
@@ -591,31 +665,59 @@ class TestPairing:
             ],
             [("a", "m", 0.5), ("b", "m", 0.5), ("m", "s", 0.9)],
         )
-        strategy = PRESETS["swap-spouses-child-true"]
-        state = make_state(net, {"s": True}, "swap-spouses-child-true")
+        strategy = StrategySpec("fwd-bwd-gibbs", False, False, OPTIMIZED_FWD_BWD, GIBBS)
+
+        class Drawn(ChainRandom):
+            # ChainRandom shuffles and picks by getrandbits, so this lists
+            # the uniform draws alone
+            drawn = []
+
+            def random(self):
+                u = super().random()
+                self.drawn.append(u)
+                return u
+
+        state = setup_chain(net, {"s": True}, strategy, Drawn(7))
         ja, jb = net.index["a"], net.index["b"]
-        moves = []
-        monkeypatch.setattr(sampler, "single_site_move", lambda st, n, rule: moves.append(n))
-        monkeypatch.setattr(sampler, "swap_pair_move", lambda st, a, b, rule: moves.append((a, b)))
-        swaps = 0
+        swaps = []
+
+        def recorded(st, a, b, rule, _swap=sampler.swap_pair_move):
+            swaps.append({a, b})
+            _swap(st, a, b, rule)
+
+        monkeypatch.setattr(sampler, "swap_pair_move", recorded)
+        swapped = exchanged = 0
         for m in (0, 1):
-            force(state, "m", m)
-            pairs, singles = pair_nodes(state, strategy)
-            assert len(pairs) == 1 and set(pairs[0]) == {ja, jb}
-            assert singles == [net.index["m"]]
-            for _ in range(40):
-                moves.clear()
-                rng = copy.deepcopy(state.rng)
-                _pair_event(state, strategy, ja, jb)
+            for k in range(40):
+                force(state, "m", m)
+                force(state, "a", k % 2)
+                force(state, "b", k // 2 % 2)
+                pairs, singles = pair_nodes(state, strategy)
+                assert len(pairs) == 1 and set(pairs[0]) == {ja, jb}
+                assert singles == [net.index["m"]]
+                state.sweep_idx = 0
+                state.rng.drawn = []
+                swaps.clear()
+                counts = list(state.acc.counts)
+                run_sweep(state, strategy, 1)
+                assert [now - was for now, was in zip(state.acc.counts, counts)] == [1, 1, 1, 0]
+                drawn = state.rng.drawn
                 if not m:
-                    assert moves == [ja, jb]
-                    assert state.rng.getstate() == rng.getstate()
-                elif rng.random() < SWAP_FRACTION:
-                    assert moves == [(ja, jb)]
-                    swaps += 1
+                    # a, b and m single-site, no coin
+                    assert swaps == [] and len(drawn) == 3
+                elif drawn[0] < SWAP_FRACTION:
+                    # the coin, the swap's own draw unless equal values
+                    # exchange without a call, then m single-site
+                    if k % 2 == k // 2 % 2:
+                        assert swaps == [] and len(drawn) == 2
+                    else:
+                        assert swaps == [{ja, jb}] and len(drawn) == 3
+                    swapped += 1
+                    exchanged += len(swaps)
                 else:
-                    assert moves == [ja, jb]
-        assert 0 < swaps < 40
+                    # the coin, then a, b and m single-site
+                    assert swaps == [] and len(drawn) == 4
+        assert 0 < exchanged < swapped < 40
 
     def test_child_true_plan_drops_children_fixed_off(self):
         # a and b share a free child m, a true and a false finding; c and d
@@ -705,9 +807,6 @@ class TestPairing:
         assert kinds["block-spouses-parent-true"] == ("block", False)
         assert kinds["swap-spouses-child-true"] == ("swap", False)
         assert kinds["optimized-fwd-bwd"] == ("swap", False)
-
-
-PAIR_PRESETS = [name for name, spec in PRESETS.items() if spec.move_policy != SINGLE_SITE]
 
 
 class TestPairingMatchesReference:
@@ -805,7 +904,7 @@ class TestSweeps:
                     assert state.topo_forward == [], name
                 n_sweeps = 6
                 for _ in range(n_sweeps):
-                    run_sweep(state, strategy)
+                    run_sweep(state, strategy, 1)
                 for j in state.free:
                     floor = n_sweeps
                     if (
@@ -829,7 +928,7 @@ class TestSweeps:
         force(state, "b", 0)
         seen = set()
         for _ in range(2000):
-            run_sweep(state, strategy)
+            run_sweep(state, strategy, 1)
             seen.add((state.x[vase.index["e"]], state.x[vase.index["b"]]))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -851,7 +950,7 @@ class TestSweeps:
         strategy = PRESETS["optimized-fwd-bwd"]
         state = make_state(net, {"s": True}, "optimized-fwd-bwd", seed=5)
         for _ in range(40):
-            run_sweep(state, strategy)
+            run_sweep(state, strategy, 1)
         # d is forward-sampled: visited only on the 20 forward passes
         assert state.acc.counts[net.index["d"]] == 20
         # a is diagnostic-sampled: visited on every pass
@@ -967,13 +1066,13 @@ class TestOddsCache:
         import diagbn.sampler as sampler
 
         live = [0]
-        for move in ("single_site_move", "swap_pair_move", "block_pair_move", "forward_redraw"):
+        for move in ("swap_pair_move", "block_pair_move"):
             def checked(state, *args, _move=getattr(sampler, move)):
                 _move(state, *args)
                 live[0] += assert_odds_cache_coherent(state)
             monkeypatch.setattr(sampler, move, checked)
-        # the single-site sweep loop makes its moves without calling
-        # single_site_move, so check after each of its flips and each sweep
+        # the sweep loops make their single-site moves and forward redraws
+        # inline, so check after each of their flips and each sweep
         def checked_flip(state, n, _flip=sampler.SamplerState.flip):
             _flip(state, n)
             live[0] += assert_odds_cache_coherent(state)
@@ -988,7 +1087,7 @@ class TestOddsCache:
             for name, strategy in PRESETS.items():
                 state = make_state(net, ev, name, seed=trial)
                 for _ in range(4):
-                    run_sweep(state, strategy)
+                    run_sweep(state, strategy, 1)
                     live[0] += assert_odds_cache_coherent(state)
         assert live[0] > 0  # the check saw cache hits to compare
 

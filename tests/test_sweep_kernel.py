@@ -4,7 +4,7 @@
 `run_sweep`, so these tests check the chain the library runs, pair
 selection and swap coins included, rather than a model of it.  Flow-aware
 presets are checked on the marginal of the diagnostic-sampled nodes, the
-only part of the state their passes keep invariant (see `_fwd_bwd_sweep`).
+only part of the state their passes keep invariant (see `_pair_sweeps`).
 """
 
 import random
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diagbn.network import build_network
-from diagbn.sampler import OPTIMIZED_FWD_BWD, PRESETS
+from diagbn.sampler import OPTIMIZED_FWD_BWD, PRESETS, pair_nodes, setup_chain
 from oracles import joint_prob, random_dag, random_evidence, sweep_kernel
 
 EXACT_PRESETS = [
@@ -91,16 +91,23 @@ def test_sweep_keeps_posterior_on_net_b(name):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [25, 73])
+@pytest.mark.parametrize("seed", [25, 73, 8])
 @pytest.mark.parametrize("name", EXACT_PRESETS + CHILD_TRUE_PRESETS)
 def test_sweep_keeps_posterior_on_generated_nets(name, seed):
-    # both seeds give 4 free nodes, one of which clamping pins and one of
-    # which the flow map forward-samples, so every chain layout is covered
+    # every seed gives 4 free nodes.  On 25 and 73 clamping pins one and the
+    # flow map forward-samples one, so every chain layout is covered, but
+    # every candidate pair links through true evidence and none is gated;
+    # on 8 every child-true plan gates pairs on free children
     rng = random.Random(seed)
     nodes, edges = random_dag(rng, 7, edge_prob=0.4)
     net = build_network(nodes, edges)
     ev = random_evidence(rng, net, max_nodes=3)
     assert len(net.ids) - len(ev) == 4
-    err, row_err = stationarity_error(net, ev, PRESETS[name])
+    strategy = PRESETS[name]
+    if seed == 8 and name in CHILD_TRUE_PRESETS:
+        chain = setup_chain(net, ev, strategy, random.Random(0))
+        pair_nodes(chain, strategy)
+        assert chain.pair_plan.gates
+    err, row_err = stationarity_error(net, ev, strategy)
     assert row_err < 1e-12
     assert err < 1e-12, err
