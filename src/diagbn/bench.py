@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .exact import exact_posteriors
 from .generate import cases_from_jsonable
 from .network import MODEL, STRICT, parse_network
-from .sampler import PRESETS, StrategySpec, derive_seed, run_chain
+from .sampler import derive_seed, preset, run_chain
 
 DEFAULT_EPSILON_FLOOR = 0.01
 
@@ -56,11 +56,6 @@ class ExperimentConfig:
     baseline: str = None  # None -> the first strategy
     burn_in: int = 0
 
-    def resolve_strategy(self, name) -> StrategySpec:
-        if name not in PRESETS:
-            raise ValueError(f"unknown strategy {name!r}; presets: {sorted(PRESETS)}")
-        return PRESETS[name]
-
     def check(self):
         """Reject a grid that cannot run, would score burn-in sweeps, names
         a baseline it does not run, has no finite nonnegative accuracy floor,
@@ -70,7 +65,7 @@ class ExperimentConfig:
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"strategies listed more than once: {self.strategies}")
         for name in self.strategies:
-            self.resolve_strategy(name)
+            preset(name)
         if self.baseline is not None and self.baseline not in self.strategies:
             raise ValueError(
                 f"baseline {self.baseline!r} is not one of the strategies {self.strategies}"
@@ -228,7 +223,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     cost = {s: 0 for s in config.strategies}
     cells = len(config.cases) * config.repetitions
     for name in config.strategies:
-        strategy = config.resolve_strategy(name)
+        strategy = preset(name)
         for case_idx, case in enumerate(config.cases):
             scored = _scored_nodes(net, case)
             truth = {nid: truths[case_idx][nid] for nid in scored}

@@ -19,7 +19,7 @@ from .exact import exact_posteriors
 from .flow import clamp_pass, classify_flow
 from .generate import GeneratorParams, cases_to_jsonable, generate_cases, generate_network
 from .network import PERMISSIVE, STRICT, parse_evidence, parse_network, serialize_network
-from .sampler import PRESETS, sample_posteriors
+from .sampler import preset, sample_posteriors
 
 
 def _dump_json(obj, path):
@@ -44,12 +44,10 @@ def _load_evidence(path, net):
 def _cmd_sample(args):
     net = _load_network(args.network, STRICT)
     ev = _load_evidence(args.evidence, net)
-    if args.strategy not in PRESETS:
-        raise ValueError(f"unknown strategy {args.strategy!r}; presets: {sorted(PRESETS)}")
     marginals = sample_posteriors(
         net,
         ev,
-        PRESETS[args.strategy],
+        preset(args.strategy),
         sweeps=args.sweeps,
         seed=args.seed,
         burn_in=args.burn_in,

@@ -18,11 +18,15 @@ children too (diagnostic-sampled).  The blanket mode is the map a sampler
 without flow-awareness runs on: every child counts as evidential and every
 free node is diagnostic-sampled, so each conditional is the textbook Markov
 blanket one.  The flow map is the only place flow-awareness enters a chain.
+
+Both facts are closures of the evidence under one graph walk, `_closure`.
+The evidence cover is the true evidence closed over parents; clamping keeps
+free the cover closed over children; a child carries evidence when it lies
+in the closure of all the evidence over parents.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .network import Network
@@ -48,7 +52,7 @@ class FlowInfo:
 
 
 def clamp_pass(net: Network, ev: dict) -> ClampResult:
-    """Two-phase reachability: ancestors of true evidence, then their descendants.
+    """Two-phase reachability: the evidence cover, then its descendants.
 
     Returns the partition, which is a function of the evidence *set*: the
     order evidence nodes are listed in does not matter.
@@ -56,27 +60,7 @@ def clamp_pass(net: Network, ev: dict) -> ClampResult:
     for nid in ev:
         if nid not in net.index:
             raise ValueError(f"evidence references unknown node {nid!r}")
-    sources = [net.index[nid] for nid in net.ids if ev.get(nid) is True]
-    signalled = set()
-    queue = deque()
-    for s in sources:
-        if s not in signalled:
-            signalled.add(s)
-            queue.append(s)
-    while queue:
-        j = queue.popleft()
-        for i in net.parents[j]:
-            if i not in signalled:
-                signalled.add(i)
-                queue.append(i)
-    queue = deque(sorted(signalled))
-    reached = set(signalled)
-    while queue:
-        j = queue.popleft()
-        for c in net.children[j]:
-            if c not in reached:
-                reached.add(c)
-                queue.append(c)
+    reached = _closure(evidence_cover(net, ev), net.children)
     evidence_idx = {net.index[nid] for nid in ev}
     unclamped = reached - evidence_idx
     clamped = set(range(len(net.ids))) - reached - evidence_idx
@@ -92,17 +76,6 @@ def no_clamp(net: Network, ev: dict) -> ClampResult:
     return ClampResult(clamped_false=frozenset(), unclamped=free)
 
 
-def _carries_evidence(net: Network, ev: dict):
-    # carries[j]: j is an evidence node or has an evidence descendant
-    carries = [False] * len(net.ids)
-    for nid in ev:
-        carries[net.index[nid]] = True
-    for j in reversed(net.topo):
-        if not carries[j]:
-            carries[j] = any(carries[c] for c in net.children[j])
-    return carries
-
-
 def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = False) -> dict:
     """FlowInfo for every non-evidence node.
 
@@ -113,7 +86,8 @@ def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = Fa
     blanket=True every child is evidential and every free node, childless or
     not, is diagnostic-sampled: the whole Markov blanket is conditioned on.
     """
-    carries = None if blanket else _carries_evidence(net, ev)
+    # every evidence node and every node with an evidence descendant
+    carries = None if blanket else _closure((net.index[nid] for nid in ev), net.parents)
     out = {}
     for j, nid in enumerate(net.ids):
         if nid in ev:
@@ -121,7 +95,7 @@ def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = Fa
         if nid in clamp.clamped_false:
             out[nid] = FlowInfo(CLAMPED, (), frozenset())
             continue
-        lam = tuple(net.ids[c] for c in net.children[j] if blanket or carries[c])
+        lam = tuple(net.ids[c] for c in net.children[j] if blanket or c in carries)
         cond = {net.ids[i] for i in net.parents[j]}
         for cid in lam:
             cond.add(cid)
@@ -134,13 +108,19 @@ def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = Fa
 
 def evidence_cover(net: Network, ev: dict) -> set:
     """Indices of the true evidence nodes and all their ancestors: the nodes
-    with positive diagnostic reach, which cover-gated pair moves pair through."""
-    cover = {net.index[nid] for nid, value in ev.items() if value}
-    stack = list(cover)
+    with positive diagnostic reach, which cover-gated pair moves pair through
+    and clamping keeps free, with their descendants."""
+    return _closure((net.index[nid] for nid, value in ev.items() if value), net.parents)
+
+
+def _closure(start, links) -> set:
+    """The nodes in `start` and every node reached from them through
+    `links`: `net.parents` for ancestors, `net.children` for descendants."""
+    seen = set(start)
+    stack = list(seen)
     while stack:
-        j = stack.pop()
-        for i in net.parents[j]:
-            if i not in cover:
-                cover.add(i)
+        for i in links[stack.pop()]:
+            if i not in seen:
+                seen.add(i)
                 stack.append(i)
-    return cover
+    return seen

@@ -47,7 +47,6 @@ class Network:
         self.parents = [[] for _ in range(n)]
         self.parent_p = [[] for _ in range(n)]
         self.children = [[] for _ in range(n)]
-        self.child_p = [[] for _ in range(n)]
         self.edge_p = {}
         for uid, vid, p in edges:
             try:
@@ -60,7 +59,6 @@ class Network:
             self.parents[v].append(u)
             self.parent_p[v].append(p)
             self.children[u].append(v)
-            self.child_p[u].append(p)
         self.topo = self._toposort()
 
     def _toposort(self):

@@ -86,7 +86,6 @@ BLOCK_SPOUSES_COVER = "block-spouses-cover"
 BLOCK_SPOUSES_PARENT_TRUE = "block-spouses-parent-true"
 SWAP_SPOUSES_COVER = "swap-spouses-cover"
 SWAP_SPOUSES_CHILD_TRUE = "swap-spouses-child-true"
-OPTIMIZED_RANDOM = "optimized-random"
 OPTIMIZED_FWD_BWD = "optimized-fwd-bwd"
 
 # per move policy: the pair move it makes (None, "block" or "swap") and
@@ -98,7 +97,6 @@ _POLICIES = {
     BLOCK_SPOUSES_PARENT_TRUE: ("block", False),
     SWAP_SPOUSES_COVER: ("swap", True),
     SWAP_SPOUSES_CHILD_TRUE: ("swap", False),
-    OPTIMIZED_RANDOM: ("swap", False),
     OPTIMIZED_FWD_BWD: ("swap", False),
 }
 
@@ -146,10 +144,17 @@ PRESETS = {
         StrategySpec("swap-spouses-cover", False, False, SWAP_SPOUSES_COVER, GIBBS),
         StrategySpec("swap-spouses-child-true", False, False, SWAP_SPOUSES_CHILD_TRUE, GIBBS),
         StrategySpec("metropolis", False, False, SINGLE_SITE, METROPOLIS),
-        StrategySpec("optimized-random", True, True, OPTIMIZED_RANDOM, METROPOLIS),
+        StrategySpec("optimized-random", True, True, SWAP_SPOUSES_CHILD_TRUE, METROPOLIS),
         StrategySpec("optimized-fwd-bwd", True, True, OPTIMIZED_FWD_BWD, METROPOLIS),
     ]
 }
+
+
+def preset(name) -> StrategySpec:
+    """The preset strategy called `name`; ValueError naming the presets if none is."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown strategy {name!r}; presets: {sorted(PRESETS)}")
+    return PRESETS[name]
 
 
 class ChainRandom(random.Random):
@@ -219,6 +224,9 @@ class MarginalAccumulator:
 class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng.
 
+    The free nodes are the clamp result's `unclamped`, split into the
+    `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
+    survivals as running products, which `toggle` recomputes on underflow.
     `odds_cache[n]` holds (odds, p_on) of n's conditional for a
     diagnostic-sampled node n, or None when `fill_odds` must recompute it.
     `invalidate(k)` clears the nodes `stale[k]` lists, whatever the values,
@@ -235,9 +243,7 @@ class SamplerState:
         n = len(net.ids)
         self.x = [0] * n
         self.surv = [0.0] * n
-        self.free = sorted(
-            net.index[nid] for nid in net.ids if nid not in ev and nid not in clamp.clamped_false
-        )
+        self.free = sorted(net.index[nid] for nid in clamp.unclamped)
         self.is_free = [False] * n
         for j in self.free:
             self.is_free[j] = True
@@ -265,9 +271,7 @@ class SamplerState:
         self.pair_plan = None  # built by pair_nodes on first use
         self.pair_memo = {}  # (a, b) -> pair_scope(self, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
-        self.child_q = [
-            [1.0 - p for p in net.child_p[j]] for j in range(n)
-        ]
+        self.child_q = [[1.0 - net.edge_p[(j, c)] for c in net.children[j]] for j in range(n)]
         self.acc = MarginalAccumulator.zeros(n)
         self.sweep_idx = 0
         self.cost = 0
@@ -314,13 +318,16 @@ class SamplerState:
 
     def toggle(self, n):
         """Toggle node n and update the survival caches of all its children,
-        leaving the cached conditionals to the caller to invalidate."""
+        leaving the cached conditionals to the caller to invalidate.  Turning
+        n off recomputes from its parents, rather than divides, a survival
+        that underflowed below the smallest normal float."""
         x = self.x
         surv = self.surv
         if x[n]:
             x[n] = 0
             for c, q in zip(self.net.children[n], self.child_q[n]):
-                surv[c] /= q
+                s = surv[c]
+                surv[c] = s / q if s >= 2.2250738585072014e-308 else self.net.survival(c, x)
         else:
             x[n] = 1
             for c, q in zip(self.net.children[n], self.child_q[n]):
@@ -330,11 +337,12 @@ class SamplerState:
         """Compute, cache and return the odds and probability of n being on
         given its conditioning scope, for a cache miss.  An off child
         contributes q alone; an on child the ratio of its on-probabilities
-        with n on and off, from its survival cache."""
+        with n on and off, from its survival cache.  A survival of 0.0, or
+        odds past the float range, mean n is on for certain."""
         surv = self.surv
         x = self.x
         sn = surv[n]
-        odds = (1.0 - sn) / sn
+        odds = (1.0 - sn) / sn if sn else float("inf")
         xn = x[n]
         for c, q in zip(self.scope_children[n], self.scope_q[n]):
             if not x[c]:
@@ -345,7 +353,7 @@ class SamplerState:
             else:
                 sc = surv[c]
                 odds *= (1.0 - sc * q) / (1.0 - sc)
-        hit = self.odds_cache[n] = (odds, odds / (1.0 + odds))
+        hit = self.odds_cache[n] = (odds, odds / (1.0 + odds) if odds < 1e308 else 1.0)
         return hit
 
     def restricted_weight(self, nodes) -> float:
@@ -525,13 +533,12 @@ def spouse_links(state: SamplerState, strategy: StrategySpec) -> dict:
     forward-sampled child couples nothing in the collapsed posterior.
     """
     net = state.net
-    is_diagnostic = [False] * len(net.ids)
-    for j in state.diagnostic:
-        is_diagnostic[j] = True
+    is_free = state.is_free
+    forward_sampled = state.forward_sampled
     cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
     return {
         j: [
-            (c, [b for b in net.parents[c] if b != j and is_diagnostic[b]])
+            (c, [b for b in net.parents[c] if b != j and is_free[b] and not forward_sampled[b]])
             for c in state.scope_children[j]
             if cover is None or c in cover
         ]

@@ -35,6 +35,18 @@ VASE_SWAP_GIBBS = 0.6423676684394936  # P(move) from (1,0) to (0,1), Gibbs rule
 VASE_SWAP_RATIO = 1.7961677727418044  # weight ratio (0,1)/(1,0)
 
 
+def underflow_problem(s_value):
+    """45 parents with leak 0.99 drive s through p = 1 - 1e-8 links, so s's
+    survival underflows to 0.0 while they are on; one of them drives t,
+    which is observed true.  s is unobserved (s_value None), as in the
+    benchmark's underflow network, or observed."""
+    nodes = [(f"m{i:02d}", "model", 0.99) for i in range(1, 46)]
+    nodes += [("s", "sensory", 0.001), ("t", "sensory", 0.001)]
+    edges = [(f"m{i:02d}", "s", 1 - 1e-8) for i in range(1, 46)] + [("m01", "t", 0.5)]
+    ev = {"t": True} if s_value is None else {"s": s_value, "t": True}
+    return build_network(nodes, edges), ev
+
+
 @pytest.fixture
 def vase():
     return build_network(

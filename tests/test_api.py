@@ -1,9 +1,11 @@
 """Everything the library offers is used by the code that ships.
 
 The library's callers are its own modules, the CLI, `scripts/` and the
-benchmark in `perfbench/`.  Three checks hold the library to them:
+benchmark in `perfbench/`.  Four checks hold the library to them:
 
 - every public name is read by one of them;
+- every module-level function and class, private ones too, is read by one
+  of them or wrapped by name in `perfbench/spans.py`;
 - every defaulted parameter of a library function is passed, by keyword or
   by position, in some shipped call to that function's name;
 - every method, dataclass field and `self.` attribute a library class
@@ -69,14 +71,42 @@ def used_names(path):
     return names
 
 
-def test_every_export_is_used_outside_tests():
+def shipped_names():
     sources = shipped_sources()
     assert any(p.endswith(os.path.join("perfbench", "run.py")) for p in sources)
     used = set()
     for path in sources:
         used |= used_names(path)
-    unused = sorted(set(diagbn.__all__) - used)
+    return used
+
+
+def traced_functions():
+    """The (module, function) pairs `perfbench/spans.py` wraps by name."""
+    # read with ast: perfbench is a directory of scripts, not a package
+    tree = parse(os.path.join(ROOT, "perfbench", "spans.py"))
+    [listed] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets)
+    ]
+    return ast.literal_eval(listed)
+
+
+def test_every_export_is_used_outside_tests():
+    unused = sorted(set(diagbn.__all__) - shipped_names())
     assert not unused, f"exported but called only from tests: {unused}"
+
+
+def test_every_module_level_definition_is_used_outside_tests():
+    used = shipped_names() | {function for _, function in traced_functions()}
+    unused = sorted(
+        f"{os.path.basename(path)[:-3]}.{node.name}"
+        for path in library_sources()
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    )
+    assert not unused, f"defined in the library but used only by tests: {unused}"
 
 
 def is_dunder(name):
@@ -184,15 +214,7 @@ def test_every_class_attribute_is_read_by_shipped_code():
 
 
 def test_every_function_the_benchmark_traces_exists():
-    # read with ast: perfbench is a directory of scripts, not a package
-    tree = parse(os.path.join(ROOT, "perfbench", "spans.py"))
-    [listed] = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets)
-    ]
-    functions = ast.literal_eval(listed)
+    functions = traced_functions()
     assert ("sampler", "single_site_move") in functions
     missing = [
         f"{module}.{attr}"

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from conftest import VASE_P_B, VASE_P_E
+from conftest import VASE_P_B, VASE_P_E, underflow_problem
 from diagbn.cli import main
-from diagbn.network import STRICT, parse_network, validate
+from diagbn.network import STRICT, parse_network, serialize_network, validate
+from diagbn.sampler import PRESETS
 
 NULL = object()  # a bench config override that writes a JSON null
 
@@ -150,6 +151,31 @@ class TestSample:
         assert rc == 2
         assert err.startswith("error:") and '"nodes" and "edges" lists' in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", sorted(PRESETS))
+    def test_underflowing_survival_exits_0(self, tmp_path, capsys, strategy):
+        # the survival cache of s underflows to 0.0; six presets used to
+        # end in a ZeroDivisionError traceback here
+        net, ev = underflow_problem(None)
+        net_path, ev_path, out = tmp_path / "net.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(serialize_network(net))
+        ev_path.write_text(json.dumps(ev))
+        rc, _, err = run_cli(
+            [
+                "sample",
+                "--network", str(net_path),
+                "--evidence", str(ev_path),
+                "--strategy", strategy,
+                "--sweeps", "200",
+                "--seed", "1",
+                "--chains", "2",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert rc == 0, err
+        marginals = json.loads(out.read_text())["marginals"]
+        assert all(0.0 <= p <= 1.0 for p in marginals.values())
 
 
 class TestExact:

@@ -9,10 +9,18 @@ from diagbn.flow import (
     FORWARD_SAMPLED,
     clamp_pass,
     classify_flow,
+    evidence_cover,
     no_clamp,
 )
 from diagbn.network import build_network
-from oracles import d_separated, markov_blanket, random_dag, random_evidence, unclamped_by_reachability
+from oracles import (
+    ancestors,
+    d_separated,
+    markov_blanket,
+    random_dag,
+    random_evidence,
+    unclamped_by_reachability,
+)
 
 
 def chain_net():
@@ -122,6 +130,29 @@ class TestClampPass:
                 assert post[nid] <= prior[nid] + 1e-9
                 checked += 1
         assert checked > 20
+
+
+class TestEvidenceCover:
+    def test_true_evidence_and_its_ancestors_on_random_dags(self):
+        rng = random.Random(23)
+        covered = 0
+        for trial in range(100):
+            nodes, edges = random_dag(rng, rng.randint(2, 40), edge_prob=rng.uniform(0.05, 0.4))
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=5)
+            want = set()
+            for nid, value in ev.items():
+                if value:
+                    want |= {nid} | ancestors(net, nid)
+            got = {net.ids[j] for j in evidence_cover(net, ev)}
+            assert got == want, (trial, ev)
+            covered += len(want) > len([v for v in ev.values() if v])
+        assert covered > 30  # most draws cover ancestors beyond the evidence
+
+    def test_false_evidence_covers_nothing(self):
+        net = chain_net()
+        assert evidence_cover(net, {"s1": False}) == set()
+        assert evidence_cover(net, {"m2": True, "s1": False}) == {net.index["m1"], net.index["m2"]}
 
 
 class TestEvidentialChildren:

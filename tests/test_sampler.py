@@ -1,9 +1,12 @@
 import copy
 import itertools
+import math
 import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     VASE_BLOCK_DIST,
@@ -12,6 +15,7 @@ from conftest import (
     VASE_P_E_GIVEN_B0,
     VASE_SWAP_GIBBS,
     VASE_SWAP_RATIO,
+    underflow_problem,
 )
 from diagbn.flow import (
     FORWARD_SAMPLED,
@@ -21,7 +25,7 @@ from diagbn.flow import (
 )
 from diagbn import sampler
 from diagbn.exact import explicit_transition_matrix
-from diagbn.network import build_network
+from diagbn.network import build_network, validate
 from diagbn.sampler import (
     BLOCK_SPOUSES_PARENT_TRUE,
     GIBBS,
@@ -1375,3 +1379,55 @@ class TestAccumulator:
         est = estimate_marginals(net, ev, clamp, state.acc)
         assert est["m2"] == 0.0
         assert est["s1"] == 1.0
+
+
+# extreme strict-valid parameters: leaks and links near 0 and 1
+EXTREME_LEAKS = [1e-12, 1e-6, 0.3, 1 - 1e-6, 1 - 1e-12]
+EXTREME_LINKS = [1e-12, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12]
+
+
+@st.composite
+def extreme_networks(draw):
+    """A strict-valid network of k model nodes (k up to 50) that all drive
+    one sensory node s through links of one strength, one of them also
+    driving a second sensory node t, with a few model-to-model links, leaks
+    and links drawn from the extremes, and evidence on s, t or neither."""
+    k = draw(st.integers(min_value=1, max_value=50))
+    leak = st.sampled_from(EXTREME_LEAKS)
+    link = st.sampled_from(EXTREME_LINKS)
+    model_leak, s_link = draw(leak), draw(link)
+    nodes = [(f"m{i:02d}", "model", model_leak) for i in range(k)]
+    nodes += [("s", "sensory", draw(leak)), ("t", "sensory", draw(leak))]
+    edges = [(f"m{i:02d}", "s", s_link) for i in range(k)]
+    edges.append((f"m{draw(st.integers(0, k - 1)):02d}", "t", draw(link)))
+    linked = set()
+    for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+        i, j = sorted(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)))
+        if (i, j) not in linked:
+            linked.add((i, j))
+            edges.append((f"m{i:02d}", f"m{j:02d}", draw(link)))
+    values = st.sampled_from([True, False, None])
+    ev = {nid: v for nid, v in (("s", draw(values)), ("t", draw(values))) if v is not None}
+    return build_network(nodes, edges), ev
+
+
+class TestExtremeParameters:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(extreme_networks(), st.integers(min_value=0, max_value=2**32))
+    @example(underflow_problem(None), 1)  # s is moved while its survival is 0.0
+    @example(underflow_problem(False), 1)  # s's parents turn off after it underflowed
+    def test_every_preset_runs_with_coherent_survivals(self, problem, seed):
+        # a product of many near-zero factors underflows to 0.0, and the
+        # survival cache must neither divide by it nor keep it once a
+        # parent turns off
+        net, ev = problem
+        assert validate(net) == []
+        for name, strategy in PRESETS.items():
+            state = setup_chain(net, ev, strategy, ChainRandom(derive_seed(seed, name)))
+            for count in (1, 3, 7):
+                run_sweep(state, strategy, count)
+                fresh = [net.survival(j, state.x) for j in range(len(net.ids))]
+                for j, (cached, want) in enumerate(zip(state.surv, fresh)):
+                    assert math.isclose(cached, want, rel_tol=1e-9, abs_tol=1e-300), (name, net.ids[j])
+            est = estimate_marginals(net, ev, state.clamp, state.acc)
+            assert all(0.0 <= p <= 1.0 for p in est.values()), name
