@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
-"""Build the committed benchmark: network, cases, reference truth, config.
+"""Build the committed benchmark: network, cases, exact truth, config.
 
-The benchmark network (60 model / 30 sensory / 200 links) is far above the
-enumeration cap, so ground truth comes from a long merged-chain reference
-run and is stored clearly labeled as non-exact.
-
-The reference strategy deliberately does NOT clamp: clamping zeroes a
-node's estimate, and baking that approximation into the truth file would
-bias every later comparison toward the strategies that share it.  It does
-use flow-aware conditioning and swap moves (correctness verified against
-enumeration in the test suite; mixing far better than plain single-site),
-under the Gibbs rule.
+The benchmark network has 60 model and 30 sensory nodes and 200 links.
+Each case's truths are exact posteriors from `exact_posteriors`, a
+junction tree over min-fill cliques; where the tree over every free node
+is past the default cap, it covers the evidence's ancestors and reads each
+barren node from one more collect pass.  No node is clamped or estimated.
 
 Run from the repository root:  python3 scripts/make_benchmark.py
 """
@@ -22,30 +17,13 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from diagbn.exact import exact_posteriors
 from diagbn.generate import GeneratorParams, cases_to_jsonable, generate_cases, generate_network
 from diagbn.network import serialize_network
-from diagbn.sampler import (
-    GIBBS,
-    SWAP_SPOUSES_CHILD_TRUE,
-    StrategySpec,
-    sample_posteriors,
-)
 
 NET_SEED = 11
 CASES_SEED = 12
-TRUTH_SEED = 4242
 BENCH_SEED = 20260822
-CHAINS = 8
-SWEEPS = 500_000
-BURN_IN = 2_000
-
-REFERENCE = StrategySpec(
-    name="reference-flow-swap",
-    clamp=False,
-    flow_aware=True,
-    move_policy=SWAP_SPOUSES_CHILD_TRUE,
-    rule=GIBBS,
-)
 
 PARAMS = GeneratorParams(
     n_model=60,
@@ -77,29 +55,15 @@ def main():
     truths = []
     for idx, case in enumerate(cases):
         t0 = time.time()
-        est = sample_posteriors(
-            net,
-            case.evidence,
-            REFERENCE,
-            sweeps=SWEEPS,
-            seed=TRUTH_SEED + idx,
-            burn_in=BURN_IN,
-            chains=CHAINS,
-        )
-        truths.append({nid: round(p, 8) for nid, p in sorted(est.items())})
-        print(f"case {idx}: {time.time() - t0:.0f}s", flush=True)
+        truths.append(dict(sorted(exact_posteriors(net, case.evidence).items())))
+        print(f"case {idx}: {time.time() - t0:.2f}s", flush=True)
 
     truth_doc = {
-        "exact": False,
+        "exact": True,
         "method": {
-            "strategy": "reference-flow-swap: gibbs rule, flow-aware, "
-            "swap-spouses-child-true pairing, no clamping",
-            "chains": CHAINS,
-            "sweeps": SWEEPS,
-            "burn_in": BURN_IN,
-            "seed_rule": f"per-case seed = {TRUTH_SEED} + case index",
-            "note": "long merged-chain reference run, NOT exact enumeration; "
-            "the network is far above the enumeration cap",
+            "function": "diagbn.exact.exact_posteriors, default cap",
+            "note": "exact posteriors from a calibrated junction tree over "
+            "min-fill cliques; every value is the float it returns",
         },
         "cases": truths,
     }

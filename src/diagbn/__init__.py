@@ -2,7 +2,7 @@
 
 MCMC sampling with engineered chains (clamping, evidence-flow-aware
 conditioning, pair blocking and swapping under Gibbs or Metropolis rules),
-an exact enumeration oracle, and a benchmark harness for comparing
+an exact junction-tree oracle, and a benchmark harness for comparing
 strategies on synthetic fault-diagnosis networks.
 """
 

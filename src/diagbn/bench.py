@@ -51,7 +51,7 @@ class ExperimentConfig:
     checkpoints: list
     repetitions: int
     seed: int
-    truths: list = None  # one truth map per case; None -> exact enumeration
+    truths: list = None  # one truth map per case; None -> exact_posteriors
     epsilon_floor: float = DEFAULT_EPSILON_FLOOR
     baseline: str = None  # None -> the first strategy
     burn_in: int = 0

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: sample (MCMC posteriors), exact (enumeration posteriors),
+Subcommands: sample (MCMC posteriors), exact (junction-tree posteriors),
 analyze (clamp sets and flow classification), gen (synthetic networks and
 cases), bench (strategy comparison grid). All JSON outputs are written
 with sorted keys and a trailing newline so identical inputs and seeds
@@ -158,10 +158,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("exact", help="posteriors by brute-force enumeration")
+    p = sub.add_parser("exact", help="exact posteriors by a junction tree")
     p.add_argument("--network", required=True)
     p.add_argument("--evidence", required=True)
-    p.add_argument("--cap", type=int, default=22)
+    p.add_argument("--cap", type=int, default=22,
+                   help="most nodes enumerated jointly: the junction tree's largest clique")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_exact)
 

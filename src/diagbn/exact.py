@@ -1,13 +1,26 @@
-"""Brute-force ground truth: enumeration posteriors and explicit
+"""Ground truth: exact posteriors by a junction tree, and explicit
 transition matrices for the sampler's moves.
 
-Enumeration and transition matrices read one factor table: a row per
-enumerated state and a column per node, holding each node's noisy-or
-survival and its factor.  The factors come from first principles rather
-than from the sampler's cached fast paths, so agreement between the two is
-meaningful.  Each column is the scalar noisy-or product taken vectorwise,
-with the same float operations in the same parent order, so every weight
-and kernel entry is the one a state-by-state loop computes.
+Posteriors come from a calibrated junction tree (Lauritzen & Spiegelhalter
+1988).  Each node contributes one factor.  A free node gets a table over
+itself and its free parents.  A node observed on gets a table over its free
+parents.  A node observed off contributes a constant and, for each free
+parent, a unary term, because a negative noisy-or finding factors over its
+parents (Zhang & Poole 1996); those terms are folded into the parents' own
+tables.  The free nodes are eliminated in min-fill order, ties going to the
+lower node index, so a call repeats bit for bit.  Each elimination clique
+holds its factors' product; a collect pass and a distribute pass, with
+every message normalised, leave each clique proportional to its posterior
+joint.  Only the largest clique is enumerated jointly, so the cost grows
+exponentially in the clique size, not in the number of free nodes.
+
+Transition matrices read one factor table: a row per enumerated state and
+a column per node, holding each node's noisy-or survival and its factor.
+The factors come from first principles rather than from the sampler's
+cached fast paths, so agreement between the two is meaningful.  Each
+column is the scalar noisy-or product taken vectorwise, with the same float
+operations in the same parent order, so every kernel entry is the one a
+state-by-state loop computes.
 
 The chain layout does come from the sampler: a transition matrix reads
 its free, diagnostic-sampled and forward-sampled nodes, scope children,
@@ -18,11 +31,13 @@ make.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
+from .flow import _closure
 from .network import Network
 from .sampler import (
     GIBBS,
@@ -34,12 +49,11 @@ from .sampler import (
     spouse_links,
 )
 
-_CHUNK = 1 << 15  # rows per factor table when enumerating posteriors
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
 
 
 class EnumerationCapError(ValueError):
-    """The free-node count exceeds what brute force is willing to chew."""
+    """More nodes would be enumerated jointly than the cap allows."""
 
 
 def _factor_table(net, base, chain_nodes, lo, hi):
@@ -75,46 +89,227 @@ def _evidence_base(net, ev) -> list:
     return base
 
 
-def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
-    """Posterior marginals by summing the joint over all free assignments.
+# ---------------------------------------------------------------------------
+# exact posteriors by a junction tree
 
-    Free states are enumerated in factor tables of at most 2^15 rows.  A
-    state's log weight is the sum of its nodes' log factors; zero factors
-    are counted rather than multiplied, so permissive networks (zero leaks,
-    p = 1 edges) enumerate exactly.  A first pass finds the peak log weight
-    and a second accumulates every weight relative to it.  Each state's log
-    weight is summed afresh, so no running sum drifts across the scan.
+
+def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
+    """Posterior marginals of every node given the evidence, exactly.
+
+    The junction tree first covers every free node.  If its largest clique
+    holds more than `cap` nodes, the tree is rebuilt over the evidence's
+    ancestors only, since the other free nodes are barren and do not change
+    their posterior.  Each barren node c then gets P(c = 1 | e) =
+    1 - Z(e, c = 0) / Z(e), from one collect pass over the ancestors of the
+    evidence and c, with c observed off.  A tree past the cap on that path
+    raises EnumerationCapError; evidence of probability zero raises
+    ValueError.
     """
-    free = [net.index[nid] for nid in net.ids if nid not in ev]
-    if len(free) > cap:
-        raise EnumerationCapError(
-            f"{len(free)} free nodes exceed the enumeration cap of {cap}"
-        )
-    base = _evidence_base(net, ev)
-    size = 1 << len(free)
-    starts = range(0, size, _CHUNK)
-    logws = []
-    for lo in starts:
-        _, _, F = _factor_table(net, base, free, lo, min(size, lo + _CHUNK))
-        positive = F > 0.0
-        logf = np.log(F, out=np.zeros(F.shape), where=positive)
-        logws.append(np.where(positive.all(axis=1), logf.sum(axis=1), -np.inf))
-    peak = max(logw.max() for logw in logws)
-    if peak == -np.inf:
+    observed = {net.index[nid]: bool(value) for nid, value in ev.items()}
+    free = [j for j in range(len(net.ids)) if j not in observed]
+    tree = _JunctionTree(net, observed, free)
+    barren = []
+    if tree.width > cap:
+        kept = _free_ancestors(net, observed)
+        barren = [j for j in free if j not in kept]
+        tree = _JunctionTree(net, observed, kept)
+        tree.check_cap(cap)
+    z = tree.collect()
+    if z[0] == 0.0:
         raise ValueError("evidence has zero probability under this network")
-    total = 0.0
-    sums = np.zeros(len(free))
-    bits = 1 << np.arange(len(free))
-    for lo, logw in zip(starts, logws):
-        w = np.exp(logw - peak)
-        total += w.sum()
-        sums += w @ ((np.arange(lo, lo + len(w))[:, None] & bits) != 0)
-    out = {}
-    for nid, value in ev.items():
-        out[nid] = 1.0 if value else 0.0
-    for j, marginal in zip(free, (sums / total).tolist()):
-        out[net.ids[j]] = marginal
+    marginals = tree.distribute()
+    for c in barren:
+        off = dict(observed)
+        off[c] = False
+        c_tree = _JunctionTree(net, off, _free_ancestors(net, off))
+        c_tree.check_cap(cap)
+        z_off = c_tree.collect()
+        # rounding can take the ratio a few ulps past 1
+        marginals[c] = max(0.0, 1.0 - math.ldexp(z_off[0] / z[0], z_off[1] - z[1]))
+    out = {nid: 1.0 if value else 0.0 for nid, value in ev.items()}
+    for j in free:
+        out[net.ids[j]] = marginals[j]
     return out
+
+
+def _free_ancestors(net, observed) -> list:
+    """The unobserved ancestors of the observed nodes, in index order."""
+    return sorted(_closure(observed, net.parents).difference(observed))
+
+
+def _factors(net, observed, nodes):
+    """The joint of the observed nodes and the free `nodes`, which must hold
+    every free parent of each, as a constant and a list of factors.
+
+    A factor is (scope, node, s0, links): `links` pairs each free parent,
+    in index order, with its 1 - p, and s0 is 1 - leak times 1 - p over the
+    parents observed on.  `node` is the free node the factor gives the
+    probability of, or None for a node observed on.  The scope lists the
+    factor's free nodes in index order, one table axis each.  A node
+    observed off adds s0 to the constant and, to each free parent's own
+    factor, its 1 - p: the parent's `kept` term.
+    """
+    const = 1.0
+    kept = {}  # free node -> product of 1 - p over its children observed off
+    factors = []
+
+    def split(j):
+        s0 = 1.0 - net.leak[j]
+        links = []
+        for i, p in sorted(zip(net.parents[j], net.parent_p[j])):
+            if i not in observed:
+                links.append((i, 1.0 - p))
+            elif observed[i]:
+                s0 *= 1.0 - p
+        return s0, links
+
+    for j in sorted(observed):
+        s0, links = split(j)
+        if not observed[j]:
+            const *= s0
+            for i, q in links:
+                kept[i] = kept.get(i, 1.0) * q
+        elif links:
+            factors.append((tuple(i for i, _ in links), None, s0, links))
+        else:
+            const *= 1.0 - s0
+    for j in nodes:
+        s0, links = split(j)
+        factors.append((tuple(sorted([j] + [i for i, _ in links])), j, s0, links))
+    return const, kept, factors
+
+
+def _table(factor, kept):
+    """A factor's table, one axis per node of its scope."""
+    scope, node, s0, links = factor
+    stay_off = np.float64(s0)
+    for _, q in links:
+        stay_off = np.multiply.outer(stay_off, (1.0, q))
+    if node is None:
+        return 1.0 - stay_off
+    on = 1.0 - stay_off
+    if node in kept:
+        on *= kept[node]
+    return np.stack((stay_off, on), axis=scope.index(node))
+
+
+def _fill(adj, v) -> int:
+    """Edges that eliminating v would add between its neighbours."""
+    nb = adj[v]
+    linked = sum(map(len, map(nb.intersection, map(adj.__getitem__, nb))))
+    return (len(nb) * (len(nb) - 1) - linked) // 2
+
+
+def _eliminate(nodes, scopes):
+    """Min-fill elimination order, ties to the lower index, and each node's
+    elimination clique: itself and its neighbours when it is eliminated."""
+    adj = {v: set() for v in nodes}
+    for scope in scopes:
+        for v in scope:
+            adj[v].update(scope)
+    for v, nb in adj.items():
+        nb.discard(v)
+    fill = {v: _fill(adj, v) for v in nodes}
+    order, cliques = [], {}
+    while fill:
+        v = min(fill, key=lambda u: (fill[u], u))
+        del fill[v]
+        nb = adj.pop(v)
+        order.append(v)
+        cliques[v] = nb | {v}
+        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
+            adj[a].discard(v)
+        touched = set(nb)
+        for a in nb:
+            touched |= adj[a]
+        for u in touched:
+            fill[u] = _fill(adj, u)
+    return order, cliques
+
+
+def _times(scale, x):
+    """scale * x, with scale held as (mantissa, binary exponent)."""
+    m, e = math.frexp(scale[0] * x)
+    return m, scale[1] + e
+
+
+def _shape(scope, nodes):
+    """The shape that lays a table over `scope` along the axes of `nodes`;
+    both list nodes in index order."""
+    return tuple(2 if v in scope else 1 for v in nodes)
+
+
+class _JunctionTree:
+    """The elimination cliques of the free `nodes` of a network with the
+    observed nodes fixed; `nodes` must hold every free parent of each of
+    them and of each observed node.
+
+    Node v's clique holds v and its neighbours when it is eliminated, and
+    hangs below the clique of the first of those eliminated after it, so
+    the separator is the clique without v.  Building the tree enumerates
+    nothing, so `width` can be checked against a cap before `collect`
+    allocates the clique tables."""
+
+    def __init__(self, net, observed, nodes):
+        self.const, self.kept, factors = _factors(net, observed, nodes)
+        self.order, elim = _eliminate(nodes, [f[0] for f in factors])
+        at = {v: k for k, v in enumerate(self.order)}
+        self.width = max(map(len, elim.values()), default=0)
+        self.nodes = {v: tuple(sorted(elim[v])) for v in self.order}
+        self.parent = {v: min(elim[v] - {v}, key=at.__getitem__, default=None) for v in self.order}
+        self.factors = {v: [] for v in self.order}
+        for f in factors:
+            self.factors[min(f[0], key=at.__getitem__)].append(f)
+
+    def check_cap(self, cap):
+        if self.width > cap:
+            raise EnumerationCapError(
+                f"the junction tree's largest clique has {self.width} nodes, "
+                f"over the cap of {cap} nodes enumerated jointly"
+            )
+
+    def collect(self):
+        """Fill each clique with its factors' product, then sum each node
+        out of its clique into its parent's, normalising every message.
+        Returns Z, the total weight of the evidence, as (mantissa, binary
+        exponent), with mantissa 0 when Z is 0."""
+        self.tables, self.messages = {}, {}
+        for v, nodes in self.nodes.items():
+            table = self.tables[v] = np.ones((2,) * len(nodes))
+            for f in self.factors[v]:
+                table *= _table(f, self.kept).reshape(_shape(f[0], nodes))
+        z = math.frexp(self.const)
+        for v in self.order:
+            nodes, u = self.nodes[v], self.parent[v]
+            if u is None:
+                z = _times(z, float(self.tables[v].sum()))
+                continue
+            message = self.tables[v].sum(axis=nodes.index(v))
+            total = float(message.sum())
+            if total == 0.0:
+                return 0.0, 0
+            z = _times(z, total)
+            self.messages[v] = message = message / total
+            self.tables[u] *= message.reshape(_shape(nodes, self.nodes[u]))
+        return z
+
+    def distribute(self):
+        """Pass messages back from the roots after `collect`, and read each
+        node's posterior from its own clique."""
+        marginals = {}
+        for v in reversed(self.order):
+            nodes, u, table = self.nodes[v], self.parent[v], self.tables[v]
+            k = nodes.index(v)
+            if u is not None:
+                axes = tuple(a for a, w in enumerate(self.nodes[u]) if w not in nodes)
+                message, old = self.tables[u].sum(axis=axes), self.messages[v]
+                ratio = np.divide(message, old, out=np.zeros_like(old), where=old > 0.0)
+                table *= np.expand_dims(ratio, k)
+            table /= table.sum()
+            marginals[v] = float(table.take(1, axis=k).sum())
+        return marginals
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,21 @@ def validate(net: Network) -> list[str]:
 
     The strict profile guarantees every assignment has strictly positive
     probability (needed for sampler irreducibility): each leak must lie in
-    the open interval (0, 1) and no edge may have p = 1.  The permissive
-    profile adds nothing to the structural checks, so it has no validation.
+    the open interval (0, 1) and no edge may have p = 1.  A leak so small
+    that 1 - leak rounds to 1.0 breaks that promise in floats, since a node
+    with all its parents off is then never on, so it is rejected too.  The
+    permissive profile adds nothing to the structural checks, so it has no
+    validation.
     """
     problems = []
     for i, nid in enumerate(net.ids):
         leak = net.leak[i]
         if not (0.0 < leak < 1.0):
             problems.append(f"node {nid!r}: leak {leak} not in (0, 1)")
+        elif 1.0 - leak == 1.0:
+            problems.append(
+                f"node {nid!r}: leak {leak} is below float resolution (1 - leak rounds to 1)"
+            )
     for (u, v), p in net.edge_p.items():
         if p >= 1.0:
             problems.append(

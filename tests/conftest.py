@@ -47,6 +47,14 @@ def underflow_problem(s_value):
     return build_network(nodes, edges), ev
 
 
+def tiny_leak_problem():
+    """m (leak 0.5) drives s (leak 1e-17) with p = 0.5, and s is observed
+    true.  1 - 1e-17 rounds to 1.0, so in floats s is never on while m is
+    off, a zero-probability state the strict profile must not let in."""
+    net = build_network([("m", "model", 0.5), ("s", "sensory", 1e-17)], [("m", "s", 0.5)])
+    return net, {"s": True}
+
+
 @pytest.fixture
 def vase():
     return build_network(

@@ -1,14 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import VASE_P_B, VASE_P_E, underflow_problem
+from conftest import VASE_P_B, VASE_P_E, tiny_leak_problem, underflow_problem
 from diagbn.cli import main
 from diagbn.network import STRICT, parse_network, serialize_network, validate
 from diagbn.sampler import PRESETS
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 NULL = object()  # a bench config override that writes a JSON null
 
 
@@ -178,6 +180,29 @@ class TestSample:
         assert all(0.0 <= p <= 1.0 for p in marginals.values())
 
 
+    def test_leak_below_float_resolution_exits_2(self, tmp_path, capsys):
+        net, ev = tiny_leak_problem()
+        net_path, ev_path, out = tmp_path / "net.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(serialize_network(net))
+        ev_path.write_text(json.dumps(ev))
+        rc, _, err = run_cli(
+            [
+                "sample",
+                "--network", str(net_path),
+                "--evidence", str(ev_path),
+                "--strategy", "gibbs",
+                "--sweeps", "200",
+                "--seed", "1",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "'s': leak 1e-17" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestExact:
     def test_frozen_posteriors(self, vase_files, tmp_path, capsys):
         net_path, ev_path = vase_files
@@ -206,17 +231,17 @@ class TestExact:
         assert blobs[0] == blobs[1]
 
     def test_over_cap_refuses_with_exit_2(self, tmp_path, capsys):
-        # 12 unlinked causes exceed a cap of 10 free nodes
+        # a finding observed true couples its 12 free parents into one
+        # clique, past a cap of 10 nodes enumerated jointly
         doc = {
-            "nodes": [
-                {"id": f"m{i:02d}", "kind": "model", "leak": 0.1} for i in range(12)
-            ],
-            "edges": [],
+            "nodes": [{"id": f"m{i:02d}", "kind": "model", "leak": 0.1} for i in range(12)]
+            + [{"id": "s", "kind": "sensory", "leak": 0.01}],
+            "edges": [{"from": f"m{i:02d}", "to": "s", "p": 0.5} for i in range(12)],
         }
         net_path = tmp_path / "wide.json"
         net_path.write_text(json.dumps(doc))
         ev_path = tmp_path / "ev.json"
-        ev_path.write_text("{}")
+        ev_path.write_text('{"s": true}')
         rc, _, err = run_cli(
             [
                 "exact",
@@ -229,7 +254,44 @@ class TestExact:
         )
         assert rc == 2
         assert err.startswith("error:")
-        assert "cap" in err
+        assert "largest clique has 12 nodes, over the cap of 10" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_help_names_the_junction_tree(self, capsys):
+        for argv in (["--help"], ["exact", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            assert "brute-force" not in text and "junction tree" in text
+
+    @pytest.mark.slow
+    def test_committed_fixture_matches_truths(self, tmp_path, capsys):
+        # every case of the committed 60-model network runs at the default
+        # cap and reproduces the committed exact truths
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            cases = json.load(fh)
+        with open(os.path.join(DATA_DIR, "bench_truth.json")) as fh:
+            truth = json.load(fh)
+        assert truth["exact"] is True
+        for k, case in enumerate(cases):
+            ev_path, out = tmp_path / f"ev{k}.json", tmp_path / f"exact{k}.json"
+            ev_path.write_text(json.dumps(case["evidence"]))
+            rc, _, err = run_cli(
+                [
+                    "exact",
+                    "--network", os.path.join(DATA_DIR, "bench_net.json"),
+                    "--evidence", str(ev_path),
+                    "--out", str(out),
+                ],
+                capsys,
+            )
+            assert rc == 0, err
+            got = json.loads(out.read_text())["marginals"]
+            want = truth["cases"][k]
+            assert set(got) == set(want)
+            for nid, p in want.items():
+                assert abs(got[nid] - p) <= 1e-10, (k, nid, got[nid], p)
 
 
 class TestAnalyze:

@@ -12,6 +12,8 @@ from conftest import (
 )
 from diagbn.exact import (
     EnumerationCapError,
+    _free_ancestors,
+    _JunctionTree,
     exact_posteriors,
     explicit_transition_matrix,
 )
@@ -49,18 +51,34 @@ class TestExactPosteriors:
         assert post == {"e": 1.0, "b": 0.0, "v": 1.0}
 
     def test_cap_enforced(self):
-        rng = random.Random(1)
-        nodes, edges = random_dag(rng, 14)
-        net = build_network(nodes, edges)
-        with pytest.raises(EnumerationCapError):
-            exact_posteriors(net, {}, cap=12)
-        exact_posteriors(net, {}, cap=14)
+        # a finding observed true couples all 13 of its free parents, so the
+        # junction tree's largest clique holds them all, on either plan
+        nodes = [(f"m{i:02d}", "model", 0.1) for i in range(13)] + [("s", "sensory", 0.01)]
+        net = build_network(nodes, [(f"m{i:02d}", "s", 0.5) for i in range(13)])
+        with pytest.raises(EnumerationCapError, match="largest clique has 13 nodes, over the cap of 12"):
+            exact_posteriors(net, {"s": True}, cap=12)
+        got = exact_posteriors(net, {"s": True}, cap=13)
+        want = reference_exact_posteriors(net, {"s": True})
+        for nid in net.ids:
+            assert got[nid] == pytest.approx(want[nid], abs=1e-12)
 
     def test_impossible_evidence_rejected(self):
         # zero leak and no parents: the node can never be true
         net = build_network([("a", "model", 0.0)], [])
         with pytest.raises(ValueError, match="zero probability"):
             exact_posteriors(net, {"a": True})
+
+    @pytest.mark.parametrize("cap", [22, 1])
+    def test_evidence_impossible_by_a_constant_rejected(self, cap):
+        # s has leak 0 and its only parent is observed off, so s = true
+        # contributes the constant factor 0 while free nodes remain; cap 1
+        # takes the pruned plan, where b and c are barren
+        net = build_network(
+            [("m", "model", 0.5), ("s", "sensory", 0.0), ("b", "model", 0.3), ("c", "model", 0.2)],
+            [("m", "s", 0.9), ("b", "c", 0.5), ("m", "c", 0.5)],
+        )
+        with pytest.raises(ValueError, match="zero probability"):
+            exact_posteriors(net, {"m": False, "s": True}, cap=cap)
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(8)
@@ -104,7 +122,7 @@ class TestExactPosteriors:
                 assert abs(got[nid] - want[nid]) <= 1e-14, (nid, got[nid], want[nid])
 
     def test_matches_reference_across_chunks(self):
-        # 2^16 states: the enumeration spans more than one factor table
+        # 16 free nodes, more than the random-DAG comparison reaches
         rng = random.Random(16)
         nodes, edges = random_dag(rng, 17, edge_prob=0.25)
         net = build_network(nodes, edges)
@@ -114,6 +132,49 @@ class TestExactPosteriors:
         assert set(got) == set(want)
         for nid in net.ids:
             assert got[nid] == pytest.approx(want[nid], abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_junction_tree_matches_reference_on_both_plans(self, seed):
+        # random DAGs of 2-14 nodes, half of them permissive with leaks and
+        # links at the extremes, which make factors and states of weight 0
+        rng = random.Random(seed)
+        extremes = [0.0, 1e-12, 1 - 1e-12, 1.0]
+        compared = pruned = impossible = 0
+        for _ in range(60):
+            nodes, edges = random_dag(rng, rng.randint(2, 14))
+            if rng.random() < 0.5:
+                nodes = [(n, k, rng.choice(extremes) if rng.random() < 0.5 else q) for n, k, q in nodes]
+                edges = [(a, b, rng.choice(extremes) if rng.random() < 0.5 else p) for a, b, p in edges]
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=4)
+            try:
+                want = reference_exact_posteriors(net, ev)
+            except ValueError:
+                impossible += 1
+                with pytest.raises(ValueError, match="zero probability"):
+                    exact_posteriors(net, ev)
+                continue
+            got = exact_posteriors(net, ev)
+            assert got == exact_posteriors(net, ev)  # repeated calls are bit-identical
+            assert set(got) == set(want)
+            for nid in net.ids:
+                assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
+            compared += 1
+            # a cap below the all-free-node tree's largest clique and at
+            # least the pruned tree's takes the pruned plan, with barren
+            # nodes read from Z(e, c = 0) / Z(e)
+            observed = {net.index[nid]: value for nid, value in ev.items()}
+            free = [j for j in range(len(net.ids)) if j not in observed]
+            full = _JunctionTree(net, observed, free).width
+            if _JunctionTree(net, observed, _free_ancestors(net, observed)).width < full:
+                try:
+                    got = exact_posteriors(net, ev, cap=full - 1)
+                except EnumerationCapError:
+                    continue  # some barren node's tree is past that cap
+                for nid in net.ids:
+                    assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
+                pruned += 1
+        assert compared >= 40 and pruned >= 20 and impossible >= 3, (compared, pruned, impossible)
 
     def test_agrees_with_rejection_sampling(self, vase):
         rng = random.Random(5)

@@ -17,6 +17,7 @@ from diagbn.network import (
     serialize_network,
     validate,
 )
+from conftest import tiny_leak_problem
 from oracles import joint_log_prob, joint_prob, markov_blanket, noisy_or_prob, random_dag
 
 VASE_JSON = json.dumps(
@@ -140,6 +141,15 @@ class TestValidate:
         strict = validate(net)
         assert len(strict) == 1 and "v" in strict[0]
         assert parse_network(serialize_network(net), profile=PERMISSIVE).leak == net.leak
+
+    def test_leak_below_float_resolution_fails_strict(self):
+        net, _ = tiny_leak_problem()
+        problems = validate(net)
+        assert len(problems) == 1 and "'s'" in problems[0] and "1e-17" in problems[0]
+        with pytest.raises(NetworkError, match="'s'"):
+            parse_network(serialize_network(net))
+        # the smallest leak the property tests draw still passes
+        assert validate(build_network([("s", "sensory", 1e-12)], [])) == []
 
     def test_certain_edge_fails_strict(self):
         net = build_network(

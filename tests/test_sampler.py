@@ -15,6 +15,7 @@ from conftest import (
     VASE_P_E_GIVEN_B0,
     VASE_SWAP_GIBBS,
     VASE_SWAP_RATIO,
+    tiny_leak_problem,
     underflow_problem,
 )
 from diagbn.flow import (
@@ -1431,3 +1432,10 @@ class TestExtremeParameters:
                     assert math.isclose(cached, want, rel_tol=1e-9, abs_tol=1e-300), (name, net.ids[j])
             est = estimate_marginals(net, ev, state.clamp, state.acc)
             assert all(0.0 <= p <= 1.0 for p in est.values()), name
+
+    def test_leak_below_float_resolution_rejected(self):
+        # every preset used to divide by 1 - 1.0 = 0 here
+        net, ev = tiny_leak_problem()
+        for strategy in PRESETS.values():
+            with pytest.raises(ValueError, match="'s': leak 1e-17"):
+                sample_posteriors(net, ev, strategy, sweeps=200, seed=1)
