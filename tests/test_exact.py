@@ -1,10 +1,13 @@
+import json
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 from conftest import (
+    DATA_DIR,
     VASE_BLOCK_DIST,
     VASE_P_B,
     VASE_P_E,
@@ -12,12 +15,12 @@ from conftest import (
 )
 from diagbn.exact import (
     EnumerationCapError,
-    _free_ancestors,
     _JunctionTree,
+    _plan,
     exact_posteriors,
     explicit_transition_matrix,
 )
-from diagbn.network import build_network
+from diagbn.network import build_network, parse_network, validate
 from diagbn.sampler import PRESETS
 from oracles import (
     collapsed_space,
@@ -166,15 +169,63 @@ class TestExactPosteriors:
             observed = {net.index[nid]: value for nid, value in ev.items()}
             free = [j for j in range(len(net.ids)) if j not in observed]
             full = _JunctionTree(net, observed, free).width
-            if _JunctionTree(net, observed, _free_ancestors(net, observed)).width < full:
-                try:
-                    got = exact_posteriors(net, ev, cap=full - 1)
-                except EnumerationCapError:
-                    continue  # some barren node's tree is past that cap
-                for nid in net.ids:
-                    assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
-                pruned += 1
+            try:
+                _, barren = _plan(net, observed, full - 1)
+                got = exact_posteriors(net, ev, cap=full - 1)
+            except EnumerationCapError:
+                continue  # the pruned tree, or some barren node's, is past that cap
+            assert barren
+            for nid in net.ids:
+                assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
+            pruned += 1
         assert compared >= 40 and pruned >= 20 and impossible >= 3, (compared, pruned, impossible)
+
+    @pytest.mark.parametrize("n", [26, 28])
+    def test_many_extreme_findings_match_reference(self, n):
+        # n findings observed off through p = 1 - 1e-12 and n observed on
+        # with leak 1e-12 all hang on m; each of m's two joint weights is
+        # below 1e-308 (subnormal at n = 26, 0.0 in floats at n = 28),
+        # though P(m | e) is about 1.5e-8 and 3.7e-9
+        nodes = [("m", "model", 0.5)]
+        nodes += [(f"a{i}", "sensory", 0.01) for i in range(n)]
+        nodes += [(f"b{i}", "sensory", 1e-12) for i in range(n)]
+        edges = [("m", f"a{i}", 1 - 1e-12) for i in range(n)]
+        edges += [("m", f"b{i}", 0.5) for i in range(n)]
+        net = build_network(nodes, edges)
+        assert validate(net) == []
+        ev = {f"a{i}": False for i in range(n)} | {f"b{i}": True for i in range(n)}
+        want = reference_exact_posteriors(net, ev)["m"]
+        assert exact_posteriors(net, ev)["m"] == pytest.approx(want, rel=1e-12)
+
+    def test_free_node_with_underflowing_stay_off_weight(self):
+        # c's 28 parents are observed on through p = 1 - 1e-12, so its
+        # stay-off weight is (1 - leak) * 1e-336, 0.0 in floats; its 28
+        # children observed off through the same p weigh c = on down as
+        # far, so P(c | e) = 1 / (2 - leak) exactly
+        n = 28
+        nodes = [("c", "model", 0.5)]
+        nodes += [(f"u{i}", "model", 0.5) for i in range(n)]
+        nodes += [(f"d{i}", "sensory", 0.01) for i in range(n)]
+        edges = [(f"u{i}", "c", 1 - 1e-12) for i in range(n)]
+        edges += [("c", f"d{i}", 1 - 1e-12) for i in range(n)]
+        net = build_network(nodes, edges)
+        assert validate(net) == []
+        ev = {f"u{i}": True for i in range(n)} | {f"d{i}": False for i in range(n)}
+        assert exact_posteriors(net, ev)["c"] == pytest.approx(1 / 1.5, rel=1e-12)
+
+    def test_plan_chosen_by_cost_not_cap(self):
+        # a cap past every fixture tree's width still takes the pruned plan
+        # where the full tree's wide cliques cost more than one pruned pass
+        # per barren node, and the full tree where they cost less
+        with open(os.path.join(DATA_DIR, "bench_net.json")) as fh:
+            net = parse_network(fh.read())
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            cases = json.load(fh)
+        for k, pruned in ((0, True), (1, False), (2, True), (4, False)):
+            observed = {net.index[nid]: value for nid, value in cases[k]["evidence"].items()}
+            tree, barren = _plan(net, observed, cap=40)
+            assert bool(barren) == pruned, k
+            assert tree.width <= (9 if pruned else 18), k
 
     def test_agrees_with_rejection_sampling(self, vase):
         rng = random.Random(5)
