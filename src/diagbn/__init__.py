@@ -4,22 +4,15 @@ MCMC sampling with engineered chains (clamping, evidence-flow-aware
 conditioning, pair blocking and swapping under Gibbs or Metropolis rules),
 an exact junction-tree oracle, and a benchmark harness for comparing
 strategies on synthetic fault-diagnosis networks.
+
+The names from `bench` and `exact`, and those two modules themselves, are
+resolved on first access (PEP 562), so `import diagbn` and the sampler load
+neither numpy nor scipy; `from diagbn import exact_posteriors` works as
+before.
 """
 
-from .bench import (
-    ExperimentConfig,
-    Report,
-    error_count,
-    load_config,
-    render_table,
-    run_experiment,
-)
-from .exact import (
-    EnumerationCapError,
-    TransitionMatrix,
-    exact_posteriors,
-    explicit_transition_matrix,
-)
+import importlib
+
 from .flow import (
     CLAMPED,
     DIAGNOSTIC_SAMPLED,
@@ -61,6 +54,37 @@ from .sampler import (
     run_chain,
     sample_posteriors,
 )
+
+# name -> the module that defines it, imported on first access
+_LAZY = {
+    "bench": "bench",
+    "ExperimentConfig": "bench",
+    "Report": "bench",
+    "error_count": "bench",
+    "load_config": "bench",
+    "render_table": "bench",
+    "run_experiment": "bench",
+    "exact": "exact",
+    "EnumerationCapError": "exact",
+    "TransitionMatrix": "exact",
+    "exact_posteriors": "exact",
+    "explicit_transition_matrix": "exact",
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CLAMPED",

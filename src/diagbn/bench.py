@@ -15,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 
-from .exact import exact_posteriors
 from .generate import cases_from_jsonable
 from .network import MODEL, STRICT, parse_network
 from .sampler import derive_seed, preset, run_chain
@@ -203,6 +202,9 @@ class Report:
 def _case_truths(config) -> list:
     if config.truths is not None:
         return config.truths
+    # numpy loads only for a config that needs its truths computed
+    from .exact import exact_posteriors
+
     return [exact_posteriors(config.net, case.evidence) for case in config.cases]
 
 

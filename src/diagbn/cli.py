@@ -5,17 +5,20 @@ analyze (clamp sets and flow classification), gen (synthetic networks and
 cases), bench (strategy comparison grid). All JSON outputs are written
 with sorted keys and a trailing newline so identical inputs and seeds
 produce byte-identical files.
+
+`exact` and `bench` import their modules when they run, so the other
+subcommands load neither numpy nor scipy; the parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
-from .bench import load_config, render_table, run_experiment
-from .exact import exact_posteriors
 from .flow import clamp_pass, classify_flow
 from .generate import GeneratorParams, cases_to_jsonable, generate_cases, generate_network
 from .network import PERMISSIVE, STRICT, parse_evidence, parse_network, serialize_network
@@ -69,6 +72,8 @@ def _cmd_sample(args):
 
 
 def _cmd_exact(args):
+    from .exact import exact_posteriors
+
     net = _load_network(args.network, PERMISSIVE)
     ev = _load_evidence(args.evidence, net)
     marginals = exact_posteriors(net, ev, cap=args.cap)
@@ -131,6 +136,8 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
+    from .bench import load_config, render_table, run_experiment
+
     config = load_config(args.config)
     if args.epsilon_floor is not None:
         # floor 0 recovers the bare variance-based accuracy band
@@ -140,6 +147,7 @@ def _cmd_bench(args):
     _dump_json(report.to_jsonable(), args.out)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diagnose",

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .flow import _closure
 from .network import Network
@@ -45,6 +44,7 @@ from .sampler import (
     OPTIMIZED_FWD_BWD,
     SamplerState,
     StrategySpec,
+    _log,
     clamp_and_flow,
     pair_scope,
     spouse_links,
@@ -153,10 +153,6 @@ def _plan(net, observed, cap):
 def _free_ancestors(net, observed) -> list:
     """The unobserved ancestors of the observed nodes, in index order."""
     return sorted(_closure(observed, net.parents).difference(observed))
-
-
-def _log(x):
-    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _factors(net, observed, nodes):
@@ -398,6 +394,9 @@ def explicit_transition_matrix(
     explicit kernels in product stages.  A move whose conditional has zero
     weight in some state it may run from raises ValueError naming the move.
     """
+    # the one user of scipy, imported here so `exact_posteriors` never loads it
+    from scipy import sparse
+
     # the chain's own layout: its nodes, scopes, pair rule and visit orders
     clamp, flow = clamp_and_flow(net, ev, strategy)
     chain = SamplerState(net, ev, clamp, flow, None)

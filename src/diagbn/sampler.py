@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -416,6 +417,35 @@ def pair_scope(state, a, b):
     return touched
 
 
+def _log(v):
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _underflow_weights(state, touched, a, b, joint):
+    """The restricted weights of a pair move's joint states, each an
+    (x[a], x[b]) pair in `joint`, for when every weight from the caches is
+    0.0: each summed as logs of factors computed from the parents, not the
+    caches, and scaled so the largest is 1.0.  Leaves the values and the
+    caches as they were."""
+    net = state.net
+    x = state.x
+    held = x[a], x[b]
+    logs = []
+    for xa, xb in joint:
+        x[a], x[b] = xa, xb
+        lw = 0.0
+        for k in touched:
+            ls = _log(1.0 - net.leak[k])
+            for i, p in zip(net.parents[k], net.parent_p[k]):
+                if x[i]:
+                    ls += _log(1.0 - p)
+            lw += _log(-math.expm1(ls)) if x[k] else ls
+        logs.append(lw)
+    x[a], x[b] = held
+    top = max(logs)
+    return [math.exp(lw - top) for lw in logs]
+
+
 def swap_pair_move(state: SamplerState, a, b, rule):
     """Exchange the values of two spouses, or keep them, by restricted weight.
 
@@ -439,6 +469,10 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     w_swap = state.restricted_weight(touched)
     state.cost += 2 * len(touched)
     total = w_cur + w_swap
+    if not total:
+        w_cur, w_swap = _underflow_weights(
+            state, touched, a, b, ((1 - x[a], 1 - x[b]), (x[a], x[b])))
+        total = w_cur + w_swap
     # credit using the pre-move values: a held x[a], now flipped
     on_weight_a = w_cur if x[b] else w_swap  # weight of the state where a is on
     acc.sums[a] += on_weight_a / total
@@ -474,6 +508,11 @@ def block_pair_move(state: SamplerState, a, b, rule):
     # is w for every float, so each mass is the same float it always was.
     x = state.x
     total = w0 + w1 + w2 + w3
+    if not total:
+        a0, b0 = 1 - x[a], x[b]
+        w0, w1, w2, w3 = _underflow_weights(
+            state, touched, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))
+        total = w0 + w1 + w2 + w3
     acc.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
     acc.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
     acc.counts[a] += 1

@@ -47,6 +47,17 @@ def underflow_problem(s_value):
     return build_network(nodes, edges), ev
 
 
+def pair_underflow_problem():
+    """40 parents with leak 0.99 drive s through p = 1 - 1e-12 links, and s
+    drives u with p = 0.5; s is observed false and u true.  With the
+    parents on, s's survival underflows to 0.0, so a pair move on two of
+    them over s weighs every joint state 0.0 from the caches."""
+    nodes = [(f"m{i:02d}", "model", 0.99) for i in range(40)]
+    nodes += [("s", "sensory", 0.001), ("u", "sensory", 0.001)]
+    edges = [(f"m{i:02d}", "s", 1 - 1e-12) for i in range(40)] + [("s", "u", 0.5)]
+    return build_network(nodes, edges), {"s": False, "u": True}
+
+
 def tiny_leak_problem():
     """m (leak 0.5) drives s (leak 1e-17) with p = 0.5, and s is observed
     true.  1 - 1e-17 rounds to 1.0, so in floats s is never on while m is

@@ -4,7 +4,9 @@ Deliberately written in the most naive style available (dict-based, full
 enumeration, no caching, no log-space tricks) so that agreement with the
 library is evidence of correctness rather than shared bugs.  The
 `reference_*` functions are earlier library versions kept verbatim: a
-rewrite of the library must reproduce them exactly.
+rewrite of the library must reproduce them exactly.  One has changed since:
+`reference_exact_posteriors` weighs a state from scratch every
+`REFERENCE_CHUNK` steps of its scan, so its rounding does not build up.
 
 `noisy_or_prob`, `joint_log_prob`, `markov_blanket` and `d_separated` are
 references that only tests call, kept verbatim from the library, which
@@ -725,13 +727,18 @@ def _reference_factor(net, x, j) -> float:
             s *= 1.0 - p
     return (1.0 - s) if x[j] else s
 
+
+REFERENCE_CHUNK = 8  # Gray-code steps between weighings from scratch
+
+
 def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     """The enumeration posteriors as first written (Gray-code scan).
 
     Posterior marginals by summing the joint over all free assignments.
 
     Iterates free states in Gray-code order so each step flips one node and
-    touches only that node's factor and its children's factors.  Zero factors
+    touches only that node's factor and its children's factors, except every
+    `REFERENCE_CHUNK`-th step, which weighs the new state afresh.  Zero factors
     are counted rather than multiplied so permissive networks (zero leaks,
     p = 1 edges) enumerate exactly.  Two passes: one to find the peak log
     weight, one to accumulate stably relative to it.
@@ -746,10 +753,8 @@ def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     for nid, value in ev.items():
         x[net.index[nid]] = 1 if value else 0
 
-    def scan(peak, accumulate):
-        # reset free nodes to the all-false Gray origin
-        for j in free:
-            x[j] = 0
+    def weigh():
+        # the log weight of x and its count of zero factors, from scratch
         logw = 0.0
         zeros = 0
         for j in range(n):
@@ -758,6 +763,13 @@ def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
                 zeros += 1
             else:
                 logw += math.log(f)
+        return logw, zeros
+
+    def scan(peak, accumulate):
+        # reset free nodes to the all-false Gray origin
+        for j in free:
+            x[j] = 0
+        logw, zeros = weigh()
         total = 0.0
         sums = [0.0] * len(free)
         best = float("-inf")
@@ -768,20 +780,26 @@ def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
         for step in range(1, 1 << len(free)):
             k = (step & -step).bit_length() - 1
             i = free[k]
-            affected = [i] + net.children[i]
-            for j in affected:
-                f = _reference_factor(net, x, j)
-                if f == 0.0:
-                    zeros -= 1
-                else:
-                    logw -= math.log(f)
-            x[i] ^= 1
-            for j in affected:
-                f = _reference_factor(net, x, j)
-                if f == 0.0:
-                    zeros += 1
-                else:
-                    logw += math.log(f)
+            if step % REFERENCE_CHUNK:
+                affected = [i] + net.children[i]
+                for j in affected:
+                    f = _reference_factor(net, x, j)
+                    if f == 0.0:
+                        zeros -= 1
+                    else:
+                        logw -= math.log(f)
+                x[i] ^= 1
+                for j in affected:
+                    f = _reference_factor(net, x, j)
+                    if f == 0.0:
+                        zeros += 1
+                    else:
+                        logw += math.log(f)
+            else:
+                # each chunk weighs its first state afresh, so the rounding
+                # of the running weight builds up over one chunk at most
+                x[i] ^= 1
+                logw, zeros = weigh()
             if zeros == 0:
                 if logw > best:
                     best = logw

@@ -93,6 +93,26 @@ def traced_functions():
     return ast.literal_eval(listed)
 
 
+def test_lazy_exports_resolve():
+    # the names from bench and exact are resolved on first access
+    from diagbn import (
+        EnumerationCapError,
+        TransitionMatrix,
+        exact_posteriors,
+        explicit_transition_matrix,
+        run_experiment,
+    )
+    from diagbn import bench, exact
+
+    assert exact_posteriors is exact.exact_posteriors
+    assert explicit_transition_matrix is exact.explicit_transition_matrix
+    assert TransitionMatrix is exact.TransitionMatrix
+    assert EnumerationCapError is exact.EnumerationCapError
+    assert run_experiment is bench.run_experiment
+    assert all(hasattr(diagbn, name) for name in diagbn.__all__)
+    assert set(diagbn.__all__) <= set(dir(diagbn))
+
+
 def test_every_export_is_used_outside_tests():
     unused = sorted(set(diagbn.__all__) - shipped_names())
     assert not unused, f"exported but called only from tests: {unused}"

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from conftest import VASE_P_B, VASE_P_E, tiny_leak_problem, underflow_problem
-from diagbn.cli import main
+from conftest import VASE_P_B, VASE_P_E, pair_underflow_problem, tiny_leak_problem, underflow_problem
+from diagbn.cli import build_parser, main
 from diagbn.network import STRICT, parse_network, serialize_network, validate
 from diagbn.sampler import PRESETS
 
@@ -18,6 +18,15 @@ def run_cli(argv, capsys):
     rc = main(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_in_subprocess(args):
+    """Run `python <args>` with this checkout's `src` first on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
 
 
 class TestSample:
@@ -179,6 +188,27 @@ class TestSample:
         marginals = json.loads(out.read_text())["marginals"]
         assert all(0.0 <= p <= 1.0 for p in marginals.values())
 
+
+    @pytest.mark.parametrize("strategy", ["block-spouses-cover", "swap-spouses-cover"])
+    def test_underflowing_pair_weights_exit_0(self, tmp_path, strategy):
+        # every joint weight of a pair move over s is 0.0 from the caches;
+        # these two presets used to end in a ZeroDivisionError traceback
+        net, ev = pair_underflow_problem()
+        net_path, ev_path, out = tmp_path / "net.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(serialize_network(net))
+        ev_path.write_text(json.dumps(ev))
+        proc = run_in_subprocess([
+            "-m", "diagbn.cli", "sample",
+            "--network", str(net_path),
+            "--evidence", str(ev_path),
+            "--strategy", strategy,
+            "--sweeps", "200",
+            "--seed", "1",
+            "--out", str(out),
+        ])
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        marginals = json.loads(out.read_text())["marginals"]
+        assert all(0.0 <= p <= 1.0 for p in marginals.values())
 
     def test_leak_below_float_resolution_exits_2(self, tmp_path, capsys):
         net, ev = tiny_leak_problem()
@@ -601,3 +631,57 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(out.read_text())
         assert doc["marginals"]["e"] == pytest.approx(VASE_P_E, abs=1e-12)
+
+
+# runs each argv list in the JSON argument through one process's cli.main,
+# noting after each which of numpy and scipy are loaded
+LOADED_MODULES = """
+import json, sys
+from diagbn.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv[0], main(argv), "numpy" in sys.modules, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestStartUp:
+    def test_only_exact_loads_numpy_and_none_loads_scipy(self, vase_files, tmp_path):
+        net_path, ev_path = vase_files
+        data = ["--network", net_path, "--evidence", ev_path]
+        runs = [
+            ["sample", *data, "--strategy", "block-spouses-cover", "--sweeps", "50", "--seed", "1",
+             "--out", str(tmp_path / "sample.json")],
+            ["analyze", *data, "--out", str(tmp_path / "analyze.json")],
+            ["gen", "--models", "5", "--sensors", "3", "--links", "8", "--seed", "1",
+             "--out", str(tmp_path / "net.json"), "--cases", "2", "--cases-out", str(tmp_path / "cases.json"),
+             "--evidence-range", "1", "3", "--positive-range", "1", "2"],
+            ["exact", *data, "--out", str(tmp_path / "exact.json")],
+        ]
+        proc = run_in_subprocess(["-c", LOADED_MODULES, json.dumps(runs)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["sample", 0, False, False],
+            ["analyze", 0, False, False],
+            ["gen", 0, False, False],
+            ["exact", 0, True, False],
+        ]
+
+    def test_reused_parser_writes_what_a_fresh_process_writes(self, vase_files, tmp_path, capsys):
+        # the parser is built once per process; a call it rejects leaves
+        # nothing behind for the next call
+        assert build_parser() is build_parser()
+        net_path, ev_path = vase_files
+
+        def argv(sweeps, out):
+            return ["sample", "--network", net_path, "--evidence", ev_path, "--strategy", "gibbs",
+                    "--sweeps", sweeps, "--seed", "3", "--chains", "2", "--out", str(out)]
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv("many", tmp_path / "bad.json"))
+        assert exc.value.code == 2
+        assert main(argv("500", tmp_path / "reused.json")) == 0
+        proc = run_in_subprocess(["-m", "diagbn.cli", *argv("500", tmp_path / "fresh.json")])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert not (tmp_path / "bad.json").exists()

@@ -124,6 +124,24 @@ class TestExactPosteriors:
             for nid in net.ids:
                 assert abs(got[nid] - want[nid]) <= 1e-14, (nid, got[nid], want[nid])
 
+    def test_reference_matches_rational_enumeration(self):
+        # the Gray-code reference weighs every chunk's first state afresh,
+        # so its running log weight does not drift over 2^12 steps, also
+        # with leaks and links at 1e-12 and 1 - 1e-12
+        rng = random.Random(12)
+        for extreme in (False, False, True, True):
+            nodes, edges = random_dag(rng, 12)
+            if extreme:
+                ends = [1e-12, 1 - 1e-12]
+                nodes = [(n, k, rng.choice(ends) if rng.random() < 0.5 else q) for n, k, q in nodes]
+                edges = [(a, b, rng.choice(ends) if rng.random() < 0.5 else p) for a, b, p in edges]
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=2)
+            want = posteriors_by_fractions(net, ev)
+            got = reference_exact_posteriors(net, ev)
+            for nid in net.ids:
+                assert abs(got[nid] - want[nid]) <= 1e-14, (nid, got[nid], want[nid])
+
     def test_matches_reference_across_chunks(self):
         # 16 free nodes, more than the random-DAG comparison reaches
         rng = random.Random(16)

@@ -15,6 +15,8 @@ from conftest import (
     VASE_P_E_GIVEN_B0,
     VASE_SWAP_GIBBS,
     VASE_SWAP_RATIO,
+    VASE_WEIGHTS,
+    pair_underflow_problem,
     tiny_leak_problem,
     underflow_problem,
 )
@@ -1392,7 +1394,9 @@ def extreme_networks(draw):
     """A strict-valid network of k model nodes (k up to 50) that all drive
     one sensory node s through links of one strength, one of them also
     driving a second sensory node t, with a few model-to-model links, leaks
-    and links drawn from the extremes, and evidence on s, t or neither."""
+    and links drawn from the extremes, and evidence on s, t or neither;
+    sometimes s also drives a sensory node u, with s observed false and u
+    true."""
     k = draw(st.integers(min_value=1, max_value=50))
     leak = st.sampled_from(EXTREME_LEAKS)
     link = st.sampled_from(EXTREME_LINKS)
@@ -1409,6 +1413,12 @@ def extreme_networks(draw):
             edges.append((f"m{i:02d}", f"m{j:02d}", draw(link)))
     values = st.sampled_from([True, False, None])
     ev = {nid: v for nid, v in (("s", draw(values)), ("t", draw(values))) if v is not None}
+    if draw(st.booleans()):
+        # s observed false under a child u observed true: s stays in the
+        # evidence cover, so the cover presets pair its parents over it
+        nodes.append(("u", "sensory", draw(leak)))
+        edges.append(("s", "u", draw(link)))
+        ev.update(s=False, u=True)
     return build_network(nodes, edges), ev
 
 
@@ -1417,6 +1427,7 @@ class TestExtremeParameters:
     @given(extreme_networks(), st.integers(min_value=0, max_value=2**32))
     @example(underflow_problem(None), 1)  # s is moved while its survival is 0.0
     @example(underflow_problem(False), 1)  # s's parents turn off after it underflowed
+    @example(pair_underflow_problem(), 1)  # every weight of a cover pair move underflows
     def test_every_preset_runs_with_coherent_survivals(self, problem, seed):
         # a product of many near-zero factors underflows to 0.0, and the
         # survival cache must neither divide by it nor keep it once a
@@ -1432,6 +1443,19 @@ class TestExtremeParameters:
                     assert math.isclose(cached, want, rel_tol=1e-9, abs_tol=1e-300), (name, net.ids[j])
             est = estimate_marginals(net, ev, state.clamp, state.acc)
             assert all(0.0 <= p <= 1.0 for p in est.values()), name
+
+    def test_log_space_pair_weights_are_the_joint_weights(self, vase):
+        # where nothing underflows, the weights recomputed in log space are
+        # the joint weights scaled to a largest of 1.0, and the chain is
+        # left as it was
+        state = make_state(vase, {"v": True}, "block-spouses-cover", seed=2)
+        e, b = vase.index["e"], vase.index["b"]
+        x, surv = list(state.x), list(state.surv)
+        joint = list(VASE_WEIGHTS)
+        got = sampler._underflow_weights(state, sampler.pair_scope(state, e, b), e, b, joint)
+        top = max(VASE_WEIGHTS.values())
+        assert got == pytest.approx([VASE_WEIGHTS[j] / top for j in joint], rel=1e-12)
+        assert state.x == x and state.surv == surv
 
     def test_leak_below_float_resolution_rejected(self):
         # every preset used to divide by 1 - 1.0 = 0 here
