@@ -14,7 +14,6 @@ process.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -138,11 +137,7 @@ def _cmd_gen(args):
 def _cmd_bench(args):
     from .bench import load_config, render_table, run_experiment
 
-    config = load_config(args.config)
-    if args.epsilon_floor is not None:
-        # floor 0 recovers the bare variance-based accuracy band
-        config = dataclasses.replace(config, epsilon_floor=args.epsilon_floor)
-    report = run_experiment(config)
+    report = run_experiment(load_config(args.config))
     sys.stdout.write(render_table(report))
     _dump_json(report.to_jsonable(), args.out)
 
@@ -202,8 +197,6 @@ def build_parser():
     p = sub.add_parser("bench", help="run a strategy comparison experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon-floor", type=float, default=None,
-                   help="override the config's accuracy-band floor")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -61,17 +61,17 @@ class EnumerationCapError(ValueError):
     """More nodes would be enumerated jointly than the cap allows."""
 
 
-def _factor_table(net, base, chain_nodes, lo, hi):
-    """Values X, noisy-or survivals S and factors F of states lo..hi-1.
+def _factor_table(net, base, chain_nodes):
+    """Values X, noisy-or survivals S and factors F of every chain state.
 
     State s sets chain_nodes[k] to bit k of s and every other node to its
-    value in base; row r holds state lo + r and column j node j.  S[r, j] is
-    the probability that node j stays off given its parents and F[r, j] the
+    value in base; row s holds state s and column j node j.  S[s, j] is the
+    probability that node j stays off given its parents and F[s, j] the
     probability of its value: 1 - S when on, S when off.
     """
-    index = np.arange(lo, hi)
+    index = np.arange(1 << len(chain_nodes))
     # node-major storage keeps each column contiguous
-    X = np.repeat(np.asarray(base, dtype=bool)[:, None], hi - lo, axis=1)
+    X = np.repeat(np.asarray(base, dtype=bool)[:, None], len(index), axis=1)
     for k, j in enumerate(chain_nodes):
         X[j] = (index >> k) & 1
     varies = set(chain_nodes)
@@ -85,13 +85,6 @@ def _factor_table(net, base, chain_nodes, lo, hi):
                 S[j] *= 1.0 - p
     F = np.where(X, 1.0 - S, S)
     return X.T, S.T, F.T
-
-
-def _evidence_base(net, ev) -> list:
-    base = [0] * len(net.ids)
-    for nid, value in ev.items():
-        base[net.index[nid]] = 1 if value else 0
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +400,10 @@ def explicit_transition_matrix(
         )
     size = 1 << len(chain_nodes)
     bit = {j: 1 << k for k, j in enumerate(chain_nodes)}
-    X, S, F = _factor_table(net, _evidence_base(net, ev), chain_nodes, 0, size)
+    base = [0] * len(net.ids)
+    for nid, value in ev.items():
+        base[net.index[nid]] = 1 if value else 0
+    X, S, F = _factor_table(net, base, chain_nodes)
     rows = np.arange(size)
     states = [tuple(state) for state in X[:, chain_nodes].astype(int).tolist()]
 

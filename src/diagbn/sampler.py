@@ -104,6 +104,10 @@ _POLICIES = {
 # share of a swap policy's pair visits that swap; the rest move single-site
 SWAP_FRACTION = 0.8
 
+# the smallest normal float: a survival or a pair move's total weight below
+# it may have lost factors to underflow, so it is recomputed from the parents
+_MIN_NORMAL = 2.2250738585072014e-308
+
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -328,7 +332,7 @@ class SamplerState:
             x[n] = 0
             for c, q in zip(self.net.children[n], self.child_q[n]):
                 s = surv[c]
-                surv[c] = s / q if s >= 2.2250738585072014e-308 else self.net.survival(c, x)
+                surv[c] = s / q if s >= _MIN_NORMAL else self.net.survival(c, x)
         else:
             x[n] = 1
             for c, q in zip(self.net.children[n], self.child_q[n]):
@@ -423,10 +427,11 @@ def _log(v):
 
 def _underflow_weights(state, touched, a, b, joint):
     """The restricted weights of a pair move's joint states, each an
-    (x[a], x[b]) pair in `joint`, for when every weight from the caches is
-    0.0: each summed as logs of factors computed from the parents, not the
-    caches, and scaled so the largest is 1.0.  Leaves the values and the
-    caches as they were."""
+    (x[a], x[b]) pair in `joint`, for when their total from the caches is
+    below the smallest normal float, so some weights may have lost factors
+    to underflow: each summed as logs of factors computed from the parents,
+    not the caches, and scaled so the largest is 1.0.  Leaves the values and
+    the caches as they were."""
     net = state.net
     x = state.x
     held = x[a], x[b]
@@ -469,7 +474,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     w_swap = state.restricted_weight(touched)
     state.cost += 2 * len(touched)
     total = w_cur + w_swap
-    if not total:
+    if total < _MIN_NORMAL:
         w_cur, w_swap = _underflow_weights(
             state, touched, a, b, ((1 - x[a], 1 - x[b]), (x[a], x[b])))
         total = w_cur + w_swap
@@ -508,7 +513,7 @@ def block_pair_move(state: SamplerState, a, b, rule):
     # is w for every float, so each mass is the same float it always was.
     x = state.x
     total = w0 + w1 + w2 + w3
-    if not total:
+    if total < _MIN_NORMAL:
         a0, b0 = 1 - x[a], x[b]
         w0, w1, w2, w3 = _underflow_weights(
             state, touched, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))

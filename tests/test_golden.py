@@ -40,7 +40,8 @@ LAYERED = dict(
 LAYERED_SEEDS = (0, 4, 8)
 SWEEPS = 300
 GOLDEN_SHA256 = "baa1860fb49fdbe13909d077561c82891f371d27c96b260b205f80fc42b58217"
-# sha256 of the committed grid's JSON report, as `scripts/run_table.py --out` writes it
+# sha256 of the committed grid's JSON report, as
+# `diagnose bench --config tests/data/bench_config.json --out report.json` writes it
 REPORT_SHA256 = "e79aa816c6518494e283f6669d6153d6469509018f85ab982dae3604feadb6c2"
 
 

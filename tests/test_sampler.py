@@ -1457,6 +1457,36 @@ class TestExtremeParameters:
         assert got == pytest.approx([VASE_WEIGHTS[j] / top for j in joint], rel=1e-12)
         assert state.x == x and state.surv == surv
 
+    def test_pair_moves_weigh_a_subnormal_total_exactly(self):
+        # 26 models drive s through p = 1 - 1e-12 links, so with them on s's
+        # survival is subnormal: a pair move on a and b sums a nonzero total
+        # whose weights lost most of their digits to underflow
+        nodes = [("a", "model", 0.3), ("b", "model", 0.2), ("s", "sensory", 1 - 1e-9)]
+        nodes += [("u", "sensory", 0.001)] + [(f"m{i:02d}", "model", 0.99) for i in range(26)]
+        edges = [("a", "s", 0.5), ("b", "s", 0.7), ("s", "u", 0.5)]
+        edges += [(f"m{i:02d}", "s", 1 - 1e-12) for i in range(26)]
+        net = build_network(nodes, edges)
+        ev = {"s": False, "u": True}
+        a, b, s = (net.index[n] for n in "abs")
+        # s is observed off, so its factor is its survival, and of that only
+        # a's and b's links (q = 0.5 and 0.3) vary with the pair
+        w = {(va, vb): (0.3 * 0.5 if va else 0.7) * (0.2 * 0.3 if vb else 0.8)
+             for va in (0, 1) for vb in (0, 1)}
+        total = sum(w.values())
+        exact = {
+            block_pair_move: ((w[1, 0] + w[1, 1]) / total, (w[0, 1] + w[1, 1]) / total),
+            swap_pair_move: (w[1, 0] / (w[1, 0] + w[0, 1]), w[0, 1] / (w[1, 0] + w[0, 1])),
+        }
+        for move, (p_a, p_b) in exact.items():
+            state = make_state(net, ev)
+            for j in state.free:
+                state.x[j] = 0 if j == b else 1
+            state.refresh_survivals()
+            assert 0.0 < state.surv[s] < sampler._MIN_NORMAL
+            move(state, a, b, GIBBS)
+            assert state.acc.sums[a] == pytest.approx(p_a, abs=1e-12), move.__name__
+            assert state.acc.sums[b] == pytest.approx(p_b, abs=1e-12), move.__name__
+
     def test_leak_below_float_resolution_rejected(self):
         # every preset used to divide by 1 - 1.0 = 0 here
         net, ev = tiny_leak_problem()
