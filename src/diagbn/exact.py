@@ -8,12 +8,14 @@ parents.  A node observed off contributes a constant and, for each free
 parent, a unary term, because a negative noisy-or finding factors over its
 parents (Zhang & Poole 1996); those terms are folded into the parents' own
 tables.  The free nodes are eliminated in min-fill order, ties going to the
-lower node index, so a call repeats bit for bit.  Each elimination clique
-holds its factors' product, as logs, so no product of many small factors
-underflows; a collect pass and a distribute pass, with every message
-scaled, leave each clique proportional to its posterior joint.  Only the
-largest clique is enumerated jointly, so the cost grows exponentially in
-the clique size, not in the number of free nodes.
+lower node index, so a call repeats bit for bit.  An elimination clique
+folds into its parent's table where one wider table costs less than two.
+Each table holds its factors' product, as logs, so no product of many
+small factors underflows; a collect pass and a distribute pass, with every
+message scaled, leave each table proportional to its posterior joint.  No
+table holds more nodes than the largest elimination clique, so the cost
+grows exponentially in that clique's size, not in the number of free
+nodes.
 
 Transition matrices read one factor table: a row per enumerated state and
 a column per node, holding each node's noisy-or survival and its factor.
@@ -51,10 +53,11 @@ from .sampler import (
 )
 
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
-# a clique's Python work (its factors, messages and elimination step), in
-# the clique-table entries that take as long: about 70 us against 85 ns per
-# entry on a 2.1 GHz x86-64 core
-_CLIQUE_ENTRIES = 1 << 10
+# a junction tree's Python work, in the table entries that take as long:
+# on a 2.1 GHz x86-64 core a table's messages take 15-18 us, and a node's
+# factor and elimination step about 30 us, against 55-80 ns per entry
+_CLIQUE_ENTRIES = 1 << 8  # per table
+_NODE_ENTRIES = 1 << 9  # per node
 
 
 class EnumerationCapError(ValueError):
@@ -130,9 +133,13 @@ def _plan(net, observed, cap):
     full = _JunctionTree(net, observed, free)
     kept = _free_ancestors(net, observed)
     barren = sorted(set(free).difference(kept))
-    # a pruned pass costs at least _CLIQUE_ENTRIES + 2 per kept node, so
-    # the pruned tree need not be built when the full one is no dearer
-    floor = (1 + len(barren)) * len(kept) * (_CLIQUE_ENTRIES + 2)
+    # a pruned pass eliminates the n kept nodes in some t tables, each at
+    # least as wide as the nodes it eliminates, so it costs at least n nodes
+    # and t tables with the n nodes split as evenly as can be; the pruned
+    # tree need not be built when the full one is no dearer than that
+    n = len(kept)
+    tables = min((t * _CLIQUE_ENTRIES + ((t + n % t) << n // t) for t in range(1, n + 1)), default=0)
+    floor = (1 + len(barren)) * (n * _NODE_ENTRIES + tables)
     if not barren or full.width <= cap and full.cost <= floor:
         full.check_cap(cap)
         return full, []
@@ -196,54 +203,61 @@ def _factors(net, observed, nodes):
 
 def _log_table(factor, kept):
     """A factor's log table, one axis per node of its scope.  Stay-off
-    weights are summed as logs, so none underflows; an on weight is 1 less
-    the stay-off weight as the noisy-or product gives it.  The log of a
+    weights are summed as logs, so none underflows, and an on weight is 1
+    less the stay-off weight, taken as -expm1 of its log.  The log of a
     weight 0 is -inf: call with numpy's divide warnings off."""
-    scope, node, (s0, log_s0), links = factor
-    stay_off, log_off = np.float64(s0), np.float64(log_s0)
+    scope, node, (_, log_s0), links = factor
+    log_off = np.float64(log_s0)
     for _, q in links:
-        stay_off = np.multiply.outer(stay_off, (1.0, q))
         log_off = np.add.outer(log_off, (0.0, _log(q)))
-    log_on = np.log(1.0 - stay_off)
+    log_on = np.log(-np.expm1(log_off))
     if node is None:
         return log_on
     return np.stack((log_off, log_on + kept.get(node, 0.0)), axis=scope.index(node))
 
 
+def _bits(mask):
+    """The nodes of a bitmask, bit v for node v, in index order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _fill(adj, v) -> int:
     """Edges that eliminating v would add between its neighbours."""
-    nb = adj[v]
-    linked = sum(map(len, map(nb.intersection, map(adj.__getitem__, nb))))
-    return (len(nb) * (len(nb) - 1) - linked) // 2
+    nb = rest = adj[v]
+    missing = nb.bit_count() * (nb.bit_count() - 1)
+    while rest:
+        low = rest & -rest
+        missing -= (adj[low.bit_length() - 1] & nb).bit_count()
+        rest ^= low
+    return missing // 2
 
 
 def _eliminate(nodes, scopes):
     """Min-fill elimination order, ties to the lower index, and each node's
-    elimination clique: itself and its neighbours when it is eliminated."""
-    adj = {v: set() for v in nodes}
+    elimination clique as a bitmask, bit v for node v: itself and its
+    neighbours when it is eliminated."""
+    adj = dict.fromkeys(sorted(nodes), 0)
     for scope in scopes:
+        mask = sum(1 << v for v in scope)
         for v in scope:
-            adj[v].update(scope)
-    for v, nb in adj.items():
-        nb.discard(v)
-    fill = {v: _fill(adj, v) for v in nodes}
+            adj[v] |= mask ^ 1 << v
+    fill = {v: _fill(adj, v) for v in adj}
     order, cliques = [], {}
     while fill:
-        v = min(fill, key=lambda u: (fill[u], u))
+        v = min(fill, key=fill.__getitem__)  # the first, so the lowest, of least fill
         added = fill.pop(v)
-        nb = adj.pop(v)
+        nb = touched = adj.pop(v)
         order.append(v)
-        cliques[v] = nb | {v}
-        for a in nb:
-            adj[a] |= nb
-            adj[a].discard(a)
-            adj[a].discard(v)
-        # without added edges only v's neighbours see their neighbourhood change
-        touched = set(nb)
-        if added:
-            for a in nb:
+        cliques[v] = nb | 1 << v
+        for a in _bits(nb):
+            adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
+            # without added edges only v's neighbours see their neighbourhood change
+            if added:
                 touched |= adj[a]
-        for u in touched:
+        for u in _bits(touched):
             fill[u] = _fill(adj, u)
     return order, cliques
 
@@ -255,30 +269,50 @@ def _shape(scope, nodes):
 
 
 class _JunctionTree:
-    """The elimination cliques of the free `nodes` of a network with the
-    observed nodes fixed; `nodes` must hold every free parent of each of
-    them and of each observed node.
+    """The junction tree of the free `nodes` of a network with the observed
+    nodes fixed; `nodes` must hold every free parent of each of them and of
+    each observed node.
 
-    Node v's clique holds v and its neighbours when it is eliminated, and
-    hangs below the clique of the first of those eliminated after it, so
-    the separator is the clique without v.  Building the tree enumerates
-    nothing, so `width` (the largest clique) and `cost` (the entries of all
-    cliques, and `_CLIQUE_ENTRIES` per clique) are known before `collect`
-    allocates the clique tables.  Tables and messages hold logs, so no
-    product of many small factors underflows before the weights it is
-    weighed against."""
+    Node v's elimination clique holds v and its neighbours when it is
+    eliminated, and hangs below the clique of the first of those eliminated
+    after it.  In elimination order, each clique's table folds into its
+    parent's when one table over their union costs less than the two, a
+    table costing its entries and `_CLIQUE_ENTRIES`, and holds no more
+    nodes than `width`, the largest clique.  A table, keyed by the last
+    node it eliminates, sends its parent one message over what is left of
+    it once the nodes it eliminates are summed out.  Building the tree
+    enumerates nothing, so `width` and `cost` (its tables' costs and
+    `_NODE_ENTRIES` per node) are known before `collect` allocates the
+    tables.  Tables and messages hold logs, so no product of many small
+    factors underflows before the weights it is weighed against."""
 
     def __init__(self, net, observed, nodes):
         self.const, self.kept, factors = _factors(net, observed, nodes)
-        self.order, elim = _eliminate(nodes, [f[0] for f in factors])
-        at = {v: k for k, v in enumerate(self.order)}
-        self.width = max(map(len, elim.values()), default=0)
-        self.cost = sum(_CLIQUE_ENTRIES + (1 << len(clique)) for clique in elim.values())
-        self.nodes = {v: tuple(sorted(elim[v])) for v in self.order}
-        self.parent = {v: min(elim[v] - {v}, key=at.__getitem__, default=None) for v in self.order}
-        self.factors = {v: [] for v in self.order}
+        order, scope = _eliminate(nodes, [f[0] for f in factors])
+        at = {v: k for k, v in enumerate(order)}
+        self.width = max(map(int.bit_count, scope.values()), default=0)
+        up = {v: min(_bits(scope[v] ^ 1 << v), key=at.__getitem__, default=None) for v in order}
+        home = {}  # node -> the clique its table folded into, then the table itself
+        for v in order:
+            u = up[v]
+            if u is not None:
+                size = (scope[u] | scope[v]).bit_count()
+                split = (1 << scope[u].bit_count()) + (1 << scope[v].bit_count()) + _CLIQUE_ENTRIES
+                if size <= self.width and 1 << size < split:
+                    scope[u] |= scope.pop(v)
+                    home[v] = u
+        for v in reversed(order):
+            home[v] = home[home[v]] if v in home else v
+        self.nodes = {v: tuple(_bits(scope[v])) for v in order if home[v] == v}
+        self.parent = {v: None if up[v] is None else home[up[v]] for v in self.nodes}
+        self.eliminated = {v: [] for v in self.nodes}
+        for v in order:
+            self.eliminated[home[v]].append(v)
+        tables = sum(_CLIQUE_ENTRIES + (1 << len(table)) for table in self.nodes.values())
+        self.cost = len(order) * _NODE_ENTRIES + tables
+        self.factors = {v: [] for v in self.nodes}
         for f in factors:
-            self.factors[min(f[0], key=at.__getitem__)].append(f)
+            self.factors[home[min(f[0], key=at.__getitem__)]].append(f)
 
     def check_cap(self, cap):
         if self.width > cap:
@@ -288,8 +322,8 @@ class _JunctionTree:
             )
 
     def collect(self):
-        """Fill each clique with its factors' product, then sum each node
-        out of its clique into its parent's, scaling every message to a
+        """Fill each table with its factors' product, then sum the nodes it
+        eliminates out of it into its parent's, scaling every message to a
         largest entry of 1.  Returns log Z, the log of the evidence's total
         weight: -inf when it is 0."""
         self.tables, self.messages = {}, {}
@@ -299,30 +333,29 @@ class _JunctionTree:
                 for f in self.factors[v]:
                     table += _log_table(f, self.kept).reshape(_shape(f[0], nodes))
         z = self.const
-        for v in self.order:
-            nodes, u, table = self.nodes[v], self.parent[v], self.tables[v]
-            k = nodes.index(v)
-            message = np.logaddexp(table.take(0, k), table.take(1, k))
+        for v, nodes in self.nodes.items():
+            message, u = self.tables[v], self.parent[v]
+            # logaddexp sums weights of 0 without taking the log of 0
+            for k in sorted(map(nodes.index, self.eliminated[v]), reverse=True):
+                lead = (slice(None),) * k
+                message = np.logaddexp(message[lead + (0,)], message[lead + (1,)])
             peak = message.max()
             if peak == -math.inf:
                 return peak
             message -= peak
             z += peak
-            if u is None:
-                z += math.log(np.exp(message).sum())
-            else:
+            if u is not None:
                 self.messages[v] = message
                 self.tables[u] += message.reshape(_shape(nodes, self.nodes[u]))
         return z
 
     def distribute(self):
         """Pass messages back from the roots after `collect`, and read each
-        node's posterior from its own clique."""
+        node's posterior from the table that eliminates it."""
         marginals, weights = {}, {}
         with np.errstate(divide="ignore"):
-            for v in reversed(self.order):
+            for v in reversed(self.nodes):
                 nodes, u, table = self.nodes[v], self.parent[v], self.tables[v]
-                k = nodes.index(v)
                 if u is not None:
                     axes = tuple(a for a, w in enumerate(self.nodes[u]) if w not in nodes)
                     message, old = np.log(weights[u].sum(axis=axes)), self.messages[v]
@@ -330,7 +363,9 @@ class _JunctionTree:
                     ratio = np.subtract(message, old, out=np.full_like(old, -np.inf), where=old > -np.inf)
                     table += ratio.reshape(_shape(self.nodes[u], nodes))
                 w = weights[v] = np.exp(table - table.max())
-                marginals[v] = float(w.take(1, axis=k).sum() / w.sum())
+                total = w.sum()
+                for x in self.eliminated[v]:
+                    marginals[x] = float(w.take(1, axis=nodes.index(x)).sum() / total)
         return marginals
 
 

@@ -822,6 +822,50 @@ def reference_exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
         out[net.ids[j]] = sums[idx] / total
     return out
 
+
+# ---------------------------------------------------------------------------
+# min-fill elimination as first written, on sets
+
+
+def _reference_fill(adj, v) -> int:
+    """Edges that eliminating v would add between its neighbours."""
+    nb = adj[v]
+    linked = sum(map(len, map(nb.intersection, map(adj.__getitem__, nb))))
+    return (len(nb) * (len(nb) - 1) - linked) // 2
+
+
+def reference_eliminate(nodes, scopes):
+    """Min-fill elimination order, ties to the lower index, and each node's
+    elimination clique as a set: itself and its neighbours when it is
+    eliminated."""
+    adj = {v: set() for v in nodes}
+    for scope in scopes:
+        for v in scope:
+            adj[v].update(scope)
+    for v, nb in adj.items():
+        nb.discard(v)
+    fill = {v: _reference_fill(adj, v) for v in nodes}
+    order, cliques = [], {}
+    while fill:
+        v = min(fill, key=lambda u: (fill[u], u))
+        added = fill.pop(v)
+        nb = adj.pop(v)
+        order.append(v)
+        cliques[v] = nb | {v}
+        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
+            adj[a].discard(v)
+        # without added edges only v's neighbours see their neighbourhood change
+        touched = set(nb)
+        if added:
+            for a in nb:
+                touched |= adj[a]
+        for u in touched:
+            fill[u] = _reference_fill(adj, u)
+    return order, cliques
+
+
 def _reference_scoped_children(net, flow, j):
     # empty for forward-sampled nodes: they have no evidential children
     return [net.index[c] for c in flow[net.ids[j]].evidential_children]

@@ -14,7 +14,11 @@ from conftest import (
     VASE_P_E_GIVEN_B0,
 )
 from diagbn.exact import (
+    _CLIQUE_ENTRIES,
+    _NODE_ENTRIES,
     EnumerationCapError,
+    _eliminate,
+    _free_ancestors,
     _JunctionTree,
     _plan,
     exact_posteriors,
@@ -33,9 +37,24 @@ from oracles import (
     random_dag,
     random_evidence,
     reference_apply_sweep,
+    reference_eliminate,
     reference_exact_posteriors,
     reference_transition_matrix,
 )
+
+
+def both_plans_cases(seed):
+    """The networks and evidence of test_junction_tree_matches_reference_on_both_plans."""
+    rng = random.Random(seed)
+    extremes = [0.0, 1e-12, 1 - 1e-12, 1.0]
+    for _ in range(60):
+        nodes, edges = random_dag(rng, rng.randint(2, 14))
+        if rng.random() < 0.5:
+            nodes = [(n, k, rng.choice(extremes) if rng.random() < 0.5 else q) for n, k, q in nodes]
+            edges = [(a, b, rng.choice(extremes) if rng.random() < 0.5 else p) for a, b, p in edges]
+        net = build_network(nodes, edges)
+        ev = random_evidence(rng, net, max_nodes=4)
+        yield net, {net.index[nid]: value for nid, value in ev.items()}
 
 
 class TestExactPosteriors:
@@ -197,6 +216,71 @@ class TestExactPosteriors:
                 assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
             pruned += 1
         assert compared >= 40 and pruned >= 20 and impossible >= 3, (compared, pruned, impossible)
+
+    def test_eliminate_matches_reference(self):
+        # random scope sets over few nodes make ties in fill and disconnected
+        # components; the empty and one-node sets come first
+        rng = random.Random(17)
+        cases = [([], []), ([3], []), ([3], [(3,)]), ([2, 5], []), ([2, 5], [(2,), (5,)])]
+        for _ in range(300):
+            nodes = sorted(rng.sample(range(40), rng.randint(0, 12)))
+            scopes = [tuple(sorted(rng.sample(nodes, rng.randint(1, min(4, len(nodes))))))
+                      for _ in range(rng.randint(0, 10) if nodes else 0)]
+            cases.append((nodes, scopes))
+        for nodes, scopes in cases:
+            order, cliques = _eliminate(nodes, scopes)
+            want_order, want_cliques = reference_eliminate(nodes, scopes)
+            assert order == want_order, (nodes, scopes)
+            assert cliques == {v: sum(1 << u for u in c) for v, c in want_cliques.items()}, (nodes, scopes)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_merged_tree_structure(self, seed):
+        # every free node eliminated once, by one table that holds each of
+        # its factors, with the rest of the table inside its parent's; no
+        # table wider than the widest elimination clique, and no dearer
+        # than the tree of unmerged elimination cliques
+        merged = 0
+        for net, observed in both_plans_cases(seed):
+            free = [j for j in range(len(net.ids)) if j not in observed]
+            for nodes in (free, _free_ancestors(net, observed)):
+                tree = _JunctionTree(net, observed, nodes)
+                assert sorted(v for out in tree.eliminated.values() for v in out) == nodes
+                for v, table in tree.nodes.items():
+                    assert list(table) == sorted(table) and len(table) <= tree.width
+                    assert set(tree.eliminated[v]) <= set(table)
+                    assert all(set(f[0]) <= set(table) for f in tree.factors[v])
+                    rest = set(table).difference(tree.eliminated[v])
+                    u = tree.parent[v]
+                    assert rest <= (set() if u is None else set(tree.nodes[u]))
+                _, cliques = reference_eliminate(nodes, [f[0] for out in tree.factors.values() for f in out])
+                assert tree.width == max(map(len, cliques.values()), default=0)
+                unmerged = sum(_NODE_ENTRIES + _CLIQUE_ENTRIES + (1 << len(c)) for c in cliques.values())
+                assert tree.cost <= unmerged
+                merged += len(tree.nodes) < len(nodes)
+        assert merged >= 40, merged
+
+    def test_plan_shortcut_keeps_the_cheaper_plan(self):
+        # `_plan` skips building the pruned tree when the full one is no
+        # dearer than a floor; building both must never pick otherwise, on
+        # the random DAGs and on the committed fixture's cases, where the
+        # full tree's cost falls on both sides of the floor
+        with open(os.path.join(DATA_DIR, "bench_net.json")) as fh:
+            fixture = parse_network(fh.read())
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            cases = [(fixture, {fixture.index[nid]: value for nid, value in case["evidence"].items()})
+                     for case in json.load(fh)]
+        picks = {True: 0, False: 0}
+        for net, observed in [*both_plans_cases(0), *both_plans_cases(1), *cases]:
+            free = [j for j in range(len(net.ids)) if j not in observed]
+            kept = _free_ancestors(net, observed)
+            full = _JunctionTree(net, observed, free)
+            pruned = _JunctionTree(net, observed, kept)
+            n_barren = len(free) - len(kept)
+            want = n_barren > 0 and pruned.cost * (1 + n_barren) < full.cost
+            _, barren = _plan(net, observed, cap=40)
+            assert bool(barren) == want
+            picks[want] += 1
+        assert min(picks.values()) >= 40, picks
 
     @pytest.mark.parametrize("n", [26, 28])
     def test_many_extreme_findings_match_reference(self, n):
