@@ -3,9 +3,11 @@
 
 The benchmark network has 60 model and 30 sensory nodes and 200 links.
 Each case's truths are exact posteriors from `exact_posteriors`, a
-junction tree over min-fill cliques; where the tree over every free node
-is past the default cap, it covers the evidence's ancestors and reads each
-barren node from one more collect pass.  No node is clamped or estimated.
+junction tree over min-fill cliques.  It runs whichever plan costs less:
+the tree over every free node, or the tree over the evidence's ancestors
+with each barren node read from one more collect pass.  Cases 0, 2 and 3
+take the pruned plan, case 0 although its full tree, 21 nodes wide, is
+under the default cap of 22.  No node is clamped or estimated.
 
 Run from the repository root:  python3 scripts/make_benchmark.py
 """

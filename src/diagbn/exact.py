@@ -27,9 +27,9 @@ state-by-state loop computes.
 
 The chain layout does come from the sampler: a transition matrix reads
 its free, diagnostic-sampled and forward-sampled nodes, scope children,
-pair scopes, visit orders and spouse-pair rule (`spouse_links`) from the
-chain's own `SamplerState`, so its kernels are the moves the sampler can
-make.
+pair scopes and visit orders from the chain's own `SamplerState`, and its
+pairs and their gates from the chain's `_PairPlan`, so its kernels are the
+moves the sampler can make and no others.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import _closure
+from .flow import _closure, check_evidence
 from .network import Network
 from .sampler import (
     GIBBS,
@@ -47,9 +47,9 @@ from .sampler import (
     SamplerState,
     StrategySpec,
     _log,
+    _PairPlan,
     clamp_and_flow,
     pair_scope,
-    spouse_links,
 )
 
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
@@ -106,8 +106,9 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     once per barren node; `cap` only refuses a plan whose largest clique
     holds more nodes.  Past the cap on both plans, or on a barren node's
     tree, it raises EnumerationCapError; evidence of probability zero
-    raises ValueError.
+    raises ValueError, as does an evidence node the network lacks.
     """
+    check_evidence(net, ev)
     observed = {net.index[nid]: bool(value) for nid, value in ev.items()}
     tree, barren = _plan(net, observed, cap)
     z = tree.collect()
@@ -435,10 +436,7 @@ def explicit_transition_matrix(
         )
     size = 1 << len(chain_nodes)
     bit = {j: 1 << k for k, j in enumerate(chain_nodes)}
-    base = [0] * len(net.ids)
-    for nid, value in ev.items():
-        base[net.index[nid]] = 1 if value else 0
-    X, S, F = _factor_table(net, base, chain_nodes)
+    X, S, F = _factor_table(net, chain.x, chain_nodes)
     rows = np.arange(size)
     states = [tuple(state) for state in X[:, chain_nodes].astype(int).tolist()]
 
@@ -521,18 +519,6 @@ def explicit_transition_matrix(
             stay[moving] -= alpha
         return out + [(s, s, stay)]
 
-    def spouse_pairs():
-        """Unordered pairs the sampler may form, each with the children whose
-        being on gates it (None for cover-gated policies)."""
-        gates = {}
-        for a, links in spouse_links(chain, strategy).items():
-            for c, others in links:
-                for b in others:
-                    if a < b:
-                        gates.setdefault((a, b), []).append(c)
-        gated = not strategy.cover_gated
-        return sorted((a, b, sorted(gate) if gated else None) for (a, b), gate in gates.items())
-
     mixture_labels = []
     # every policy keeps single-site moves for nodes the pairing leaves over
     for j in chain.diagnostic:
@@ -541,9 +527,10 @@ def explicit_transition_matrix(
         mixture_labels.append(label)
     kind = strategy.pair_move
     if kind is not None:
-        for a, b, gate in spouse_pairs():
+        plan = _PairPlan(chain, strategy)
+        for a, b in sorted((a, b) for a, partners in plan.spouses.items() for b in partners if a < b):
             label = (kind, net.ids[a], net.ids[b])
-            add_move(label, pair_entries, a, b, kind, strategy.rule, gate)
+            add_move(label, pair_entries, a, b, kind, strategy.rule, plan.gates.get((a, b)))
             mixture_labels.append(label)
     fs_labels = []
     for j in chain.topo_forward:

@@ -51,15 +51,20 @@ class FlowInfo:
     conditioning_set: frozenset
 
 
+def check_evidence(net: Network, ev: dict):
+    """Raise ValueError naming the first evidence node the network lacks."""
+    for nid in ev:
+        if nid not in net.index:
+            raise ValueError(f"evidence references unknown node {nid!r}")
+
+
 def clamp_pass(net: Network, ev: dict) -> ClampResult:
     """Two-phase reachability: the evidence cover, then its descendants.
 
     Returns the partition, which is a function of the evidence *set*: the
     order evidence nodes are listed in does not matter.
     """
-    for nid in ev:
-        if nid not in net.index:
-            raise ValueError(f"evidence references unknown node {nid!r}")
+    check_evidence(net, ev)
     reached = _closure(evidence_cover(net, ev), net.children)
     evidence_idx = {net.index[nid] for nid in ev}
     unclamped = reached - evidence_idx
@@ -72,6 +77,7 @@ def clamp_pass(net: Network, ev: dict) -> ClampResult:
 
 def no_clamp(net: Network, ev: dict) -> ClampResult:
     """The trivial partition used when a strategy runs without clamping."""
+    check_evidence(net, ev)
     free = frozenset(nid for nid in net.ids if nid not in ev)
     return ClampResult(clamped_false=frozenset(), unclamped=free)
 

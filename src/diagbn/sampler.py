@@ -229,8 +229,9 @@ class MarginalAccumulator:
 class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng.
 
-    The free nodes are the clamp result's `unclamped`, split into the
-    `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
+    `x` starts with the evidence at its observed values and every other
+    node off.  The free nodes are the clamp result's `unclamped`, split into
+    the `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
     survivals as running products, which `toggle` recomputes on underflow.
     `odds_cache[n]` holds (odds, p_on) of n's conditional for a
     diagnostic-sampled node n, or None when `fill_odds` must recompute it.
@@ -247,6 +248,8 @@ class SamplerState:
         self.rng = rng
         n = len(net.ids)
         self.x = [0] * n
+        for nid, value in ev.items():
+            self.x[net.index[nid]] = 1 if value else 0
         self.surv = [0.0] * n
         self.free = sorted(net.index[nid] for nid in clamp.unclamped)
         self.is_free = [False] * n
@@ -373,8 +376,6 @@ def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
     """Start a chain: evidence fixed, clamped nodes false, free nodes forward-drawn."""
     state = SamplerState(net, ev, clamp, flow, rng)
     x = state.x
-    for nid, value in ev.items():
-        x[net.index[nid]] = 1 if value else 0
     for j in state.topo_free:
         x[j] = 1 if rng.random() < (1.0 - net.survival(j, x)) else 0
     state.refresh_survivals()
@@ -564,53 +565,43 @@ def forward_redraw(state: SamplerState, n):
 # pairing
 
 
-def spouse_links(state: SamplerState, strategy: StrategySpec) -> dict:
-    """The one rule for which spouse pairs may move.
-
-    Maps each diagnostic-sampled node, in index order, to its links: one
-    (child, other diagnostic-sampled parents of that child) entry per scope
-    child, inside the evidence cover for cover-gated policies.  A node may
-    pair with any parent listed in its links; under child-true policies the
-    pair moves jointly only while one of the children linking it is on, and
-    that gate is read when the pair moves, never when pairs are chosen.
-    Pairs form only through children that carry evidence flow: a
-    forward-sampled child couples nothing in the collapsed posterior.
-    """
-    net = state.net
-    is_free = state.is_free
-    forward_sampled = state.forward_sampled
-    cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
-    return {
-        j: [
-            (c, [b for b in net.parents[c] if b != j and is_free[b] and not forward_sampled[b]])
-            for c in state.scope_children[j]
-            if cover is None or c in cover
-        ]
-        for j in state.diagnostic
-    }
-
-
 class _PairPlan:
-    """The candidate pairs of `spouse_links` for one chain, and their gates.
+    """The one rule for which spouse pairs may move: the candidate pairs of
+    one chain under one strategy, and their gates.
+
+    Each diagnostic-sampled node links, through each scope child (inside
+    the evidence cover for cover-gated policies), to that child's other
+    diagnostic-sampled parents.  Pairs form only through children that
+    carry evidence flow: a forward-sampled child couples nothing in the
+    collapsed posterior.  A cover link always counts.  A child-true link
+    through a child fixed on (true evidence) leaves the pair ungated, one
+    through a free child gates it on that child, and one through a child
+    fixed off (false evidence; a free node's children are never clamped)
+    is dropped, since it could never open.
 
     `spouses` maps every node with a link, in index order, to its partners
-    in link order without repeats; `gates` maps a child-true pair (either
-    way round) to the free children that link it.  A cover link always
-    counts.  A child-true link through a child fixed on (true evidence)
-    leaves the pair ungated, one through a free child gates it on that
-    child, and one through a child fixed off (false evidence or clamped)
-    is dropped, since it could never open.  Neither map reads a free value.
+    in link order without repeats; `gates` maps a gated child-true pair
+    (either way round) to the free children whose being on opens it.  The
+    gate is read when the pair moves, never when pairs are chosen, and
+    neither map reads a free value.
     """
 
     def __init__(self, state: SamplerState, strategy: StrategySpec):
+        net = state.net
         x = state.x
         is_free = state.is_free
+        forward_sampled = state.forward_sampled
+        cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
         self.strategy = strategy
         self.spouses = {}
         self.gates = {}
-        for j, links in spouse_links(state, strategy).items():
-            if not strategy.cover_gated:
-                links = [(c, others) for c, others in links if is_free[c] or x[c]]
+        for j in state.diagnostic:
+            links = [
+                (c, [b for b in net.parents[c] if b != j and is_free[b] and not forward_sampled[b]])
+                for c in state.scope_children[j]
+                if (c in cover if cover is not None else is_free[c] or x[c])
+            ]
+            if cover is None:
                 ungated = {b for c, others in links if not is_free[c] for b in others}
                 for c, others in links:
                     for b in others:
@@ -618,7 +609,6 @@ class _PairPlan:
                             self.gates.setdefault((j, b), []).append(c)
             if links:
                 self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
-        self.order = list(self.spouses)
 
 
 def pair_nodes(state: SamplerState, strategy: StrategySpec):
@@ -636,7 +626,7 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
     spouses = plan.spouses
     rng = state.rng
     randrange = rng.randrange
-    order = list(plan.order)
+    order = list(spouses)
     rng.shuffle(order)
     matched = [False] * len(state.x)
     pairs = []

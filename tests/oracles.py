@@ -1045,12 +1045,16 @@ def reference_transition_matrix(
 
     def spouse_pairs():
         """Unordered diagnostic-sampled pairs sharing a child that is not
-        forward-sampled, with the policy's gate."""
+        forward-sampled, with the policy's gate.  A child-true link counts
+        only through a child that is free or observed true: one observed
+        false could never open its gate."""
         cover = evidence_cover(net, ev) if strategy.cover_gated else None
         seenp = {}
         movable = set(ds)
         for c in range(len(net.ids)):
             if c in fs:
+                continue
+            if cover is None and net.ids[c] in ev and not ev[net.ids[c]]:
                 continue
             ps = [i for i in net.parents[c] if i in movable]
             for ai in range(len(ps)):

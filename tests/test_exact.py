@@ -513,9 +513,13 @@ def assert_same_matrix(got, want, pi_atol=0.0):
 
 class TestTransitionMatrixMatchesReference:
     """The factor-table build against the state-by-state build it replaced:
-    every state, pi, label, stage and kernel array equal to the bit.  On the
-    collapsed space the kernels are cut from the full ones, and pi, summed
-    over the forward-sampled bits, agrees to rounding."""
+    every state, pi, label, stage and kernel array equal to the bit.  The
+    reference works out its pairs and gates itself, from the raw links;
+    the build reads them from the chain's `_PairPlan`, so the two agree on
+    which pairs may move, and a pair linked only through a negative finding
+    has no kernel in either.  On the collapsed space the kernels are cut
+    from the full ones, and pi, summed over the forward-sampled bits,
+    agrees to rounding."""
 
     @pytest.mark.parametrize("collapse_forward", [False, True])
     def test_bit_identical_on_random_dags(self, vase, collapse_forward):

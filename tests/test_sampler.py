@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from diagbn.flow import (
     no_clamp,
 )
 from diagbn import sampler
-from diagbn.exact import explicit_transition_matrix
+from diagbn.exact import exact_posteriors, explicit_transition_matrix
 from diagbn.network import build_network, validate
 from diagbn.sampler import (
     BLOCK_SPOUSES_PARENT_TRUE,
@@ -848,6 +849,9 @@ class TestPairingMatchesReference:
         assert formed > 0
 
     def test_oracle_has_a_kernel_for_every_pair_formed(self):
+        # and no other: every pair kernel is a pair of the chain's own plan,
+        # and is the identity on exactly the states its gate shuts (and, for
+        # a swap, the states where the pair's two values are equal)
         rng = random.Random(2014)
         formed = 0
         for trial in range(40):
@@ -856,7 +860,8 @@ class TestPairingMatchesReference:
             ev = random_evidence(rng, net, max_nodes=3)
             for name in PAIR_PRESETS:
                 strategy = PRESETS[name]
-                labels = {label for label, _ in explicit_transition_matrix(net, ev, strategy).moves}
+                tm = explicit_transition_matrix(net, ev, strategy)
+                labels = {label for label, _ in tm.moves}
                 state = make_state(net, ev, name, seed=trial)
                 for call in range(6):
                     for a, b in pair_nodes(state, strategy)[0]:
@@ -867,6 +872,21 @@ class TestPairingMatchesReference:
                     for _ in range(2):
                         if state.free:
                             state.flip(rng.choice(state.free))
+                plan = state.pair_plan
+                column = {nid: k for k, nid in enumerate(tm.node_order)}
+                values = np.array(tm.states, dtype=bool).reshape(len(tm.states), len(tm.node_order))
+                for (kind, *ids), mat in tm.moves:
+                    if kind != strategy.pair_move:
+                        continue
+                    a, b = (net.index[nid] for nid in ids)
+                    assert b in plan.spouses.get(a, ()), (trial, name, ids)
+                    gate = plan.gates.get((a, b))
+                    idle = np.zeros(len(values), dtype=bool)
+                    if gate is not None:
+                        idle = ~values[:, [column[net.ids[c]] for c in gate]].any(axis=1)
+                    if kind == "swap":
+                        idle |= values[:, column[ids[0]]] == values[:, column[ids[1]]]
+                    assert np.array_equal(mat.diagonal() == 1.0, idle), (trial, name, ids)
         assert formed > 0
 
     def test_plan_rebuilt_for_another_strategy(self):
@@ -1493,3 +1513,17 @@ class TestExtremeParameters:
         for strategy in PRESETS.values():
             with pytest.raises(ValueError, match="'s': leak 1e-17"):
                 sample_posteriors(net, ev, strategy, sweeps=200, seed=1)
+
+
+def test_unknown_evidence_node_raises_one_error_everywhere(vase):
+    # with or without clamping, sampled or exact: the same ValueError, not
+    # a KeyError from whichever lookup meets the name first
+    ev = {"v": True, "zz": True}
+    unknown = "evidence references unknown node 'zz'"
+    with pytest.raises(ValueError, match=unknown):
+        exact_posteriors(vase, ev)
+    for strategy in PRESETS.values():
+        with pytest.raises(ValueError, match=unknown):
+            sample_posteriors(vase, ev, strategy, sweeps=10, seed=1)
+        with pytest.raises(ValueError, match=unknown):
+            explicit_transition_matrix(vase, ev, strategy)
