@@ -50,9 +50,9 @@ from .sampler import (
     StrategySpec,
     derive_seed,
     estimate_marginals,
-    initialize_state,
     run_chain,
     sample_posteriors,
+    setup_chain,
 )
 
 # name -> the module that defines it, imported on first access
@@ -119,7 +119,6 @@ __all__ = [
     "explicit_transition_matrix",
     "generate_cases",
     "generate_network",
-    "initialize_state",
     "load_config",
     "no_clamp",
     "parse_evidence",
@@ -129,5 +128,6 @@ __all__ = [
     "run_experiment",
     "sample_posteriors",
     "serialize_network",
+    "setup_chain",
     "validate",
 ]

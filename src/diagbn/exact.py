@@ -25,11 +25,12 @@ column is the scalar noisy-or product taken vectorwise, with the same float
 operations in the same parent order, so every kernel entry is the one a
 state-by-state loop computes.
 
-The chain layout does come from the sampler: a transition matrix reads
-its free, diagnostic-sampled and forward-sampled nodes, scope children,
-pair scopes and visit orders from the chain's own `SamplerState`, and its
-pairs and their gates from the chain's `_PairPlan`, so its kernels are the
-moves the sampler can make and no others.
+The chain layout does come from the sampler: a transition matrix builds
+the strategy's own `SamplerState` and reads from it the free,
+diagnostic-sampled and forward-sampled nodes, scope children, pair scopes
+and visit orders, and the pairs and their gates from the pair plan the
+state built at set-up, so its kernels are the moves the sampler can make
+and no others.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .sampler import (
     SamplerState,
     StrategySpec,
     _log,
-    _PairPlan,
-    clamp_and_flow,
     pair_scope,
 )
 
@@ -427,8 +426,7 @@ def explicit_transition_matrix(
     from scipy import sparse
 
     # the chain's own layout: its nodes, scopes, pair rule and visit orders
-    clamp, flow = clamp_and_flow(net, ev, strategy)
-    chain = SamplerState(net, ev, clamp, flow, None)
+    chain = SamplerState(net, ev, strategy, None)
     chain_nodes = chain.free
     if len(chain_nodes) > _MATRIX_CAP:
         raise EnumerationCapError(
@@ -526,8 +524,8 @@ def explicit_transition_matrix(
         add_move(label, single_entries, j, strategy.rule)
         mixture_labels.append(label)
     kind = strategy.pair_move
-    if kind is not None:
-        plan = _PairPlan(chain, strategy)
+    plan = chain.pair_plan
+    if plan is not None:
         for a, b in sorted((a, b) for a, partners in plan.spouses.items() for b in partners if a < b):
             label = (kind, net.ids[a], net.ids[b])
             add_move(label, pair_entries, a, b, kind, strategy.rule, plan.gates.get((a, b)))

@@ -93,19 +93,25 @@ def build_network(nodes, edges) -> Network:
 
     nodes: iterable of (id, kind, leak); edges: iterable of (from, to, p).
     Raises NetworkError on duplicate ids or edges, unknown references,
-    probabilities outside [0, 1], or cycles.
+    probabilities that are not numbers in [0, 1], or cycles.
     """
     nodes = list(nodes)
     edges = list(edges)
     for nid, kind, leak in nodes:
         if kind not in (MODEL, SENSORY):
             raise NetworkError(f"node {nid!r}: unknown kind {kind!r}")
-        if not (isinstance(leak, (int, float)) and 0.0 <= leak <= 1.0):
-            raise NetworkError(f"node {nid!r}: leak {leak!r} outside [0, 1]")
+        _check_probability(leak, f"node {nid!r}: leak")
     for uid, vid, p in edges:
-        if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-            raise NetworkError(f"edge {uid!r} -> {vid!r}: p {p!r} outside [0, 1]")
+        _check_probability(p, f"edge {uid!r} -> {vid!r}: p")
     return Network(nodes, edges)
+
+
+def _check_probability(value, what):
+    """NetworkError unless value is a number in [0, 1]; a JSON bool is not."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise NetworkError(f"{what} {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise NetworkError(f"{what} {value!r} outside [0, 1]")
 
 
 def validate(net: Network) -> list[str]:

@@ -28,14 +28,15 @@ distribution, and the estimate is the running mean of those credits.
 
 A strategy combines clamping on/off, flow-aware conditioning on/off, a move
 policy, and an acceptance rule.  The ten named presets cover the grid that
-the benchmark harness reports on.
+the benchmark harness reports on.  A chain is bound to one strategy when it
+is set up: its `SamplerState` builds the clamp, flow map and pair plan once.
 
-Flow-awareness enters a chain only through its flow map (`clamp_and_flow`).
-A flow-aware chain runs on `classify_flow`'s map: nodes with no evidential
-child are forward-sampled, redrawn from their parents after the sweep's
-moves, and never paired.  Any other chain runs on the blanket map, under
-which no node is forward-sampled, so the same sweep loop serves both: its
-forward tail is empty and every free node is movable.
+Flow-awareness enters a chain only through its flow map.  A flow-aware
+chain runs on `classify_flow`'s map: nodes with no evidential child are
+forward-sampled, redrawn from their parents after the sweep's moves, and
+never paired.  Any other chain runs on the blanket map, under which no
+node is forward-sampled, so the same sweep loop serves both: its forward
+tail is empty and every free node is movable.
 
 A single-site move reuses a node's conditional until a value it read
 changes, as in Pearl's message-passing Gibbs, where a node recomputes only
@@ -229,6 +230,10 @@ class MarginalAccumulator:
 class SamplerState:
     """Mutable chain state: values, cached noisy-or survivals, scores, rng.
 
+    The chain runs under `strategy` for life.  `clamp` is `clamp_pass`'s
+    result if the strategy clamps and `no_clamp`'s if not; the flow map is
+    the blanket map unless the strategy is flow-aware; `pair_plan` is the
+    strategy's `_PairPlan`, or None under the single-site policy.
     `x` starts with the evidence at its observed values and every other
     node off.  The free nodes are the clamp result's `unclamped`, split into
     the `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
@@ -241,10 +246,12 @@ class SamplerState:
     still invalidate, since `s * q / q` may differ from `s` in the last bit.
     """
 
-    def __init__(self, net, ev, clamp, flow, rng):
+    def __init__(self, net, ev, strategy: StrategySpec, rng):
         self.net = net
         self.ev = ev
-        self.clamp = clamp
+        self.strategy = strategy
+        clamp = self.clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
+        flow = classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
         self.rng = rng
         n = len(net.ids)
         self.x = [0] * n
@@ -276,7 +283,6 @@ class SamplerState:
             j for j in reversed(self.topo_free) if not self.forward_sampled[j]
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
-        self.pair_plan = None  # built by pair_nodes on first use
         self.pair_memo = {}  # (a, b) -> pair_scope(self, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [[1.0 - net.edge_p[(j, c)] for c in net.children[j]] for j in range(n)]
@@ -300,6 +306,8 @@ class SamplerState:
         self.stale = [r + s for r, s in zip(readers, stale)]
         self.stale_via = [[(c, readers[c]) for c in net.children[k] if readers[c]] for k in range(n)]
         self.odds_cache = [None] * n
+        # the plan reads x at fixed nodes only, which hold their values by now
+        self.pair_plan = _PairPlan(self) if strategy.pair_move else None
 
     def refresh_survivals(self):
         for j in range(len(self.x)):
@@ -372,9 +380,10 @@ class SamplerState:
         return w
 
 
-def initialize_state(net, ev, clamp, rng, flow) -> SamplerState:
-    """Start a chain: evidence fixed, clamped nodes false, free nodes forward-drawn."""
-    state = SamplerState(net, ev, clamp, flow, rng)
+def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
+    """Start a chain under `strategy`: evidence fixed, clamped nodes false,
+    free nodes forward-drawn."""
+    state = SamplerState(net, ev, strategy, rng)
     x = state.x
     for j in state.topo_free:
         x[j] = 1 if rng.random() < (1.0 - net.survival(j, x)) else 0
@@ -567,7 +576,8 @@ def forward_redraw(state: SamplerState, n):
 
 class _PairPlan:
     """The one rule for which spouse pairs may move: the candidate pairs of
-    one chain under one strategy, and their gates.
+    one chain under its strategy, and their gates, built once when the
+    chain's `SamplerState` is.
 
     Each diagnostic-sampled node links, through each scope child (inside
     the evidence cover for cover-gated policies), to that child's other
@@ -586,13 +596,12 @@ class _PairPlan:
     neither map reads a free value.
     """
 
-    def __init__(self, state: SamplerState, strategy: StrategySpec):
+    def __init__(self, state: SamplerState):
         net = state.net
         x = state.x
         is_free = state.is_free
         forward_sampled = state.forward_sampled
-        cover = evidence_cover(net, state.ev) if strategy.cover_gated else None
-        self.strategy = strategy
+        cover = evidence_cover(net, state.ev) if state.strategy.cover_gated else None
         self.spouses = {}
         self.gates = {}
         for j in state.diagnostic:
@@ -611,19 +620,16 @@ class _PairPlan:
                 self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
 
 
-def pair_nodes(state: SamplerState, strategy: StrategySpec):
+def pair_nodes(state: SamplerState):
     """Greedy random pairing of candidate spouses; everyone else moves alone.
 
     Returns (pairs, singles) covering every diagnostic-sampled node exactly
     once; forward-sampled nodes are redrawn from their parents and never
-    paired.  The candidates come from the chain's plan for this strategy
+    paired.  The candidates come from the pair plan built with the chain
     and the draws from the chain's rng alone: pairing reads no value of the
     chain, and a child-true gate is read when its pair moves (`_pair_sweeps`).
     """
-    plan = state.pair_plan
-    if plan is None or plan.strategy is not strategy:
-        plan = state.pair_plan = _PairPlan(state, strategy)
-    spouses = plan.spouses
+    spouses = state.pair_plan.spouses
     rng = state.rng
     randrange = rng.randrange
     order = list(spouses)
@@ -645,7 +651,7 @@ def pair_nodes(state: SamplerState, strategy: StrategySpec):
 # sweeps
 
 
-def _single_site_sweeps(state: SamplerState, rule, count):
+def _single_site_sweeps(state: SamplerState, count):
     """`count` sweeps of `single_site_move` on every diagnostic-sampled node
     in shuffled order, then `forward_redraw` on the forward tail, each in
     one loop: the lookups are bound, and the visit counts, cost and sweep
@@ -661,7 +667,7 @@ def _single_site_sweeps(state: SamplerState, rule, count):
     x = state.x
     surv = state.surv
     sums = state.acc.sums
-    gibbs = rule == GIBBS
+    gibbs = state.strategy.rule == GIBBS
     for _ in range(count):
         order = list(diagnostic)
         shuffle(order)
@@ -690,7 +696,7 @@ def _single_site_sweeps(state: SamplerState, rule, count):
     state.sweep_idx += count
 
 
-def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
+def _pair_sweeps(state: SamplerState, count):
     """`count` sweeps of a pair schedule, each a visit list and one loop
     over it, with the lookups bound and the cost of the inline moves
     charged once for all `count` sweeps.
@@ -718,6 +724,7 @@ def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
     moved parents.  That marginal is the target, since forward-sampled
     nodes carry no evidence back to it.
     """
+    strategy = state.strategy
     rule = strategy.rule
     gibbs = rule == GIBBS
     block = strategy.pair_move == "block"
@@ -736,9 +743,10 @@ def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
     move_cost = state.move_cost
     forward_sampled = state.forward_sampled
     tail = state.topo_forward
+    gates = state.pair_plan.gates
     cost = 0
     for sweep in range(state.sweep_idx, state.sweep_idx + count):
-        pairs, singles = pair_nodes(state, strategy)
+        pairs, singles = pair_nodes(state)
         if not alternating:
             visits = pairs + singles
             shuffle(visits)
@@ -757,7 +765,6 @@ def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
                         first[pair[1]] = None
                 else:
                     visits.append(j)
-        gates = state.pair_plan.gates
         for v in visits:
             if type(v) is tuple:
                 gate = gates.get(v)
@@ -804,15 +811,15 @@ def _pair_sweeps(state: SamplerState, strategy: StrategySpec, count):
     state.sweep_idx += count
 
 
-def run_sweep(state: SamplerState, strategy: StrategySpec, count):
-    """Sweep `count` times under the strategy's policy, each sweep visiting
+def run_sweep(state: SamplerState, count):
+    """Sweep `count` times under the chain's strategy, each sweep visiting
     every diagnostic-sampled node once, alone or in a pair, and redrawing
     the forward-sampled ones from their parents (under the alternating
     schedule, on forward passes only)."""
-    if strategy.move_policy == SINGLE_SITE:
-        _single_site_sweeps(state, strategy.rule, count)
+    if state.strategy.move_policy == SINGLE_SITE:
+        _single_site_sweeps(state, count)
     else:
-        _pair_sweeps(state, strategy, count)
+        _pair_sweeps(state, count)
 
 
 def estimate_marginals(net, ev, clamp: ClampResult, acc: MarginalAccumulator) -> dict:
@@ -839,18 +846,6 @@ class ChainResult:
     checkpoint_estimates: dict  # checkpoint sweep -> estimates after it
     cost: int
     seconds: float
-
-
-def clamp_and_flow(net, ev, strategy: StrategySpec):
-    """The (clamp, flow) maps a strategy's chain runs on.  Flow-aware
-    strategies get the evidence-flow map, all others the blanket map."""
-    clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
-    return clamp, classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
-
-
-def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
-    clamp, flow = clamp_and_flow(net, ev, strategy)
-    return initialize_state(net, ev, clamp, rng, flow)
 
 
 def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
@@ -884,7 +879,7 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
         t0 = time.perf_counter()
         done = 0
         for s in stops:
-            run_sweep(state, strategy, s - done)
+            run_sweep(state, s - done)
             done = s
             if s in wanted:
                 marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)

@@ -27,7 +27,7 @@ from scipy import sparse
 
 from diagbn import flow as flowmod
 from diagbn.exact import EnumerationCapError, TransitionMatrix
-from diagbn.flow import FlowInfo, evidence_cover
+from diagbn.flow import FlowInfo, clamp_pass, classify_flow, evidence_cover, no_clamp
 from diagbn.network import Network, NetworkError, validate
 from diagbn.sampler import (
     GIBBS,
@@ -36,9 +36,7 @@ from diagbn.sampler import (
     ChainRandom,
     SamplerState,
     StrategySpec,
-    _PairPlan,
     block_pair_move,
-    clamp_and_flow,
     estimate_marginals,
     forward_redraw,
     pair_scope,
@@ -602,7 +600,7 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
         marks = {}
         t0 = time.perf_counter()
         for s in range(1, sweeps + 1):
-            run_sweep(state, strategy, 1)
+            run_sweep(state, 1)
             if s in wanted:
                 marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
             if s == burn_in:
@@ -613,14 +611,11 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
     return runs
 
 
-def reference_pair_nodes(state: SamplerState, strategy: StrategySpec):
-    """`pair_nodes` as first written on the fixed plan, with a set of
-    matched nodes.  The library's pairing must make the same pairs and
+def reference_pair_nodes(state: SamplerState):
+    """`pair_nodes` as first written on the chain's fixed plan, with a set
+    of matched nodes.  The library's pairing must make the same pairs and
     draws."""
-    plan = state.pair_plan
-    if plan is None or plan.strategy is not strategy:
-        plan = state.pair_plan = _PairPlan(state, strategy)
-    spouses = plan.spouses
+    spouses = state.pair_plan.spouses
     rng = state.rng
     order = list(spouses)
     rng.shuffle(order)
@@ -683,7 +678,7 @@ def _reference_fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
     not.
     """
     backward = state.sweep_idx % 2 == 1
-    pairs, _ = reference_pair_nodes(state, strategy)
+    pairs, _ = reference_pair_nodes(state)
     partner = dict(pairs)
     partner.update((b, a) for a, b in pairs)
     order = state.topo_diagnostic_reversed if backward else state.topo_free
@@ -709,7 +704,7 @@ def reference_pair_sweep(state: SamplerState, strategy: StrategySpec):
     if strategy.move_policy == OPTIMIZED_FWD_BWD:
         _reference_fwd_bwd_sweep(state, strategy)
     else:
-        pairs, singles = reference_pair_nodes(state, strategy)
+        pairs, singles = reference_pair_nodes(state)
         _reference_run_pair_events(state, strategy, pairs, singles)
         for j in state.topo_forward:
             forward_redraw(state, j)
@@ -906,7 +901,8 @@ def reference_transition_matrix(
     reversible chains on that space.  Otherwise the space covers all free
     nodes and forward redraws appear as explicit kernels in product stages.
     """
-    clamp, flow = clamp_and_flow(net, ev, strategy)
+    clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
+    flow = classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
     free = sorted(net.index[nid] for nid in clamp.unclamped)
     fs = {j for j in free if flow[net.ids[j]].status == flowmod.FORWARD_SAMPLED}
     ds = [j for j in free if j not in fs]
@@ -1259,11 +1255,8 @@ def sweep_kernel(net, ev, strategy, sweep_idx):
     sets chain.free[k] to bit k of s, clamped nodes are false, and P[s, t]
     is the probability that the sweep takes s to t.
     """
-    clamp, flow = clamp_and_flow(net, ev, strategy)
     rng = ForkRng()
-    chain = SamplerState(net, ev, clamp, flow, rng)
-    for nid, value in ev.items():
-        chain.x[net.index[nid]] = 1 if value else 0
+    chain = SamplerState(net, ev, strategy, rng)
     free = chain.free
     size = 1 << len(free)
     P = np.zeros((size, size))
@@ -1273,7 +1266,7 @@ def sweep_kernel(net, ev, strategy, sweep_idx):
             chain.x[j] = (s >> k) & 1
         chain.refresh_survivals()
         chain.sweep_idx = sweep_idx
-        run_sweep(chain, strategy, 1)
+        run_sweep(chain, 1)
         return sum(chain.x[j] << k for k, j in enumerate(free))
 
     for s in range(size):

@@ -26,7 +26,6 @@ from diagbn.network import build_network
 from diagbn.sampler import (
     PRESETS,
     ChainRandom,
-    initialize_state,
     run_sweep,
     sample_posteriors,
     setup_chain,
@@ -143,7 +142,7 @@ def test_criterion_3_evidence_flow_sufficiency():
         clamp = no_clamp(net, ev)
         flow = classify_flow(net, ev, clamp)
         blanket = classify_flow(net, ev, clamp, blanket=True)
-        state = initialize_state(net, ev, clamp, random.Random(1), flow=flow)
+        state = setup_chain(net, ev, PRESETS["gibbs-flow"], random.Random(1))
         ds_ids = [
             nid for nid in net.ids
             if nid not in ev and flow[nid].status != FORWARD_SAMPLED
@@ -229,7 +228,7 @@ def _single_cause_hop_rate(net, ev, cause_idx, strategy, seed, sweeps):
     prev = None
     hops = 0
     for _ in range(sweeps):
-        run_sweep(state, strategy, 1)
+        run_sweep(state, 1)
         trues = [i for i in cause_idx if state.x[i]]
         label = trues[0] if len(trues) == 1 else None
         if label is not None:

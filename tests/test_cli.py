@@ -288,6 +288,21 @@ class TestExact:
         assert "largest clique has 12 nodes, over the cap of 10" in err
         assert not (tmp_path / "x.json").exists()
 
+    def test_bool_leak_exits_2(self, tmp_path, capsys):
+        # `exact` reads the permissive profile, which once took a leak of
+        # true as 1 and reported a marginal of 1.0 with exit 0
+        doc = {"nodes": [{"id": "a", "kind": "model", "leak": True}], "edges": []}
+        net_path, ev_path, out = tmp_path / "net.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(json.dumps(doc))
+        ev_path.write_text("{}")
+        rc, _, err = run_cli(
+            ["exact", "--network", str(net_path), "--evidence", str(ev_path), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "leak True is not a number" in err
+        assert not out.exists()
+
     def test_help_names_the_junction_tree(self, capsys):
         for argv in (["--help"], ["exact", "--help"]):
             with pytest.raises(SystemExit) as exc:

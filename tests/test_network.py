@@ -88,8 +88,13 @@ class TestParsing:
             ({"edges": None}, '"nodes" and "edges" lists'),
             ({"nodes": [{"id": ["e"], "kind": "model", "leak": 0.01}]}, 'string "id"'),
             ({"edges": [{"from": ["e"], "to": "v", "p": 0.9}]}, 'string "from" and "to"'),
+            # a JSON bool is an int to isinstance, so these once parsed as 1 and 0
+            ({"nodes": [{"id": "e", "kind": "model", "leak": True}]}, "leak True is not a number"),
+            ({"edges": [{"from": "e", "to": "v", "p": False}]}, "p False is not a number"),
+            ({"edges": [{"from": "e", "to": "v", "p": True}]}, "p True is not a number"),
         ],
-        ids=["null-nodes", "numeric-nodes", "null-edges", "listed-id", "listed-endpoint"],
+        ids=["null-nodes", "numeric-nodes", "null-edges", "listed-id", "listed-endpoint",
+             "bool-leak", "false-p", "true-p"],
     )
     def test_wrongly_typed_input_rejected(self, change, message):
         doc = json.loads(VASE_JSON)

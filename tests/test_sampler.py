@@ -44,11 +44,9 @@ from diagbn.sampler import (
     _run_chains,
     _single_site_sweeps,
     block_pair_move,
-    clamp_and_flow,
     derive_seed,
     estimate_marginals,
     forward_redraw,
-    initialize_state,
     pair_nodes,
     run_chain,
     run_sweep,
@@ -82,7 +80,9 @@ def make_state(net, ev, strategy_name="gibbs", seed=0):
 
 def flow_map(net, ev, strategy_name="gibbs"):
     """The flow map the preset's chain runs on."""
-    return clamp_and_flow(net, ev, PRESETS[strategy_name])[1]
+    strategy = PRESETS[strategy_name]
+    clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
+    return classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
 
 
 def force(state, nid, value):
@@ -123,9 +123,8 @@ class TestConditionalProb:
             [("a", "b", 0.9), ("a", "d", 0.5)],
         )
         ev = {"b": True}
-        clamp = no_clamp(net, ev)
-        flow = classify_flow(net, ev, clamp)
-        state = initialize_state(net, ev, clamp, random.Random(0), flow=flow)
+        flow = flow_map(net, ev, "gibbs-flow")
+        state = make_state(net, ev, "gibbs-flow")
         force(state, "a", 1)
         info = flow["d"]
         assert info.status == FORWARD_SAMPLED
@@ -437,9 +436,9 @@ class TestSingleSiteSweepMatchesReference:
                 sweep = 0
                 for length in stretches or [1] * 20:
                     if stretches is None:
-                        run_sweep(state, strategy, 1)
+                        run_sweep(state, 1)
                     else:
-                        _single_site_sweeps(state, rule, length)
+                        _single_site_sweeps(state, length)
                     for _ in range(length):
                         order = list(ref.diagnostic)
                         ref.rng.shuffle(order)
@@ -518,7 +517,7 @@ class TestPairSweepMatchesReference:
                 ref.rng.setstate(state.rng.getstate())
                 sweep = 0
                 for length in stretches or [1] * 20:
-                    run_sweep(state, strategy, length)
+                    run_sweep(state, length)
                     for _ in range(length):
                         oracles.reference_pair_sweep(ref, strategy)
                     sweep += length
@@ -628,7 +627,7 @@ class TestSwapPairMove:
 class TestPairing:
     def test_vase_cover_pairs_the_spouses(self, vase):
         state = make_state(vase, {"v": True}, "swap-spouses-cover")
-        pairs, singles = pair_nodes(state, PRESETS["swap-spouses-cover"])
+        pairs, singles = pair_nodes(state)
         assert len(pairs) == 1
         a, b = pairs[0]
         assert {vase.ids[a], vase.ids[b]} == {"e", "b"}
@@ -645,7 +644,7 @@ class TestPairing:
             [("a", "s", 0.5), ("b", "s", 0.5), ("c", "s", 0.5)],
         )
         state = make_state(net, {"s": True}, "swap-spouses-cover")
-        pairs, singles = pair_nodes(state, PRESETS["swap-spouses-cover"])
+        pairs, singles = pair_nodes(state)
         assert len(pairs) == 1 and len(singles) == 1
 
     def test_cover_requires_positive_evidence(self):
@@ -654,7 +653,7 @@ class TestPairing:
             [("a", "s", 0.5), ("b", "s", 0.5)],
         )
         state = make_state(net, {"s": False}, "swap-spouses-cover")
-        pairs, singles = pair_nodes(state, PRESETS["swap-spouses-cover"])
+        pairs, singles = pair_nodes(state)
         assert pairs == []
         assert set(singles) == {net.index["a"], net.index["b"]}
 
@@ -700,14 +699,14 @@ class TestPairing:
                 force(state, "m", m)
                 force(state, "a", k % 2)
                 force(state, "b", k // 2 % 2)
-                pairs, singles = pair_nodes(state, strategy)
+                pairs, singles = pair_nodes(state)
                 assert len(pairs) == 1 and set(pairs[0]) == {ja, jb}
                 assert singles == [net.index["m"]]
                 state.sweep_idx = 0
                 state.rng.drawn = []
                 swaps.clear()
                 counts = list(state.acc.counts)
-                run_sweep(state, strategy, 1)
+                run_sweep(state, 1)
                 assert [now - was for now, was in zip(state.acc.counts, counts)] == [1, 1, 1, 0]
                 drawn = state.rng.drawn
                 if not m:
@@ -737,9 +736,8 @@ class TestPairing:
             [("a", "m", 0.5), ("b", "m", 0.5), ("a", "s", 0.5), ("b", "s", 0.5)]
             + [(n, "t", 0.5) for n in "abcd"],
         )
-        strategy = PRESETS["swap-spouses-child-true"]
         state = make_state(net, {"s": True, "t": False}, "swap-spouses-child-true")
-        pairs, singles = pair_nodes(state, strategy)
+        pairs, singles = pair_nodes(state)
         assert [{net.ids[a], net.ids[b]} for a, b in pairs] == [{"a", "b"}]
         assert {net.ids[j] for j in singles} == {"c", "d", "m"}
         assert state.pair_plan.gates == {}
@@ -767,7 +765,7 @@ class TestPairing:
         assert state.forward_sampled[net.index["f"]]
         for value in (1, 0):
             force(state, "f", value)
-            pairs, singles = pair_nodes(state, PRESETS["optimized-random"])
+            pairs, singles = pair_nodes(state)
             assert pairs == []
             assert set(singles) == {net.index["a"], net.index["b"]}
 
@@ -782,7 +780,7 @@ class TestPairing:
             )
             strategy = PRESETS[name]
             state = make_state(net, ev, name, seed=trial)
-            pairs, singles = pair_nodes(state, strategy)
+            pairs, singles = pair_nodes(state)
             seen = set(singles)
             for a, b in pairs:
                 assert a not in seen and b not in seen
@@ -823,7 +821,7 @@ class TestPairingMatchesReference:
 
     def test_pairing_reads_no_chain_value(self):
         # two copies of a chain with one rng state and different free
-        # values pair alike and draw alike, plan built or not
+        # values pair alike and draw alike
         assert len(PAIR_PRESETS) == 6
         rng = random.Random(2013)
         formed = 0
@@ -832,14 +830,13 @@ class TestPairingMatchesReference:
             net = build_network(nodes, edges)
             ev = random_evidence(rng, net, max_nodes=3)
             for name in PAIR_PRESETS:
-                strategy = PRESETS[name]
                 state = make_state(net, ev, name, seed=trial)
                 other = copy.deepcopy(state)
                 for j in other.free:
                     other.flip(j)
                 for call in range(6):
-                    got = pair_nodes(state, strategy)
-                    assert got == pair_nodes(other, strategy), (trial, name, call)
+                    got = pair_nodes(state)
+                    assert got == pair_nodes(other), (trial, name, call)
                     assert state.rng.getstate() == other.rng.getstate(), (trial, name, call)
                     formed += len(got[0])
                     for chain in (state, other):
@@ -864,7 +861,7 @@ class TestPairingMatchesReference:
                 labels = {label for label, _ in tm.moves}
                 state = make_state(net, ev, name, seed=trial)
                 for call in range(6):
-                    for a, b in pair_nodes(state, strategy)[0]:
+                    for a, b in pair_nodes(state)[0]:
                         ids = (net.ids[a], net.ids[b])
                         assert {(strategy.pair_move,) + ids, (strategy.pair_move,) + ids[::-1]} & labels, (
                             trial, name, call, ids)
@@ -889,7 +886,7 @@ class TestPairingMatchesReference:
                     assert np.array_equal(mat.diagonal() == 1.0, idle), (trial, name, ids)
         assert formed > 0
 
-    def test_plan_rebuilt_for_another_strategy(self):
+    def test_only_child_true_plans_gate_on_a_free_child(self):
         net = build_network(
             [
                 ("a", "model", 0.1),
@@ -899,21 +896,19 @@ class TestPairingMatchesReference:
             ],
             [("a", "m", 0.5), ("b", "m", 0.5), ("m", "s", 0.9)],
         )
-        cover, child_true = PRESETS["swap-spouses-cover"], PRESETS["swap-spouses-child-true"]
         ja, jb, jm = (net.index[n] for n in "abm")
-        state = make_state(net, {"s": True}, "swap-spouses-cover")
-        force(state, "m", 0)
-        assert len(pair_nodes(state, cover)[0]) == 1
-        plan = state.pair_plan
-        pair_nodes(state, cover)
-        assert state.pair_plan is plan and plan.gates == {}
-        # m is off: both gates pair a and b through it, and only the
+        # m is off: both plans pair a and b through it, and only the
         # child-true plan gates the pair's moves on m
-        assert len(pair_nodes(state, child_true)[0]) == 1
-        assert state.pair_plan is not plan and state.pair_plan.strategy is child_true
-        assert state.pair_plan.gates == {(ja, jb): [jm], (jb, ja): [jm]}
-        assert len(pair_nodes(state, cover)[0]) == 1
-        assert state.pair_plan.strategy is cover
+        gates = {
+            "swap-spouses-cover": {},
+            "swap-spouses-child-true": {(ja, jb): [jm], (jb, ja): [jm]},
+        }
+        for name, want in gates.items():
+            state = make_state(net, {"s": True}, name)
+            force(state, "m", 0)
+            plan = state.pair_plan
+            assert len(pair_nodes(state)[0]) == 1, name
+            assert state.pair_plan is plan and plan.gates == want, name
 
 
 class TestSweeps:
@@ -931,7 +926,7 @@ class TestSweeps:
                     assert state.topo_forward == [], name
                 n_sweeps = 6
                 for _ in range(n_sweeps):
-                    run_sweep(state, strategy, 1)
+                    run_sweep(state, 1)
                 for j in state.free:
                     floor = n_sweeps
                     if (
@@ -949,13 +944,12 @@ class TestSweeps:
     def test_swap_chain_still_reaches_all_states(self, vase):
         # swap moves alone preserve the number of true causes; the mixed-in
         # single-site moves must restore access to (0,0) and (1,1)
-        strategy = PRESETS["swap-spouses-cover"]
         state = make_state(vase, {"v": True}, "swap-spouses-cover", seed=3)
         force(state, "e", 0)
         force(state, "b", 0)
         seen = set()
         for _ in range(2000):
-            run_sweep(state, strategy, 1)
+            run_sweep(state, 1)
             seen.add((state.x[vase.index["e"]], state.x[vase.index["b"]]))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -974,10 +968,9 @@ class TestSweeps:
             [("a", "model", 0.1), ("s", "sensory", 0.01), ("d", "sensory", 0.05)],
             [("a", "s", 0.8), ("a", "d", 0.5)],
         )
-        strategy = PRESETS["optimized-fwd-bwd"]
         state = make_state(net, {"s": True}, "optimized-fwd-bwd", seed=5)
         for _ in range(40):
-            run_sweep(state, strategy, 1)
+            run_sweep(state, 1)
         # d is forward-sampled: visited only on the 20 forward passes
         assert state.acc.counts[net.index["d"]] == 20
         # a is diagnostic-sampled: visited on every pass
@@ -1111,10 +1104,10 @@ class TestOddsCache:
             net = build_network(nodes, edges)
             nets.append((net, random_evidence(rng, net, max_nodes=2)))
         for trial, (net, ev) in enumerate(nets):
-            for name, strategy in PRESETS.items():
+            for name in PRESETS:
                 state = make_state(net, ev, name, seed=trial)
                 for _ in range(4):
-                    run_sweep(state, strategy, 1)
+                    run_sweep(state, 1)
                     live[0] += assert_odds_cache_coherent(state)
         assert live[0] > 0  # the check saw cache hits to compare
 
@@ -1187,7 +1180,7 @@ class TestFlowVsBlanketConditioning:
         clamp = no_clamp(net, ev)
         flow = classify_flow(net, ev, clamp)
         blanket = classify_flow(net, ev, clamp, blanket=True)
-        state = initialize_state(net, ev, clamp, random.Random(0), flow=flow)
+        state = make_state(net, ev, "gibbs-flow")
         force(state, "c", 0)
         force(state, "a", 0)
 
@@ -1210,7 +1203,7 @@ class TestFlowVsBlanketConditioning:
             clamp = no_clamp(net, ev)
             flow = classify_flow(net, ev, clamp)
             blanket = classify_flow(net, ev, clamp, blanket=True)
-            state = initialize_state(net, ev, clamp, random.Random(1), flow=flow)
+            state = make_state(net, ev, "gibbs-flow", seed=1)
             for nid in state_free_ids(state):
                 info = flow[nid]
                 j = net.index[nid]
@@ -1342,33 +1335,44 @@ class TestInitializeState:
             [("m1", "s1", 0.8), ("m2", "s2", 0.8)],
         )
         ev = {"s1": True, "s2": False}
-        clamp = clamp_pass(net, ev)
-        assert "m2" in clamp.clamped_false
-        state = initialize_state(
-            net, ev, clamp, random.Random(0), classify_flow(net, ev, clamp, blanket=True)
-        )
+        state = make_state(net, ev, "gibbs-clamp")
+        assert "m2" in state.clamp.clamped_false
         assert state.x[net.index["s1"]] == 1
         assert state.x[net.index["s2"]] == 0
         assert state.x[net.index["m2"]] == 0
         assert net.index["m2"] not in state.free
 
     def test_same_seed_same_state(self, vase):
-        ev = {"v": True}
-        clamp = no_clamp(vase, ev)
-        flow = classify_flow(vase, ev, clamp, blanket=True)
-        a = initialize_state(vase, ev, clamp, random.Random(7), flow)
-        b = initialize_state(vase, ev, clamp, random.Random(7), flow)
+        a = make_state(vase, {"v": True}, seed=7)
+        b = make_state(vase, {"v": True}, seed=7)
         assert a.x == b.x
 
     def test_tiny_leaks_start_nearly_all_false(self):
         net = build_network([(f"m{i}", "model", 0.001) for i in range(10)], [])
         trues = 0
-        clamp = no_clamp(net, {})
-        flow = classify_flow(net, {}, clamp, blanket=True)
         for seed in range(200):
-            state = initialize_state(net, {}, clamp, random.Random(seed), flow)
+            state = make_state(net, {}, seed=seed)
             trues += sum(state.x)
         assert trues < 20  # expectation is 200 * 10 * 0.001 = 2
+
+    def test_state_carries_its_presets_maps(self):
+        # the clamp, the flow map and the pair plan a chain runs on are the
+        # ones its preset names, fixed when the state is built
+        rng = random.Random(63)
+        for trial in range(25):
+            nodes, edges = random_dag(rng, rng.randint(3, 12), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3)
+            for name, strategy in PRESETS.items():
+                state = make_state(net, ev, name, seed=trial)
+                clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
+                assert state.clamp == clamp, (trial, name)
+                for nid, info in flow_map(net, ev, name).items():
+                    j = net.index[nid]
+                    assert state.forward_sampled[j] == (info.status == FORWARD_SAMPLED), (trial, name, nid)
+                    scope = [net.ids[c] for c in state.scope_children[j]]
+                    assert scope == list(info.evidential_children), (trial, name, nid)
+                assert (state.pair_plan is None) == (strategy.move_policy == SINGLE_SITE), (trial, name)
 
     def test_survival_caches_start_consistent(self, vase):
         state = make_state(vase, {"v": True}, seed=13)
@@ -1394,12 +1398,9 @@ class TestAccumulator:
             [("m1", "s1", 0.8)],
         )
         ev = {"s1": True}
-        clamp = clamp_pass(net, ev)
-        assert "m2" in clamp.clamped_false
-        state = initialize_state(
-            net, ev, clamp, random.Random(0), classify_flow(net, ev, clamp, blanket=True)
-        )
-        est = estimate_marginals(net, ev, clamp, state.acc)
+        state = make_state(net, ev, "gibbs-clamp")
+        assert "m2" in state.clamp.clamped_false
+        est = estimate_marginals(net, ev, state.clamp, state.acc)
         assert est["m2"] == 0.0
         assert est["s1"] == 1.0
 
@@ -1457,7 +1458,7 @@ class TestExtremeParameters:
         for name, strategy in PRESETS.items():
             state = setup_chain(net, ev, strategy, ChainRandom(derive_seed(seed, name)))
             for count in (1, 3, 7):
-                run_sweep(state, strategy, count)
+                run_sweep(state, count)
                 fresh = [net.survival(j, state.x) for j in range(len(net.ids))]
                 for j, (cached, want) in enumerate(zip(state.surv, fresh)):
                     assert math.isclose(cached, want, rel_tol=1e-9, abs_tol=1e-300), (name, net.ids[j])

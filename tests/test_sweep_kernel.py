@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diagbn.network import build_network
-from diagbn.sampler import OPTIMIZED_FWD_BWD, PRESETS, pair_nodes, setup_chain
+from diagbn.sampler import OPTIMIZED_FWD_BWD, PRESETS, setup_chain
 from oracles import joint_prob, random_dag, random_evidence, sweep_kernel
 
 EXACT_PRESETS = [
@@ -105,9 +105,7 @@ def test_sweep_keeps_posterior_on_generated_nets(name, seed):
     assert len(net.ids) - len(ev) == 4
     strategy = PRESETS[name]
     if seed == 8 and name in CHILD_TRUE_PRESETS:
-        chain = setup_chain(net, ev, strategy, random.Random(0))
-        pair_nodes(chain, strategy)
-        assert chain.pair_plan.gates
+        assert setup_chain(net, ev, strategy, random.Random(0)).pair_plan.gates
     err, row_err = stationarity_error(net, ev, strategy)
     assert row_err < 1e-12
     assert err < 1e-12, err
