@@ -15,7 +15,10 @@ small factors underflows; a collect pass and a distribute pass, with every
 message scaled, leave each table proportional to its posterior joint.  No
 table holds more nodes than the largest elimination clique, so the cost
 grows exponentially in that clique's size, not in the number of free
-nodes.
+nodes.  A tree over the evidence's ancestors alone leaves the other free
+nodes barren: one with no free parent, or whose free parents share a
+calibrated table, is read in closed form or from that table, and each
+other one costs a collect pass with it observed off.
 
 Transition matrices read one factor table: a row per enumerated state and
 a column per node, holding each node's noisy-or survival and its factor.
@@ -53,8 +56,9 @@ from .sampler import (
 
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
 # a junction tree's Python work, in the table entries that take as long:
-# on a 2.1 GHz x86-64 core a table's messages take 15-18 us, and a node's
-# factor and elimination step about 30 us, against 55-80 ns per entry
+# on a 2.1 GHz x86-64 core a table's messages take about 30 us, and a
+# node's factor and elimination step about 25 us, against 55-130 ns per
+# entry, more in tables that hold more factors
 _CLIQUE_ENTRIES = 1 << 8  # per table
 _NODE_ENTRIES = 1 << 9  # per node
 
@@ -98,14 +102,17 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
 
     Two plans can answer.  One junction tree covers every free node.  The
     other covers the evidence's ancestors only, since the other free nodes
-    are barren and do not change their posterior; each barren node c then
-    gets P(c = 1 | e) = 1 - Z(e, c = 0) / Z(e), from one collect pass over
-    the ancestors of the evidence and c, with c observed off.  The plan of
-    lower `cost` runs, the pruned tree's counted once for the evidence and
-    once per barren node; `cap` only refuses a plan whose largest clique
-    holds more nodes.  Past the cap on both plans, or on a barren node's
-    tree, it raises EnumerationCapError; evidence of probability zero
-    raises ValueError, as does an evidence node the network lacks.
+    are barren and do not change their posterior.  A barren node c with no
+    free parent, or whose free parents share a table, is read from the
+    calibrated tree (`_JunctionTree.read`); any other gets P(c = 1 | e) =
+    1 - Z(e, c = 0) / Z(e), from one collect pass over the ancestors of the
+    evidence and c, with c observed off.  The plan of lower `cost` runs,
+    the pruned tree's counted once for the evidence and once per barren
+    node; `cap` only refuses a plan whose largest clique holds more nodes.
+    Past the cap on both plans, or on a barren node's tree, or where a
+    table cannot be allocated, it raises EnumerationCapError; evidence of
+    probability zero raises ValueError, as does an evidence node the
+    network lacks.
     """
     check_evidence(net, ev)
     observed = {net.index[nid]: bool(value) for nid, value in ev.items()}
@@ -115,12 +122,13 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
         raise ValueError("evidence has zero probability under this network")
     marginals = tree.distribute()
     for c in barren:
-        off = dict(observed)
-        off[c] = False
-        c_tree = _JunctionTree(net, off, _free_ancestors(net, off))
-        c_tree.check_cap(cap)
-        # rounding can take the ratio a few ulps past 1
-        marginals[c] = max(0.0, -math.expm1(c_tree.collect() - z))
+        marginals[c] = tree.read(_split(net, observed, c))
+        if marginals[c] is None:
+            off = {**observed, c: False}
+            c_tree = _JunctionTree(net, off, _free_ancestors(net, off))
+            c_tree.check_cap(cap)
+            # rounding can take the ratio a few ulps past 1
+            marginals[c] = max(0.0, -math.expm1(c_tree.collect() - z))
     out = {nid: 1.0 if value else 0.0 for nid, value in ev.items()}
     for j in sorted(marginals):
         out[net.ids[j]] = marginals[j]
@@ -155,15 +163,30 @@ def _free_ancestors(net, observed) -> list:
     return sorted(_closure(observed, net.parents).difference(observed))
 
 
+def _split(net, observed, j):
+    """Node j's stay-off weight with its free parents off, 1 - leak times
+    1 - p over its parents observed on, as (value, log), and its free
+    parents, in index order, each paired with its 1 - p."""
+    s0 = 1.0 - net.leak[j]
+    log_s0 = _log(s0)
+    links = []
+    for i, p in sorted(zip(net.parents[j], net.parent_p[j])):
+        if i not in observed:
+            links.append((i, 1.0 - p))
+        elif observed[i]:
+            s0 *= 1.0 - p
+            log_s0 += _log(1.0 - p)
+    return (s0, log_s0), links
+
+
 def _factors(net, observed, nodes):
     """The joint of the observed nodes and the free `nodes`, which must hold
     every free parent of each, as a log constant, log `kept` terms and a
     list of factors.
 
-    A factor is (scope, node, s0, links): `links` pairs each free parent,
-    in index order, with its 1 - p, and s0 is 1 - leak times 1 - p over the
-    parents observed on, as (value, log).  `node` is the free node the
-    factor gives the probability of, or None for a node observed on.  The
+    A factor is (scope, node, s0, links), with s0 and links from `_split`.
+    `node` is the free node the factor gives the probability of, or None
+    for a node observed on.  The
     scope lists the factor's free nodes in index order, one table axis
     each.  A node observed off adds log s0 to the constant and, to each
     free parent's `kept` term, log(1 - p), which that parent's own factor
@@ -172,21 +195,8 @@ def _factors(net, observed, nodes):
     const = 0.0
     kept = {}  # free node -> sum of log(1 - p) over its children observed off
     factors = []
-
-    def split(j):
-        s0 = 1.0 - net.leak[j]
-        log_s0 = _log(s0)
-        links = []
-        for i, p in sorted(zip(net.parents[j], net.parent_p[j])):
-            if i not in observed:
-                links.append((i, 1.0 - p))
-            elif observed[i]:
-                s0 *= 1.0 - p
-                log_s0 += _log(1.0 - p)
-        return (s0, log_s0), links
-
     for j in sorted(observed):
-        s0, links = split(j)
+        s0, links = _split(net, observed, j)
         if not observed[j]:
             const += s0[1]
             for i, q in links:
@@ -196,7 +206,7 @@ def _factors(net, observed, nodes):
         else:
             const += _log(1.0 - s0[0])
     for j in nodes:
-        s0, links = split(j)
+        s0, links = _split(net, observed, j)
         factors.append((tuple(sorted([j] + [i for i, _ in links])), j, s0, links))
     return const, kept, factors
 
@@ -207,13 +217,22 @@ def _log_table(factor, kept):
     less the stay-off weight, taken as -expm1 of its log.  The log of a
     weight 0 is -inf: call with numpy's divide warnings off."""
     scope, node, (_, log_s0), links = factor
-    log_off = np.float64(log_s0)
-    for _, q in links:
-        log_off = np.add.outer(log_off, (0.0, _log(q)))
+    log_off = _log_off(log_s0, links)
     log_on = np.log(-np.expm1(log_off))
     if node is None:
         return log_on
-    return np.stack((log_off, log_on + kept.get(node, 0.0)), axis=scope.index(node))
+    # the node's off/on pair along a new first axis, moved to its place
+    k = scope.index(node)
+    axes = (*range(1, k + 1), 0, *range(k + 1, len(scope)))
+    return np.array((log_off, log_on + kept.get(node, 0.0))).transpose(axes)
+
+
+def _log_off(log_s0, links):
+    """Log stay-off weights, one axis per free parent in `links`, off then on."""
+    log_off = np.float64(log_s0)
+    for _, q in links:
+        log_off = np.add.outer(log_off, (0.0, _log(q)))
+    return log_off
 
 
 def _bits(mask):
@@ -265,7 +284,7 @@ def _eliminate(nodes, scopes):
 def _shape(scope, nodes):
     """The shape that lays a table over `scope` along the axes of `nodes`;
     both list nodes in index order."""
-    return tuple(2 if v in scope else 1 for v in nodes)
+    return tuple([2 if v in scope else 1 for v in nodes])
 
 
 class _JunctionTree:
@@ -329,7 +348,14 @@ class _JunctionTree:
         self.tables, self.messages = {}, {}
         with np.errstate(divide="ignore"):
             for v, nodes in self.nodes.items():
-                table = self.tables[v] = np.zeros((2,) * len(nodes))
+                try:
+                    table = self.tables[v] = np.zeros((2,) * len(nodes))
+                except MemoryError:
+                    n = len(nodes)
+                    raise EnumerationCapError(
+                        f"the junction tree's table over {n} nodes needs {(8 << n) / 2**30:g} GiB, "
+                        f"more than could be allocated; set a cap below {n} nodes (--cap)"
+                    ) from None
                 for f in self.factors[v]:
                     table += _log_table(f, self.kept).reshape(_shape(f[0], nodes))
         z = self.const
@@ -345,28 +371,51 @@ class _JunctionTree:
             message -= peak
             z += peak
             if u is not None:
-                self.messages[v] = message
                 self.tables[u] += message.reshape(_shape(nodes, self.nodes[u]))
+                # log 0 - 0 is still log 0: `distribute` divides by one subtraction
+                # and a separator state of weight 0 below stays at weight 0
+                message[message == -math.inf] = 0.0
+                self.messages[v] = message
         return z
 
     def distribute(self):
         """Pass messages back from the roots after `collect`, and read each
-        node's posterior from the table that eliminates it."""
-        marginals, weights = {}, {}
+        node's posterior from the table that eliminates it.  Keeps each
+        table's weights, proportional to its posterior joint, for `read`."""
+        marginals = {}
+        weights = self.weights = {}
         with np.errstate(divide="ignore"):
             for v in reversed(self.nodes):
                 nodes, u, table = self.nodes[v], self.parent[v], self.tables[v]
                 if u is not None:
                     axes = tuple(a for a, w in enumerate(self.nodes[u]) if w not in nodes)
-                    message, old = np.log(weights[u].sum(axis=axes)), self.messages[v]
-                    # a separator state of weight 0 below stays at weight 0
-                    ratio = np.subtract(message, old, out=np.full_like(old, -np.inf), where=old > -np.inf)
+                    ratio = np.log(weights[u].sum(axis=axes))
+                    ratio -= self.messages[v]
                     table += ratio.reshape(_shape(self.nodes[u], nodes))
                 w = weights[v] = np.exp(table - table.max())
                 total = w.sum()
                 for x in self.eliminated[v]:
-                    marginals[x] = float(w.take(1, axis=nodes.index(x)).sum() / total)
+                    on = (slice(None),) * nodes.index(x) + (1,)
+                    marginals[x] = float(w[on].sum() / total)
         return marginals
+
+    def read(self, split):
+        """P(c = 1 | e) for a barren node c, from its `_split`, after
+        `distribute`: 1 - s0 with no free parent, else the mean of 1 - c's
+        stay-off weight, summed as a log per state so a tiny P does not
+        cancel, under the smallest table holding every free parent; None
+        when no table does."""
+        (_, log_s0), links = split
+        if not links:
+            return max(0.0, -math.expm1(log_s0))  # no -0.0
+        parents = {i for i, _ in links}
+        holding = [v for v, nodes in self.nodes.items() if parents.issubset(nodes)]
+        if not holding:
+            return None
+        v = min(holding, key=lambda v: len(self.nodes[v]))
+        on = -np.expm1(_log_off(log_s0, links)).reshape(_shape(parents, self.nodes[v]))
+        w = self.weights[v]
+        return max(0.0, float((w * on).sum() / w.sum()))
 
 
 # ---------------------------------------------------------------------------

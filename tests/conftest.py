@@ -66,6 +66,29 @@ def tiny_leak_problem():
     return net, {"s": True}
 
 
+def wide_finding_problem(n):
+    """n models linked at p = 0.5 to one finding observed true, so the
+    junction tree has one table over all n."""
+    nodes = [(f"m{i:02d}", "model", 0.1) for i in range(n)] + [("s", "sensory", 0.01)]
+    return build_network(nodes, [(f"m{i:02d}", "s", 0.5) for i in range(n)]), {"s": True}
+
+
+@pytest.fixture
+def tables_past_memory(monkeypatch):
+    """np.zeros refuses arrays of more than 30 axes, as numpy does an
+    allocation past the host's memory, so none is tried for real."""
+    import numpy as np
+
+    zeros = np.zeros
+
+    def refuse_wide(shape, *args, **kwargs):
+        if len(shape) > 30:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_wide)
+
+
 @pytest.fixture
 def vase():
     return build_network(

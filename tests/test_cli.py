@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from conftest import VASE_P_B, VASE_P_E, pair_underflow_problem, tiny_leak_problem, underflow_problem
+from conftest import (
+    VASE_P_B,
+    VASE_P_E,
+    pair_underflow_problem,
+    tiny_leak_problem,
+    underflow_problem,
+    wide_finding_problem,
+)
 from diagbn.bench import load_config, run_experiment
 from diagbn.cli import build_parser, main
 from diagbn.network import STRICT, parse_network, serialize_network, validate
@@ -287,6 +294,22 @@ class TestExact:
         assert err.startswith("error:")
         assert "largest clique has 12 nodes, over the cap of 10" in err
         assert not (tmp_path / "x.json").exists()
+
+    def test_table_past_memory_exits_2(self, tmp_path, capsys, tables_past_memory):
+        # 34 models fit a cap of 40 but make one table of 128 GiB, which once
+        # escaped numpy as a traceback with exit 1
+        net, ev = wide_finding_problem(34)
+        net_path, ev_path, out = tmp_path / "wide.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(serialize_network(net))
+        ev_path.write_text(json.dumps(ev))
+        rc, _, err = run_cli(
+            ["exact", "--network", str(net_path), "--evidence", str(ev_path), "--cap", "40", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "table over 34 nodes needs 128 GiB" in err
+        assert "cap below 34" in err
+        assert not out.exists()
 
     def test_bool_leak_exits_2(self, tmp_path, capsys):
         # `exact` reads the permissive profile, which once took a leak of

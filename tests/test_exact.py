@@ -12,6 +12,7 @@ from conftest import (
     VASE_P_B,
     VASE_P_E,
     VASE_P_E_GIVEN_B0,
+    wide_finding_problem,
 )
 from diagbn.exact import (
     _CLIQUE_ENTRIES,
@@ -328,6 +329,68 @@ class TestExactPosteriors:
             tree, barren = _plan(net, observed, cap=40)
             assert bool(barren) == pruned, k
             assert tree.width <= (9 if pruned else 18), k
+
+    def test_barren_nodes_read_from_the_calibrated_tree(self, monkeypatch):
+        # a cap below the all-free-node tree's width takes the pruned plan;
+        # there a barren node with no free parent is read in closed form,
+        # one whose free parents share a table is read from that table,
+        # and only the rest take a collect pass of their own
+        reads = {"closed form": 0, "table": 0, "pass": 0}
+        read = _JunctionTree.read
+
+        def counted(tree, split):
+            p = read(tree, split)
+            reads["pass" if p is None else "table" if split[1] else "closed form"] += 1
+            return p
+
+        monkeypatch.setattr(_JunctionTree, "read", counted)
+        for net, observed in [*both_plans_cases(2), *both_plans_cases(3)]:
+            free = [j for j in range(len(net.ids)) if j not in observed]
+            if not _free_ancestors(net, observed):
+                continue
+            ev = {net.ids[j]: value for j, value in observed.items()}
+            cap = _JunctionTree(net, observed, free).width - 1
+            try:
+                want = reference_exact_posteriors(net, ev)
+            except ValueError:
+                continue  # evidence of probability zero
+            try:
+                _, barren = _plan(net, observed, cap)
+                got = exact_posteriors(net, ev, cap=cap)
+            except EnumerationCapError:
+                continue  # the pruned tree, or some barren node's, is past that cap
+            assert barren
+            for nid in net.ids:
+                assert abs(got[nid] - want[nid]) <= 1e-12, (nid, got[nid], want[nid])
+        assert min(reads.values()) >= 20, reads
+
+    def test_fixture_barren_passes(self, monkeypatch):
+        # of fixture cases 0, 2 and 3's 32, 59 and 46 barren nodes, 10, 20
+        # and 13 are read from the calibrated pruned tree; a barren pass is
+        # a tree that observes one node more than the evidence
+        with open(os.path.join(DATA_DIR, "bench_net.json")) as fh:
+            net = parse_network(fh.read())
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            cases = json.load(fh)
+        observed_sizes = []
+
+        class Counted(_JunctionTree):
+            def __init__(self, net, observed, nodes):
+                observed_sizes.append(len(observed))
+                super().__init__(net, observed, nodes)
+
+        monkeypatch.setattr("diagbn.exact._JunctionTree", Counted)
+        for k, passes in ((0, 22), (2, 39), (3, 33)):
+            ev = cases[k]["evidence"]
+            observed_sizes.clear()
+            exact_posteriors(net, ev)
+            assert sum(size > len(ev) for size in observed_sizes) == passes, k
+
+    def test_table_past_memory_raises_cap_error(self, tables_past_memory):
+        # 34 models make one table of 2^34 entries, 128 GiB, within a cap of 40
+        net, ev = wide_finding_problem(34)
+        with pytest.raises(EnumerationCapError, match=r"table over 34 nodes needs 128 GiB.*cap below 34"):
+            exact_posteriors(net, ev, cap=40)
 
     def test_agrees_with_rejection_sampling(self, vase):
         rng = random.Random(5)
