@@ -30,10 +30,10 @@ state-by-state loop computes.
 
 The chain layout does come from the sampler: a transition matrix builds
 the strategy's own `SamplerState` and reads from it the free,
-diagnostic-sampled and forward-sampled nodes, scope children, pair scopes
-and visit orders, and the pairs and their gates from the pair plan the
-state built at set-up, so its kernels are the moves the sampler can make
-and no others.
+diagnostic-sampled and forward-sampled nodes, scope children and visit
+orders, and the pairs, their gates and their scopes from the pair plan the
+state built at set-up, so its kernels are the moves the sampler can make,
+weighing the lists the moves weigh, and no others.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .sampler import (
     SamplerState,
     StrategySpec,
     _log,
-    pair_scope,
 )
 
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
@@ -536,7 +535,7 @@ def explicit_transition_matrix(
         return [(rows, rows | bit[j], q1), (rows, rows & ~bit[j], 1.0 - q1)]
 
     def pair_entries(a, b, kind, rule, gate_children):
-        w = weight(pair_scope(chain, a, b))
+        w = weight(chain.pair_plan.scope[(a, b)])
         both = bit[a] | bit[b]
         active = np.ones(size, dtype=bool)
         if gate_children is not None:

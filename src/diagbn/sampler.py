@@ -29,7 +29,9 @@ distribution, and the estimate is the running mean of those credits.
 A strategy combines clamping on/off, flow-aware conditioning on/off, a move
 policy, and an acceptance rule.  The ten named presets cover the grid that
 the benchmark harness reports on.  A chain is bound to one strategy when it
-is set up: its `SamplerState` builds the clamp, flow map and pair plan once.
+is set up: its `SamplerState` builds the clamp, flow map and pair plan, with
+each pair's scope, once, and every move and estimate reads them, the rule
+and the credits from the chain.
 
 Flow-awareness enters a chain only through its flow map.  A flow-aware
 chain runs on `classify_flow`'s map: nodes with no evidential child are
@@ -77,7 +79,7 @@ import time
 from dataclasses import dataclass
 
 from . import flow as flowmod
-from .flow import ClampResult, clamp_pass, classify_flow, evidence_cover, no_clamp
+from .flow import clamp_pass, classify_flow, evidence_cover, no_clamp
 from .network import validate
 
 GIBBS = "gibbs"
@@ -283,7 +285,6 @@ class SamplerState:
             j for j in reversed(self.topo_free) if not self.forward_sampled[j]
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
-        self.pair_memo = {}  # (a, b) -> pair_scope(self, a, b)
         # full child lists with 1-p factors, needed to keep surv caches exact
         self.child_q = [[1.0 - net.edge_p[(j, c)] for c in net.children[j]] for j in range(n)]
         self.acc = MarginalAccumulator.zeros(n)
@@ -395,7 +396,7 @@ def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
 # moves
 
 
-def single_site_move(state: SamplerState, n, rule):
+def single_site_move(state: SamplerState, n):
     """Resample one free node; always credit its conditional into the scores.
     Both sweep loops make this move inline, visit for visit, and call
     neither it nor `forward_redraw`; the two stay as the moves' reference
@@ -405,7 +406,7 @@ def single_site_move(state: SamplerState, n, rule):
     acc.sums[n] += p_on
     acc.counts[n] += 1
     state.cost += state.move_cost[n]
-    if rule == GIBBS:
+    if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
         if want != state.x[n]:
             state.flip(n)
@@ -415,33 +416,17 @@ def single_site_move(state: SamplerState, n, rule):
             state.flip(n)
 
 
-def pair_scope(state, a, b):
-    """The nodes a pair move on (a, b) weighs: a, b, then their scope
-    children in order, without repeats.  Memoized per chain."""
-    touched = state.pair_memo.get((a, b))
-    if touched is None:
-        touched = [a, b]
-        seen = {a, b}
-        for j in (a, b):
-            for c in state.scope_children[j]:
-                if c not in seen:
-                    seen.add(c)
-                    touched.append(c)
-        state.pair_memo[(a, b)] = touched
-    return touched
-
-
 def _log(v):
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _underflow_weights(state, touched, a, b, joint):
-    """The restricted weights of a pair move's joint states, each an
-    (x[a], x[b]) pair in `joint`, for when their total from the caches is
-    below the smallest normal float, so some weights may have lost factors
-    to underflow: each summed as logs of factors computed from the parents,
-    not the caches, and scaled so the largest is 1.0.  Leaves the values and
-    the caches as they were."""
+def _underflow_weights(state, a, b, joint):
+    """The restricted weights, over the plan's scope for (a, b), of a pair
+    move's joint states, each an (x[a], x[b]) pair in `joint`, for when
+    their total from the caches is below the smallest normal float, so some
+    weights may have lost factors to underflow: each summed as logs of
+    factors computed from the parents, not the caches, and scaled so the
+    largest is 1.0.  Leaves the values and the caches as they were."""
     net = state.net
     x = state.x
     held = x[a], x[b]
@@ -449,7 +434,7 @@ def _underflow_weights(state, touched, a, b, joint):
     for xa, xb in joint:
         x[a], x[b] = xa, xb
         lw = 0.0
-        for k in touched:
+        for k in state.pair_plan.scope[(a, b)]:
             ls = _log(1.0 - net.leak[k])
             for i, p in zip(net.parents[k], net.parent_p[k]):
                 if x[i]:
@@ -461,7 +446,7 @@ def _underflow_weights(state, touched, a, b, joint):
     return [math.exp(lw - top) for lw in logs]
 
 
-def swap_pair_move(state: SamplerState, a, b, rule):
+def swap_pair_move(state: SamplerState, a, b):
     """Exchange the values of two spouses, or keep them, by restricted weight.
 
     When the two values are already equal the exchange is the identity; the
@@ -477,7 +462,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
         acc.counts[b] += 1
         state.cost += 1
         return
-    touched = pair_scope(state, a, b)
+    touched = state.pair_plan.scope[(a, b)]
     w_cur = state.restricted_weight(touched)
     state.toggle(a)
     state.toggle(b)
@@ -485,8 +470,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     state.cost += 2 * len(touched)
     total = w_cur + w_swap
     if total < _MIN_NORMAL:
-        w_cur, w_swap = _underflow_weights(
-            state, touched, a, b, ((1 - x[a], 1 - x[b]), (x[a], x[b])))
+        w_cur, w_swap = _underflow_weights(state, a, b, ((1 - x[a], 1 - x[b]), (x[a], x[b])))
         total = w_cur + w_swap
     # credit using the pre-move values: a held x[a], now flipped
     on_weight_a = w_cur if x[b] else w_swap  # weight of the state where a is on
@@ -494,7 +478,7 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     acc.sums[b] += (total - on_weight_a) / total
     acc.counts[a] += 1
     acc.counts[b] += 1
-    if rule == GIBBS:
+    if state.strategy.rule == GIBBS:
         stay = state.rng.random() >= w_swap / total
     else:
         stay = w_swap < w_cur and state.rng.random() >= w_swap / w_cur
@@ -505,10 +489,10 @@ def swap_pair_move(state: SamplerState, a, b, rule):
     state.invalidate(b)
 
 
-def block_pair_move(state: SamplerState, a, b, rule):
+def block_pair_move(state: SamplerState, a, b):
     """Resample two spouses jointly over their four joint assignments."""
     acc = state.acc
-    touched = pair_scope(state, a, b)
+    touched = state.pair_plan.scope[(a, b)]
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     w0 = state.restricted_weight(touched)
     state.toggle(b)
@@ -526,13 +510,13 @@ def block_pair_move(state: SamplerState, a, b, rule):
     if total < _MIN_NORMAL:
         a0, b0 = 1 - x[a], x[b]
         w0, w1, w2, w3 = _underflow_weights(
-            state, touched, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))
+            state, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))
         total = w0 + w1 + w2 + w3
     acc.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
     acc.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
     acc.counts[a] += 1
     acc.counts[b] += 1
-    if rule == GIBBS:
+    if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         if u < w0:
             target = 0
@@ -576,8 +560,8 @@ def forward_redraw(state: SamplerState, n):
 
 class _PairPlan:
     """The one rule for which spouse pairs may move: the candidate pairs of
-    one chain under its strategy, and their gates, built once when the
-    chain's `SamplerState` is.
+    one chain under its strategy, their gates and their scopes, built once
+    when the chain's `SamplerState` is.
 
     Each diagnostic-sampled node links, through each scope child (inside
     the evidence cover for cover-gated policies), to that child's other
@@ -593,7 +577,9 @@ class _PairPlan:
     in link order without repeats; `gates` maps a gated child-true pair
     (either way round) to the free children whose being on opens it.  The
     gate is read when the pair moves, never when pairs are chosen, and
-    neither map reads a free value.
+    neither map reads a free value.  Links run both ways, so `scope` maps
+    both orders of each pair to the nodes a move on it weighs: a, b, then
+    their scope children in order, without repeats.
     """
 
     def __init__(self, state: SamplerState):
@@ -618,6 +604,12 @@ class _PairPlan:
                             self.gates.setdefault((j, b), []).append(c)
             if links:
                 self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
+        scope_children = state.scope_children
+        self.scope = {
+            (a, b): list(dict.fromkeys([a, b, *scope_children[a], *scope_children[b]]))
+            for a, partners in self.spouses.items()
+            for b in partners
+        }
 
 
 def pair_nodes(state: SamplerState):
@@ -725,8 +717,7 @@ def _pair_sweeps(state: SamplerState, count):
     nodes carry no evidence back to it.
     """
     strategy = state.strategy
-    rule = strategy.rule
-    gibbs = rule == GIBBS
+    gibbs = strategy.rule == GIBBS
     block = strategy.pair_move == "block"
     alternating = strategy.move_policy == OPTIMIZED_FWD_BWD
     rng = state.rng
@@ -771,7 +762,7 @@ def _pair_sweeps(state: SamplerState, count):
                 if gate is None or any(map(is_on, gate)):
                     a, b = v
                     if block:
-                        block_pair_move(state, a, b, rule)
+                        block_pair_move(state, a, b)
                         continue
                     if draw() < SWAP_FRACTION:
                         if x[a] == x[b]:
@@ -782,7 +773,7 @@ def _pair_sweeps(state: SamplerState, count):
                             counts[b] += 1
                             cost += 1
                         else:
-                            swap_pair_move(state, a, b, rule)
+                            swap_pair_move(state, a, b)
                         continue
                 nodes = v
             elif forward_sampled[v]:
@@ -822,14 +813,18 @@ def run_sweep(state: SamplerState, count):
         _pair_sweeps(state, count)
 
 
-def estimate_marginals(net, ev, clamp: ClampResult, acc: MarginalAccumulator) -> dict:
-    """Posterior estimates for every node: evidence is its indicator, clamped
-    nodes report 0, free nodes report their mean Rao-Blackwell credit."""
+def estimate_marginals(state: SamplerState) -> dict:
+    """The chain's posterior estimates for every node: evidence is its
+    indicator, clamped nodes report 0, free nodes report their mean
+    Rao-Blackwell credit."""
+    ev = state.ev
+    clamped = state.clamp.clamped_false
+    acc = state.acc
     out = {}
-    for j, nid in enumerate(net.ids):
+    for j, nid in enumerate(state.net.ids):
         if nid in ev:
             out[nid] = 1.0 if ev[nid] else 0.0
-        elif nid in clamp.clamped_false:
+        elif nid in clamped:
             out[nid] = 0.0
         else:
             c = acc.counts[j]
@@ -882,7 +877,7 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
             run_sweep(state, s - done)
             done = s
             if s in wanted:
-                marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
+                marks[s] = estimate_marginals(state)
             if s == burn_in:
                 state.acc.reset()
             if s % 20000 == 0:
@@ -905,7 +900,7 @@ def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> d
         raise ValueError("need at least one chain")
     seeds = [derive_seed(seed, "chain", k) for k in range(chains)] if chains > 1 else [seed]
     runs = _run_chains(net, ev, strategy, sweeps, seeds, burn_in)
-    merged = runs[0][0].acc
+    first = runs[0][0]
     for state, _, _ in runs[1:]:
-        merged.merge(state.acc)
-    return estimate_marginals(net, ev, runs[0][0].clamp, merged)
+        first.acc.merge(state.acc)
+    return estimate_marginals(first)

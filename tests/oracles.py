@@ -39,7 +39,6 @@ from diagbn.sampler import (
     block_pair_move,
     estimate_marginals,
     forward_redraw,
-    pair_scope,
     run_sweep,
     setup_chain,
     single_site_move,
@@ -449,12 +448,19 @@ def conditional_prob(net, state, nid, info: FlowInfo) -> float:
     return w1 / (w1 + w0)
 
 
-def reference_block_pair_move(state: SamplerState, a, b, rule):
+def reference_block_pair_move(state: SamplerState, a, b):
     """The block move as first written: weights in a list, masses by
-    generator sums.  The library's straight-line move must reproduce its
-    values, credits, cost and RNG draws exactly."""
+    generator sums, over a scope listed from the chain's scope children.
+    The library's straight-line move must reproduce its values, credits,
+    cost and RNG draws exactly."""
     acc = state.acc
-    touched = pair_scope(state, a, b)
+    touched = [a, b]
+    seen = {a, b}
+    for j in (a, b):
+        for c in state.scope_children[j]:
+            if c not in seen:
+                seen.add(c)
+                touched.append(c)
     stale = reference_stale(state)
     cache = state.odds_cache
     for k in stale[a] + stale[b]:
@@ -482,7 +488,7 @@ def reference_block_pair_move(state: SamplerState, a, b, rule):
     acc.sums[b] += b_mass / total
     acc.counts[a] += 1
     acc.counts[b] += 1
-    if rule == GIBBS:
+    if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         target = 3
         run = 0.0
@@ -502,7 +508,7 @@ def reference_block_pair_move(state: SamplerState, a, b, rule):
         state.toggle(b)
 
 
-def reference_single_site_move(state: SamplerState, n, rule):
+def reference_single_site_move(state: SamplerState, n):
     """The single-site move as the single-site sweep called it, once per
     node.  The library's sweep loop must reproduce its values, credits,
     cached conditionals, cost and RNG draws exactly."""
@@ -515,7 +521,7 @@ def reference_single_site_move(state: SamplerState, n, rule):
     acc.sums[n] += p_on
     acc.counts[n] += 1
     state.cost += state.move_cost[n]
-    if rule == GIBBS:
+    if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
         if want != state.x[n]:
             state.flip(n)
@@ -602,7 +608,7 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
         for s in range(1, sweeps + 1):
             run_sweep(state, 1)
             if s in wanted:
-                marks[s] = estimate_marginals(net, ev, state.clamp, state.acc)
+                marks[s] = estimate_marginals(state)
             if s == burn_in:
                 state.acc.reset()
             if s % 20000 == 0:
@@ -635,8 +641,8 @@ def reference_pair_nodes(state: SamplerState):
     return pairs, singles
 
 
-def reference_pair_event(state: SamplerState, strategy: StrategySpec, a, b):
-    """Move a pair from `pair_nodes` once.
+def reference_pair_event(state: SamplerState, a, b):
+    """Move a pair from `pair_nodes` once, under the chain's strategy.
 
     A pair whose gate children are all off moves as two single-site moves;
     otherwise a block policy makes the block move, and a swap policy swaps
@@ -645,29 +651,28 @@ def reference_pair_event(state: SamplerState, strategy: StrategySpec, a, b):
     keeps the posterior invariant on its own.
     """
     gate = state.pair_plan.gates.get((a, b))
-    rule = strategy.rule
     if gate is None or any(state.x[c] for c in gate):
-        if strategy.pair_move == "block":
-            block_pair_move(state, a, b, rule)
+        if state.strategy.pair_move == "block":
+            block_pair_move(state, a, b)
             return
         if state.rng.random() < SWAP_FRACTION:
-            swap_pair_move(state, a, b, rule)
+            swap_pair_move(state, a, b)
             return
-    single_site_move(state, a, rule)
-    single_site_move(state, b, rule)
+    single_site_move(state, a)
+    single_site_move(state, b)
 
 
-def _reference_run_pair_events(state, strategy, pairs, singles):
+def _reference_run_pair_events(state, pairs, singles):
     events = pairs + singles
     state.rng.shuffle(events)
     for ev in events:
         if type(ev) is tuple:
-            reference_pair_event(state, strategy, *ev)
+            reference_pair_event(state, *ev)
         else:
-            single_site_move(state, ev, strategy.rule)
+            single_site_move(state, ev)
 
 
-def _reference_fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
+def _reference_fwd_bwd_sweep(state: SamplerState):
     """One pass of the alternating schedule.
 
     Forward passes visit every free node in topological order, redrawing
@@ -690,22 +695,22 @@ def _reference_fwd_bwd_sweep(state: SamplerState, strategy: StrategySpec):
             forward_redraw(state, j)
             continue
         if j in partner:
-            reference_pair_event(state, strategy, j, partner[j])
+            reference_pair_event(state, j, partner[j])
             done.add(partner[j])
         else:
-            single_site_move(state, j, strategy.rule)
+            single_site_move(state, j)
 
 
-def reference_pair_sweep(state: SamplerState, strategy: StrategySpec):
-    """One sweep of a pair schedule as first written: a call per pair
-    event, per single-site move and per forward redraw.  The library's
+def reference_pair_sweep(state: SamplerState):
+    """One sweep of the chain's pair schedule as first written: a call per
+    pair event, per single-site move and per forward redraw.  The library's
     stretch loop must reproduce its values, credits, cached conditionals,
     cost and RNG draws exactly."""
-    if strategy.move_policy == OPTIMIZED_FWD_BWD:
-        _reference_fwd_bwd_sweep(state, strategy)
+    if state.strategy.move_policy == OPTIMIZED_FWD_BWD:
+        _reference_fwd_bwd_sweep(state)
     else:
         pairs, singles = reference_pair_nodes(state)
-        _reference_run_pair_events(state, strategy, pairs, singles)
+        _reference_run_pair_events(state, pairs, singles)
         for j in state.topo_forward:
             forward_redraw(state, j)
     state.sweep_idx += 1

@@ -15,6 +15,10 @@ The converse holds too: every function `perfbench/spans.py` wraps by name
 exists, since the benchmark's traced run would otherwise stop on an
 AttributeError that no other test meets.
 
+A chain fixes its strategy, network, evidence, clamp, credits and pair
+scopes, so no sampler or exact function handed a chain as `state` takes
+any of them beside it.
+
 Anything else serves only tests: a test reference belongs in
 `tests/oracles.py`, a setting with one value in use is a module constant,
 and code that serves only its own tests goes.
@@ -30,7 +34,10 @@ caught by reading:
 - a dunder method, which syntax calls rather than an attribute read (a
   `Network.__len__` that nothing used);
 - a parameter every shipped call passes with the same value, as
-  `validate`'s `profile` was always `STRICT`.
+  `validate`'s `profile` was always `STRICT`;
+- a value a function could read from the chain it is handed, passed
+  beside it under a name the chain check does not list, or beside a chain
+  parameter not named `state`.
 """
 
 import ast
@@ -245,3 +252,22 @@ def test_every_function_the_benchmark_traces_exists():
     if not callable(getattr(importlib.import_module("diagbn.exact").TransitionMatrix, "apply_sweep", None)):
         missing.append("exact.TransitionMatrix.apply_sweep")
     assert not missing, f"perfbench/spans.py traces what diagbn lacks: {missing}"
+
+
+# what a chain fixes, which a function handed the chain reads from it
+CHAIN_FIXES = {"rule", "strategy", "net", "ev", "clamp", "acc", "touched"}
+
+
+def test_no_function_takes_what_its_chain_fixes():
+    passed = sorted(
+        f"{os.path.basename(path)[:-3]}.{fn.name}({param})"
+        for path in library_sources()
+        if os.path.basename(path) in ("sampler.py", "exact.py")
+        for fn in ast.walk(parse(path))
+        if isinstance(fn, ast.FunctionDef)
+        for params in [[a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]]
+        if params[:1] == ["state"]
+        for param in params
+        if param in CHAIN_FIXES
+    )
+    assert not passed, f"arguments the chain already fixes: {passed}"

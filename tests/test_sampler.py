@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import random
@@ -27,10 +28,12 @@ from diagbn.flow import (
     classify_flow,
     no_clamp,
 )
+from diagbn import generate as gen
 from diagbn import sampler
 from diagbn.exact import exact_posteriors, explicit_transition_matrix
 from diagbn.network import build_network, validate
 from diagbn.sampler import (
+    BLOCK_SPOUSES_COVER,
     BLOCK_SPOUSES_PARENT_TRUE,
     GIBBS,
     METROPOLIS,
@@ -56,6 +59,7 @@ from diagbn.sampler import (
     swap_pair_move,
 )
 import oracles
+from test_golden import LAYERED, LAYERED_SEEDS
 from oracles import (
     MoveProposal,
     conditional_by_enumeration,
@@ -74,8 +78,12 @@ from oracles import (
 )
 
 
-def make_state(net, ev, strategy_name="gibbs", seed=0):
-    return setup_chain(net, ev, PRESETS[strategy_name], random.Random(seed))
+def make_state(net, ev, strategy_name="gibbs", seed=0, rule=None):
+    """A chain of the named preset, or of the preset under `rule`."""
+    strategy = PRESETS[strategy_name]
+    if rule is not None:
+        strategy = dataclasses.replace(strategy, name=f"{strategy_name}-{rule}", rule=rule)
+    return setup_chain(net, ev, strategy, random.Random(seed))
 
 
 def flow_map(net, ev, strategy_name="gibbs"):
@@ -290,7 +298,7 @@ class TestSingleSiteMove:
         hits = 0
         n = 100_000
         for _ in range(n):
-            single_site_move(state, j, GIBBS)
+            single_site_move(state, j)
             hits += state.x[j]
         assert hits / n == pytest.approx(VASE_P_E_GIVEN_B0, abs=0.01)
 
@@ -299,77 +307,83 @@ class TestSingleSiteMove:
         state = make_state(vase, ev)
         j = vase.index["e"]
         for _ in range(10):
-            single_site_move(state, j, GIBBS)
-        est = estimate_marginals(vase, ev, state.clamp, state.acc)
+            single_site_move(state, j)
+        est = estimate_marginals(state)
         assert est["e"] == pytest.approx(VASE_P_E_GIVEN_B0, abs=1e-12)
         assert state.acc.counts[j] == 10
 
     def test_metropolis_matches_gibbs_distribution(self, vase):
-        state = make_state(vase, {"v": True, "b": False})
+        state = make_state(vase, {"v": True, "b": False}, "metropolis")
         j = vase.index["e"]
         hits = 0
         n = 100_000
         for _ in range(n):
-            single_site_move(state, j, METROPOLIS)
+            single_site_move(state, j)
             hits += state.x[j]
         assert hits / n == pytest.approx(VASE_P_E_GIVEN_B0, abs=0.01)
 
     def test_move_charges_cost(self, vase):
         state = make_state(vase, {"v": True})
         before = state.cost
-        single_site_move(state, vase.index["e"], GIBBS)
+        single_site_move(state, vase.index["e"])
         assert state.cost > before
 
 
 class TestBlockPairMove:
     def test_long_run_frequencies(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "block-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         counts = {k: 0 for k in VASE_BLOCK_DIST}
         n = 100_000
         for _ in range(n):
-            block_pair_move(state, je, jb, GIBBS)
+            block_pair_move(state, je, jb)
             counts[(state.x[je], state.x[jb])] += 1
         for key, want in VASE_BLOCK_DIST.items():
             assert counts[key] / n == pytest.approx(want, abs=0.01)
 
     def test_scoring_matches_exact_posterior(self, vase):
         ev = {"v": True}
-        state = make_state(vase, ev)
+        state = make_state(vase, ev, "block-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         for _ in range(50):
-            block_pair_move(state, je, jb, GIBBS)
-        est = estimate_marginals(vase, ev, state.clamp, state.acc)
+            block_pair_move(state, je, jb)
+        est = estimate_marginals(state)
         assert est["e"] == pytest.approx(VASE_P_E, abs=1e-12)
         assert est["b"] == pytest.approx(VASE_P_B, abs=1e-12)
 
     def test_independent_pair_product_of_priors(self):
-        net = build_network([("a", "model", 0.3), ("b", "model", 0.7)], [])
-        state = make_state(net, {})
+        # a and b pair through s alone, which its leak holds on whatever
+        # they hold: the pair's weights are its priors' product to 1e-9
+        net = build_network(
+            [("a", "model", 0.3), ("b", "model", 0.7), ("s", "sensory", 1 - 1e-9)],
+            [("a", "s", 0.5), ("b", "s", 0.5)],
+        )
+        state = make_state(net, {"s": True}, "block-spouses-cover")
         ja, jb = net.index["a"], net.index["b"]
         counts = {k: 0 for k in itertools.product((0, 1), repeat=2)}
         n = 60_000
         for _ in range(n):
-            block_pair_move(state, ja, jb, GIBBS)
+            block_pair_move(state, ja, jb)
             counts[(state.x[ja], state.x[jb])] += 1
         for (va, vb), c in counts.items():
             want = (0.3 if va else 0.7) * (0.7 if vb else 0.3)
             assert c / n == pytest.approx(want, abs=0.012)
 
     def test_metropolis_long_run_frequencies(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "block-spouses-cover", rule=METROPOLIS)
         je, jb = vase.index["e"], vase.index["b"]
         counts = {k: 0 for k in VASE_BLOCK_DIST}
         n = 200_000
         for _ in range(n):
-            block_pair_move(state, je, jb, METROPOLIS)
+            block_pair_move(state, je, jb)
             counts[(state.x[je], state.x[jb])] += 1
         for key, want in VASE_BLOCK_DIST.items():
             assert counts[key] / n == pytest.approx(want, abs=0.01)
 
 
 class TestBlockMoveMatchesReference:
-    """The straight-line block move against the move as first written."""
+    """The straight-line block move against the move as first written, on
+    the pairs each block policy's plan forms, flow-aware or not."""
 
     @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
     def test_same_moves_as_reference(self, vase, rule):
@@ -381,16 +395,19 @@ class TestBlockMoveMatchesReference:
             problems.append((net, random_evidence(rng, net, max_nodes=3)))
         moved = 0
         for trial, (net, ev) in enumerate(problems):
-            for name in ("block-spouses-cover", "gibbs-flow"):
-                state = make_state(net, ev, name, seed=trial)
-                if len(state.diagnostic) < 2:
+            for policy, flow_aware in itertools.product(
+                    (BLOCK_SPOUSES_COVER, BLOCK_SPOUSES_PARENT_TRUE), (False, True)):
+                strategy = StrategySpec("block", False, flow_aware, policy, rule)
+                state = setup_chain(net, ev, strategy, random.Random(trial))
+                pairs = list(state.pair_plan.scope)
+                if not pairs:
                     continue
                 ref = copy.deepcopy(state)
                 for step in range(30):
-                    a, b = rng.sample(state.diagnostic, 2)
-                    block_pair_move(state, a, b, rule)
-                    reference_block_pair_move(ref, a, b, rule)
-                    where = (trial, name, step)
+                    a, b = rng.choice(pairs)
+                    block_pair_move(state, a, b)
+                    reference_block_pair_move(ref, a, b)
+                    where = (trial, policy, flow_aware, step)
                     assert state.x == ref.x, where
                     assert state.surv == ref.surv, where
                     assert state.acc.sums == ref.acc.sums, where
@@ -443,7 +460,7 @@ class TestSingleSiteSweepMatchesReference:
                         order = list(ref.diagnostic)
                         ref.rng.shuffle(order)
                         for n in order:
-                            reference_single_site_move(ref, n, rule)
+                            reference_single_site_move(ref, n)
                         for n in ref.topo_forward:
                             forward_redraw(ref, n)
                         visits += len(order)
@@ -485,11 +502,11 @@ class TestPairSweepMatchesReference:
         # the reference's pair events tally which gate and coin branch ran
         tally = dict.fromkeys(["open", "shut", "swap", "stay", "identity"], 0)
 
-        def tallied(state, strategy, a, b, _event=oracles.reference_pair_event):
+        def tallied(state, a, b, _event=oracles.reference_pair_event):
             gate = state.pair_plan.gates.get((a, b))
             if gate is None or any(state.x[c] for c in gate):
                 tally["open"] += 1
-                if strategy.pair_move == "swap":
+                if state.strategy.pair_move == "swap":
                     coin = random.Random()
                     coin.setstate(state.rng.getstate())
                     if coin.random() < SWAP_FRACTION:
@@ -499,7 +516,7 @@ class TestPairSweepMatchesReference:
                         tally["stay"] += 1
             else:
                 tally["shut"] += 1
-            _event(state, strategy, a, b)
+            _event(state, a, b)
 
         monkeypatch.setattr(oracles, "reference_pair_event", tallied)
         rng = random.Random(2017)
@@ -519,7 +536,7 @@ class TestPairSweepMatchesReference:
                 for length in stretches or [1] * 20:
                     run_sweep(state, length)
                     for _ in range(length):
-                        oracles.reference_pair_sweep(ref, strategy)
+                        oracles.reference_pair_sweep(ref)
                     sweep += length
                     where = (trial, strategy.name, sweep)
                     assert state.sweep_idx == ref.sweep_idx == sweep, where
@@ -564,63 +581,63 @@ class TestChainRandom:
 
 class TestSwapPairMove:
     def test_gibbs_move_probability(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         n = 20_000
         moved = 0
         for _ in range(n):
             force(state, "e", 1)
             force(state, "b", 0)
-            swap_pair_move(state, je, jb, GIBBS)
+            swap_pair_move(state, je, jb)
             moved += state.x[jb]
         assert moved / n == pytest.approx(VASE_SWAP_GIBBS, abs=0.01)
 
     def test_metropolis_uphill_always_moves(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover", rule=METROPOLIS)
         je, jb = vase.index["e"], vase.index["b"]
         for _ in range(200):
             force(state, "e", 1)
             force(state, "b", 0)
-            swap_pair_move(state, je, jb, METROPOLIS)
+            swap_pair_move(state, je, jb)
             assert (state.x[je], state.x[jb]) == (0, 1)
 
     def test_metropolis_downhill_statistics(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover", rule=METROPOLIS)
         je, jb = vase.index["e"], vase.index["b"]
         n = 20_000
         moved = 0
         for _ in range(n):
             force(state, "e", 0)
             force(state, "b", 1)
-            swap_pair_move(state, je, jb, METROPOLIS)
+            swap_pair_move(state, je, jb)
             moved += state.x[je]
         assert moved / n == pytest.approx(1.0 / VASE_SWAP_RATIO, abs=0.01)
 
     def test_equal_values_is_identity_but_scored(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         force(state, "e", 0)
         force(state, "b", 0)
         before = state.acc.counts[je]
-        swap_pair_move(state, je, jb, GIBBS)
+        swap_pair_move(state, je, jb)
         assert (state.x[je], state.x[jb]) == (0, 0)
         assert state.acc.counts[je] == before + 1
 
     def test_swap_preserves_true_count(self, vase):
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         for _ in range(100):
             before = state.x[je] + state.x[jb]
-            swap_pair_move(state, je, jb, GIBBS)
+            swap_pair_move(state, je, jb)
             assert state.x[je] + state.x[jb] == before
 
     def test_swap_credits_sum_to_true_count(self, vase):
         # with one true cause between the pair, the two credits sum to one
-        state = make_state(vase, {"v": True})
+        state = make_state(vase, {"v": True}, "swap-spouses-cover")
         je, jb = vase.index["e"], vase.index["b"]
         force(state, "e", 1)
         force(state, "b", 0)
-        swap_pair_move(state, je, jb, GIBBS)
+        swap_pair_move(state, je, jb)
         assert state.acc.sums[je] + state.acc.sums[jb] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -688,9 +705,9 @@ class TestPairing:
         ja, jb = net.index["a"], net.index["b"]
         swaps = []
 
-        def recorded(st, a, b, rule, _swap=sampler.swap_pair_move):
+        def recorded(st, a, b, _swap=sampler.swap_pair_move):
             swaps.append({a, b})
-            _swap(st, a, b, rule)
+            _swap(st, a, b)
 
         monkeypatch.setattr(sampler, "swap_pair_move", recorded)
         swapped = exchanged = 0
@@ -818,6 +835,39 @@ class TestPairing:
 class TestPairingMatchesReference:
     """The per-chain pairing plan: fixed for the chain, and matched by the
     transition-matrix oracle's pair kernels."""
+
+    def test_plan_scopes_match_reference(self):
+        # every pair the plan can hand a move, in either order, has the
+        # reference scope list, in order, since the weight product's float
+        # order follows it; and the plan holds no other pair
+        problems = []
+        for gs in LAYERED_SEEDS:
+            net = gen.generate_network(gen.GeneratorParams(seed=gs, **LAYERED))
+            problems += [(net, case.evidence) for case in gen.generate_cases(
+                net, 3, (3, 5), (1, 4), seed=gs + 100)]
+        rng = random.Random(2012)
+        for _ in range(40):
+            nodes, edges = random_dag(rng, rng.randint(3, 14), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            problems.append((net, random_evidence(rng, net, max_nodes=3)))
+        checked = 0
+        for trial, (net, ev) in enumerate(problems):
+            for name in PAIR_PRESETS:
+                state = make_state(net, ev, name, seed=trial)
+                plan = state.pair_plan
+                flow = flow_map(net, ev, name)
+                keys = {(a, b) for a, partners in plan.spouses.items() for b in partners}
+                assert set(plan.scope) == keys, (trial, name)
+                assert {(b, a) for a, b in keys} == keys, (trial, name)
+                for (a, b), scope in plan.scope.items():
+                    assert scope == oracles._reference_pair_scope(net, flow, a, b), (trial, name, a, b)
+                    checked += 1
+                # pair_nodes hands a move (a, b), and the alternating
+                # schedule (a, b) or (b, a), whichever node it reaches first
+                for _ in range(10):
+                    for a, b in pair_nodes(state)[0]:
+                        assert (a, b) in plan.scope and (b, a) in plan.scope, (trial, name)
+        assert checked > 1000
 
     def test_pairing_reads_no_chain_value(self):
         # two copies of a chain with one rng state and different free
@@ -1048,10 +1098,11 @@ class TestOddsCache:
                     assert on == expected_stale(state, k), where
 
     def test_pair_moves_clear_by_the_flip_rule(self):
-        # a pair move toggles its way through its joint values and then
-        # clears, at the final values, what a flip of each of its nodes
-        # would; `kept` counts entries it keeps that the value-blind lists
-        # of both nodes would clear, so the test sees the rule read values
+        # a pair move on a pair its chain's plan forms toggles its way
+        # through its joint values and then clears, at the final values,
+        # what a flip of each of its nodes would; `kept` counts entries it
+        # keeps that the value-blind lists of both nodes would clear, so the
+        # test sees the rule read values
         rng = random.Random(65)
         pair_presets = [name for name, spec in PRESETS.items() if spec.pair_move]
         moves = kept = 0
@@ -1060,16 +1111,17 @@ class TestOddsCache:
             net = build_network(nodes, edges)
             ev = random_evidence(rng, net, max_nodes=3, p_true=1.0)
             for name, rule in itertools.product(pair_presets, (GIBBS, METROPOLIS)):
-                state = make_state(net, ev, name, seed=trial)
-                if len(state.diagnostic) < 2:
+                state = make_state(net, ev, name, seed=trial, rule=rule)
+                pairs = list(state.pair_plan.scope)
+                if not pairs:
                     continue
                 blind = reference_stale(state)
                 move = swap_pair_move if PRESETS[name].pair_move == "swap" else block_pair_move
                 for step in range(10):
-                    a, b = rng.sample(state.diagnostic, 2)
+                    a, b = rng.choice(pairs)
                     fill_odds_cache(state)
                     identity = move is swap_pair_move and state.x[a] == state.x[b]
-                    move(state, a, b, rule)
+                    move(state, a, b)
                     where = (trial, name, rule, step, a, b)
                     dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
                     if identity:
@@ -1280,9 +1332,8 @@ class TestChainStretches:
                 merged = sample_posteriors(net, ev, strategy, 20, trial, burn_in, chains=2)
                 seeds = [derive_seed(trial, "chain", k) for k in range(2)]
                 runs = reference_run_chains(net, ev, strategy, 20, seeds, burn_in)
-                acc = runs[0][0].acc
-                acc.merge(runs[1][0].acc)
-                assert merged == estimate_marginals(net, ev, runs[0][0].clamp, acc), where
+                runs[0][0].acc.merge(runs[1][0].acc)
+                assert merged == estimate_marginals(runs[0][0]), where
 
     @pytest.mark.parametrize("name", ["gibbs", "block-spouses-cover"])
     def test_survivals_refresh_between_stretches(self, name):
@@ -1388,7 +1439,7 @@ class TestAccumulator:
         j = vase.index["e"]
         state.acc.sums[j] = 3.0
         state.acc.counts[j] = 10
-        est = estimate_marginals(vase, ev, state.clamp, state.acc)
+        est = estimate_marginals(state)
         assert est["e"] == pytest.approx(0.3)
         assert est["v"] == 1.0
 
@@ -1400,7 +1451,7 @@ class TestAccumulator:
         ev = {"s1": True}
         state = make_state(net, ev, "gibbs-clamp")
         assert "m2" in state.clamp.clamped_false
-        est = estimate_marginals(net, ev, state.clamp, state.acc)
+        est = estimate_marginals(state)
         assert est["m2"] == 0.0
         assert est["s1"] == 1.0
 
@@ -1462,7 +1513,7 @@ class TestExtremeParameters:
                 fresh = [net.survival(j, state.x) for j in range(len(net.ids))]
                 for j, (cached, want) in enumerate(zip(state.surv, fresh)):
                     assert math.isclose(cached, want, rel_tol=1e-9, abs_tol=1e-300), (name, net.ids[j])
-            est = estimate_marginals(net, ev, state.clamp, state.acc)
+            est = estimate_marginals(state)
             assert all(0.0 <= p <= 1.0 for p in est.values()), name
 
     def test_log_space_pair_weights_are_the_joint_weights(self, vase):
@@ -1473,7 +1524,7 @@ class TestExtremeParameters:
         e, b = vase.index["e"], vase.index["b"]
         x, surv = list(state.x), list(state.surv)
         joint = list(VASE_WEIGHTS)
-        got = sampler._underflow_weights(state, sampler.pair_scope(state, e, b), e, b, joint)
+        got = sampler._underflow_weights(state, e, b, joint)
         top = max(VASE_WEIGHTS.values())
         assert got == pytest.approx([VASE_WEIGHTS[j] / top for j in joint], rel=1e-12)
         assert state.x == x and state.surv == surv
@@ -1499,12 +1550,12 @@ class TestExtremeParameters:
             swap_pair_move: (w[1, 0] / (w[1, 0] + w[0, 1]), w[0, 1] / (w[1, 0] + w[0, 1])),
         }
         for move, (p_a, p_b) in exact.items():
-            state = make_state(net, ev)
+            state = make_state(net, ev, "block-spouses-cover" if move is block_pair_move else "swap-spouses-cover")
             for j in state.free:
                 state.x[j] = 0 if j == b else 1
             state.refresh_survivals()
             assert 0.0 < state.surv[s] < sampler._MIN_NORMAL
-            move(state, a, b, GIBBS)
+            move(state, a, b)
             assert state.acc.sums[a] == pytest.approx(p_a, abs=1e-12), move.__name__
             assert state.acc.sums[b] == pytest.approx(p_b, abs=1e-12), move.__name__
 
