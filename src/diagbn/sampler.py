@@ -48,12 +48,13 @@ the survival cache of d, x of each scope child, and the survival cache of a
 scope child only while that child is on.  So toggling k makes stale every
 node with k as a scope child, k's children, and, for each child of k that
 is on, every node with that child as a scope child (k among them when the
-child is in k's scope).  `SamplerState.invalidate` applies that rule for
-every move: a flip after its toggle, a pair move to both nodes after its
-last toggle.  The rule reads only whether a child is on, and a pair move
-changes no value but its own nodes', whose readers are on their own lists,
-so that clears all it must.  A hit returns the floats a recompute would, so
-chains are bit-identical with or without the cache.
+child is in k's scope).  `SamplerState` holds that rule as one list per
+node, which a flip clears after its toggle; the pair plan holds it as one
+list per pair, the two nodes' lists merged without repeats, which a pair
+move clears after its last toggle.  The rule reads only whether a child is
+on, and a pair move changes no value but its own nodes', whose readers are
+on their lists, so that clears all it must.  A hit returns the floats a
+recompute would, so chains are bit-identical with or without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
@@ -66,7 +67,8 @@ A pair sweep lists its visits and runs them in one loop, making its
 single-site moves, forward redraws and identity swaps inline and calling
 the block and swap moves; the cost of its inline moves is charged once
 per stretch.  Both loops fill a missing conditional through
-`SamplerState.fill_odds`.
+`SamplerState.fill_odds`: one loop per value of the node over its scope
+links, the (child, 1 - p) pairs built with the chain.
 """
 
 from __future__ import annotations
@@ -239,13 +241,15 @@ class SamplerState:
     `x` starts with the evidence at its observed values and every other
     node off.  The free nodes are the clamp result's `unclamped`, split into
     the `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
-    survivals as running products, which `toggle` recomputes on underflow.
-    `odds_cache[n]` holds (odds, p_on) of n's conditional for a
-    diagnostic-sampled node n, or None when `fill_odds` must recompute it.
-    `invalidate(k)` clears the nodes `stale[k]` lists, whatever the values,
-    and for each (c, readers) in `stale_via[k]` clears the readers when c is
-    on; `refresh_survivals` clears every entry.  A toggle and a toggle back
-    still invalidate, since `s * q / q` may differ from `s` in the last bit.
+    survivals as running products, which `toggle` updates over the
+    `child_links` and recomputes on underflow.  `odds_cache[n]` holds (odds,
+    p_on) of n's conditional for a diagnostic-sampled node n, or None when
+    `fill_odds` must recompute it over the `scope_links`.  `flip(k)` toggles
+    k, clears the nodes `stale[k]` lists, whatever the values, and for each
+    (c, readers) in `stale_via[k]` clears the readers when c is on.  A pair
+    move clears its pair's merged lists from the pair plan the same way,
+    and `refresh_survivals` clears every entry.  A toggle and a toggle back
+    still clear, since `s * q / q` may differ from `s` in the last bit.
     """
 
     def __init__(self, net, ev, strategy: StrategySpec, rng):
@@ -266,7 +270,7 @@ class SamplerState:
             self.is_free[j] = True
         # children each node's conditional actually conditions on, per the flow map
         self.scope_children = [[] for _ in range(n)]
-        self.scope_q = [[] for _ in range(n)]
+        self.scope_links = [[] for _ in range(n)]  # (c, 1 - p) per scope child
         self.forward_sampled = [False] * n
         for nid, info in flow.items():
             # only diagnostic-sampled nodes have evidential children
@@ -275,7 +279,7 @@ class SamplerState:
             for cid in info.evidential_children:
                 c = net.index[cid]
                 self.scope_children[j].append(c)
-                self.scope_q[j].append(1.0 - net.edge_p[(j, c)])
+                self.scope_links[j].append((c, 1.0 - net.edge_p[(j, c)]))
         # visit orders, fixed for the chain: free diagnostic-sampled nodes by
         # index, all free nodes in topological order, the diagnostic ones in
         # reverse topological order, and the forward-sampled ones in order
@@ -285,8 +289,8 @@ class SamplerState:
             j for j in reversed(self.topo_free) if not self.forward_sampled[j]
         ]
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
-        # full child lists with 1-p factors, needed to keep surv caches exact
-        self.child_q = [[1.0 - net.edge_p[(j, c)] for c in net.children[j]] for j in range(n)]
+        # (c, 1 - p) per child, needed to keep surv caches exact
+        self.child_links = [[(c, 1.0 - net.edge_p[(j, c)]) for c in net.children[j]] for j in range(n)]
         self.acc = MarginalAccumulator.zeros(n)
         self.sweep_idx = 0
         self.cost = 0
@@ -319,11 +323,6 @@ class SamplerState:
         """Toggle node n, update its children's survival caches and drop
         the cached conditionals that read a value this changed."""
         self.toggle(n)
-        self.invalidate(n)
-
-    def invalidate(self, n):
-        """Drop the cached conditionals that read a value a toggle of n
-        changes, judged by the current values of n's children."""
         cache = self.odds_cache
         for k in self.stale[n]:
             cache[k] = None
@@ -335,19 +334,19 @@ class SamplerState:
 
     def toggle(self, n):
         """Toggle node n and update the survival caches of all its children,
-        leaving the cached conditionals to the caller to invalidate.  Turning
+        leaving the cached conditionals to the caller to clear.  Turning
         n off recomputes from its parents, rather than divides, a survival
         that underflowed below the smallest normal float."""
         x = self.x
         surv = self.surv
         if x[n]:
             x[n] = 0
-            for c, q in zip(self.net.children[n], self.child_q[n]):
+            for c, q in self.child_links[n]:
                 s = surv[c]
                 surv[c] = s / q if s >= _MIN_NORMAL else self.net.survival(c, x)
         else:
             x[n] = 1
-            for c, q in zip(self.net.children[n], self.child_q[n]):
+            for c, q in self.child_links[n]:
                 surv[c] *= q
 
     def fill_odds(self, n):
@@ -360,16 +359,20 @@ class SamplerState:
         x = self.x
         sn = surv[n]
         odds = (1.0 - sn) / sn if sn else float("inf")
-        xn = x[n]
-        for c, q in zip(self.scope_children[n], self.scope_q[n]):
-            if not x[c]:
-                odds *= q
-            elif xn:
-                sc = surv[c]
-                odds *= (1.0 - sc) / (1.0 - sc / q)
-            else:
-                sc = surv[c]
-                odds *= (1.0 - sc * q) / (1.0 - sc)
+        if x[n]:
+            for c, q in self.scope_links[n]:
+                if x[c]:
+                    sc = surv[c]
+                    odds *= (1.0 - sc) / (1.0 - sc / q)
+                else:
+                    odds *= q
+        else:
+            for c, q in self.scope_links[n]:
+                if x[c]:
+                    sc = surv[c]
+                    odds *= (1.0 - sc * q) / (1.0 - sc)
+                else:
+                    odds *= q
         hit = self.odds_cache[n] = (odds, odds / (1.0 + odds) if odds < 1e308 else 1.0)
         return hit
 
@@ -485,8 +488,7 @@ def swap_pair_move(state: SamplerState, a, b):
     if stay:
         state.toggle(a)
         state.toggle(b)
-    state.invalidate(a)
-    state.invalidate(b)
+    _clear_stale(state, a, b)
 
 
 def block_pair_move(state: SamplerState, a, b):
@@ -537,8 +539,20 @@ def block_pair_move(state: SamplerState, a, b):
         state.toggle(a)
     if target == 1 or target == 2:
         state.toggle(b)
-    state.invalidate(a)
-    state.invalidate(b)
+    _clear_stale(state, a, b)
+
+
+def _clear_stale(state, a, b):
+    """Drop, at the final values, what a move on (a, b) made stale."""
+    nodes, via = state.pair_plan.clear[(a, b)]
+    cache = state.odds_cache
+    for k in nodes:
+        cache[k] = None
+    x = state.x
+    for c, readers in via:
+        if x[c]:
+            for k in readers:
+                cache[k] = None
 
 
 def forward_redraw(state: SamplerState, n):
@@ -579,7 +593,9 @@ class _PairPlan:
     gate is read when the pair moves, never when pairs are chosen, and
     neither map reads a free value.  Links run both ways, so `scope` maps
     both orders of each pair to the nodes a move on it weighs: a, b, then
-    their scope children in order, without repeats.
+    their scope children in order, without repeats.  `clear` maps both
+    orders to one pair of the flip rule's lists: `stale[a] + stale[b]` and
+    `stale_via[a] + stale_via[b]` merged by child, without repeats.
     """
 
     def __init__(self, state: SamplerState):
@@ -610,6 +626,14 @@ class _PairPlan:
             for a, partners in self.spouses.items()
             for b in partners
         }
+        self.clear = {}
+        for a, b in self.scope:
+            if a < b:
+                nodes = {*state.stale[a], *state.stale[b]}
+                via = dict(state.stale_via[a] + state.stale_via[b])
+                self.clear[(a, b)] = self.clear[(b, a)] = list(nodes), [
+                    (c, live) for c, readers in via.items()
+                    if (live := [k for k in readers if k not in nodes])]
 
 
 def pair_nodes(state: SamplerState):

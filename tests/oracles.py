@@ -532,13 +532,15 @@ def reference_single_site_move(state: SamplerState, n):
 
 
 def reference_cond_odds(state: SamplerState, n) -> float:
-    """Odds of n being on given its conditioning scope, from the caches."""
+    """Odds of n being on given its conditioning scope, from the caches,
+    with each child's 1 - p taken from the network, not the chain's links."""
     surv = state.surv
     x = state.x
     sn = surv[n]
     odds = (1.0 - sn) / sn
     xn = x[n]
-    for c, q in zip(state.scope_children[n], state.scope_q[n]):
+    for c in state.scope_children[n]:
+        q = 1.0 - state.net.edge_p[(n, c)]
         sc = surv[c]
         if xn:
             s1 = sc
@@ -572,17 +574,19 @@ def reference_stale(state: SamplerState) -> list:
 
 
 def reference_flip(state: SamplerState, stale, n):
-    """The flip as first written, clearing `reference_stale`'s list."""
+    """The flip as first written, clearing `reference_stale`'s list, with
+    each child's 1 - p taken from the network, not the chain's links."""
     x = state.x
     surv = state.surv
+    net = state.net
     if x[n]:
         x[n] = 0
-        for c, q in zip(state.net.children[n], state.child_q[n]):
-            surv[c] /= q
+        for c in net.children[n]:
+            surv[c] /= 1.0 - net.edge_p[(n, c)]
     else:
         x[n] = 1
-        for c, q in zip(state.net.children[n], state.child_q[n]):
-            surv[c] *= q
+        for c in net.children[n]:
+            surv[c] *= 1.0 - net.edge_p[(n, c)]
     cache = state.odds_cache
     for k in stale[n]:
         cache[k] = None

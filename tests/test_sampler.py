@@ -1097,6 +1097,76 @@ class TestOddsCache:
                         *(readers for c, readers in state.stale_via[k] if state.x[c]))
                     assert on == expected_stale(state, k), where
 
+    def test_links_and_both_refill_loops_match_the_network(self):
+        # the (c, 1 - p) links are the child lists with the network's
+        # factors, and each of fill_odds's two loops, one per value of the
+        # node, gives the reference's floats over off and on children
+        rng = random.Random(67)
+        seen = set()
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(2, 9), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3)
+            for name in PRESETS:
+                state = make_state(net, ev, name, seed=trial)
+                for j in range(len(net.ids)):
+                    assert state.scope_links[j] == [
+                        (c, 1.0 - net.edge_p[(j, c)]) for c in state.scope_children[j]], (trial, name, j)
+                    assert state.child_links[j] == [
+                        (c, 1.0 - net.edge_p[(j, c)]) for c in net.children[j]], (trial, name, j)
+                for n in state.diagnostic:
+                    for value in (0, 1):
+                        if state.x[n] != value:
+                            state.flip(n)
+                        assert state.fill_odds(n) == fresh_odds(state, n), (trial, name, n, value)
+                        seen.update((value, state.x[c]) for c in state.scope_children[n])
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_zero_survival_means_on_for_certain(self):
+        # 45 parents drive s through p = 1 - 1e-8 links, so with them on
+        # s's survival underflows to 0.0; s's scope child u is on
+        nodes = [(f"m{i:02d}", "model", 0.99) for i in range(45)]
+        nodes += [("s", "sensory", 0.001), ("u", "sensory", 0.001)]
+        edges = [(f"m{i:02d}", "s", 1 - 1e-8) for i in range(45)] + [("s", "u", 0.5)]
+        net = build_network(nodes, edges)
+        state = make_state(net, {"u": True})
+        s = net.index["s"]
+        assert state.scope_children[s] == [net.index["u"]]
+        for value in (0, 1):
+            for j in state.free:
+                state.x[j] = value if j == s else 1
+            state.refresh_survivals()
+            assert state.surv[s] == 0.0
+            assert state.fill_odds(s) == (math.inf, 1.0), value
+
+    def test_pair_clearing_lists_are_the_flip_rule_without_repeats(self):
+        rng = random.Random(68)
+        formed = 0
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3, p_true=0.7)
+            for name in PAIR_PRESETS:
+                state = make_state(net, ev, name, seed=trial)
+                plan = state.pair_plan
+                assert plan.clear.keys() == plan.scope.keys(), (trial, name)
+                for (a, b), (cleared, via) in plan.clear.items():
+                    where = (trial, name, a, b)
+                    assert len(set(cleared)) == len(cleared), where
+                    assert len({c for c, _ in via}) == len(via), where
+                    for c, readers in via:
+                        assert readers and len(set(readers)) == len(readers), where
+                        assert not set(readers) & set(cleared), where
+                    for _ in range(4):
+                        state.x[:] = [rng.randint(0, 1) for _ in state.x]
+                        got = set(cleared).union(*(r for c, r in via if state.x[c]))
+                        assert got == expected_stale(state, a) | expected_stale(state, b), where
+                for call in range(3):
+                    for a, b in pair_nodes(state)[0]:
+                        assert (a, b) in plan.clear and (b, a) in plan.clear, (trial, name, a, b)
+                        formed += 1
+        assert formed > 100
+
     def test_pair_moves_clear_by_the_flip_rule(self):
         # a pair move on a pair its chain's plan forms toggles its way
         # through its joint values and then clears, at the final values,
