@@ -48,13 +48,13 @@ the survival cache of d, x of each scope child, and the survival cache of a
 scope child only while that child is on.  So toggling k makes stale every
 node with k as a scope child, k's children, and, for each child of k that
 is on, every node with that child as a scope child (k among them when the
-child is in k's scope).  `SamplerState` holds that rule as one list per
-node, which a flip clears after its toggle; the pair plan holds it as one
-list per pair, the two nodes' lists merged without repeats, which a pair
-move clears after its last toggle.  The rule reads only whether a child is
-on, and a pair move changes no value but its own nodes', whose readers are
-on their lists, so that clears all it must.  A hit returns the floats a
-recompute would, so chains are bit-identical with or without the cache.
+child is in k's scope).  `SamplerState` holds that rule as one pair of
+lists per node, which a flip clears after its toggle and a pair move clears
+for each of its two nodes after its last toggle.  The rule reads only
+whether a child is on, and a pair move changes no value but its own nodes',
+whose readers are on their lists, so that clears all it must.  A hit
+returns the floats a recompute would, so chains are bit-identical with or
+without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
@@ -62,13 +62,14 @@ but shuffles and picks below n without a Python call per draw.  Every
 chain runs a stretch of sweeps per `run_sweep` call, from one checkpoint
 or the end of burn-in to the next, with lookups bound once per stretch.
 A single-site sweep runs one loop per rule and then redraws its forward
-tail inline, and its visit counts and cost are charged once per stretch.
-A pair sweep lists its visits and runs them in one loop, making its
-single-site moves, forward redraws and identity swaps inline and calling
-the block and swap moves; the cost of its inline moves is charged once
-per stretch.  Both loops fill a missing conditional through
-`SamplerState.fill_odds`: one loop per value of the node over its scope
-links, the (child, 1 - p) pairs built with the chain.
+tail inline.  A pair sweep lists its visits and runs them in one loop,
+making its single-site moves, forward redraws and identity swaps inline
+and calling the block and swap moves.  Moves credit sums and charge cost
+but count no visit: both loops end a stretch with one `_close_stretch`,
+which counts the visits its sweeps made, charges the inline moves' cost
+and advances the sweep index.  Both loops fill a missing conditional
+through `SamplerState.fill_odds`: one loop per value of the node over its
+scope links, the (child, 1 - p) pairs built with the chain.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ SWAP_FRACTION = 0.8
 # the smallest normal float: a survival or a pair move's total weight below
 # it may have lost factors to underflow, so it is recomputed from the parents
 _MIN_NORMAL = 2.2250738585072014e-308
+
+# a run recomputes the survival caches after every this many sweeps, which
+# bounds the float drift of their running products on very long chains
+_REFRESH_SWEEPS = 20000
 
 
 @dataclass(frozen=True)
@@ -247,9 +252,10 @@ class SamplerState:
     `fill_odds` must recompute it over the `scope_links`.  `flip(k)` toggles
     k, clears the nodes `stale[k]` lists, whatever the values, and for each
     (c, readers) in `stale_via[k]` clears the readers when c is on.  A pair
-    move clears its pair's merged lists from the pair plan the same way,
-    and `refresh_survivals` clears every entry.  A toggle and a toggle back
-    still clear, since `s * q / q` may differ from `s` in the last bit.
+    move on (a, b) clears the same lists of a and then of b after its last
+    toggle, and `refresh_survivals` clears every entry.  A toggle and a
+    toggle back still clear, since `s * q / q` may differ from `s` in the
+    last bit.  Of `acc`, only `_close_stretch` writes the visit counts.
     """
 
     def __init__(self, net, ev, strategy: StrategySpec, rng):
@@ -400,14 +406,12 @@ def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
 
 
 def single_site_move(state: SamplerState, n):
-    """Resample one free node; always credit its conditional into the scores.
+    """Resample one free node; always credit its conditional into the sums.
     Both sweep loops make this move inline, visit for visit, and call
     neither it nor `forward_redraw`; the two stay as the moves' reference
     form, which the benchmark's tracer wraps by name."""
     odds, p_on = state.odds_cache[n] or state.fill_odds(n)
-    acc = state.acc
-    acc.sums[n] += p_on
-    acc.counts[n] += 1
+    state.acc.sums[n] += p_on
     state.cost += state.move_cost[n]
     if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
@@ -453,16 +457,14 @@ def swap_pair_move(state: SamplerState, a, b):
     """Exchange the values of two spouses, or keep them, by restricted weight.
 
     When the two values are already equal the exchange is the identity; the
-    move still scores both nodes (with their current indicator, the one-state
-    distribution) so that the estimator keeps its per-visit accounting.
+    move still credits both nodes (with their current indicator, the
+    one-state distribution), since the sweep counts the visit all the same.
     """
     acc = state.acc
     x = state.x
     if x[a] == x[b]:
         acc.sums[a] += float(x[a])
         acc.sums[b] += float(x[b])
-        acc.counts[a] += 1
-        acc.counts[b] += 1
         state.cost += 1
         return
     touched = state.pair_plan.scope[(a, b)]
@@ -479,8 +481,6 @@ def swap_pair_move(state: SamplerState, a, b):
     on_weight_a = w_cur if x[b] else w_swap  # weight of the state where a is on
     acc.sums[a] += on_weight_a / total
     acc.sums[b] += (total - on_weight_a) / total
-    acc.counts[a] += 1
-    acc.counts[b] += 1
     if state.strategy.rule == GIBBS:
         stay = state.rng.random() >= w_swap / total
     else:
@@ -516,8 +516,6 @@ def block_pair_move(state: SamplerState, a, b):
         total = w0 + w1 + w2 + w3
     acc.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
     acc.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
-    acc.counts[a] += 1
-    acc.counts[b] += 1
     if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         if u < w0:
@@ -543,25 +541,24 @@ def block_pair_move(state: SamplerState, a, b):
 
 
 def _clear_stale(state, a, b):
-    """Drop, at the final values, what a move on (a, b) made stale."""
-    nodes, via = state.pair_plan.clear[(a, b)]
+    """Drop, at the final values, what a move on (a, b) made stale: what a
+    flip of a and then a flip of b would clear."""
     cache = state.odds_cache
-    for k in nodes:
-        cache[k] = None
     x = state.x
-    for c, readers in via:
-        if x[c]:
-            for k in readers:
-                cache[k] = None
+    for n in (a, b):
+        for k in state.stale[n]:
+            cache[k] = None
+        for c, readers in state.stale_via[n]:
+            if x[c]:
+                for k in readers:
+                    cache[k] = None
 
 
 def forward_redraw(state: SamplerState, n):
     """Draw a forward-sampled node straight from its noisy-or distribution.
     Both sweep loops make this move inline (see `single_site_move`)."""
     p_on = 1.0 - state.surv[n]
-    acc = state.acc
-    acc.sums[n] += p_on
-    acc.counts[n] += 1
+    state.acc.sums[n] += p_on
     state.cost += 1
     want = 1 if state.rng.random() < p_on else 0
     if want != state.x[n]:
@@ -593,9 +590,7 @@ class _PairPlan:
     gate is read when the pair moves, never when pairs are chosen, and
     neither map reads a free value.  Links run both ways, so `scope` maps
     both orders of each pair to the nodes a move on it weighs: a, b, then
-    their scope children in order, without repeats.  `clear` maps both
-    orders to one pair of the flip rule's lists: `stale[a] + stale[b]` and
-    `stale_via[a] + stale_via[b]` merged by child, without repeats.
+    their scope children in order, without repeats.
     """
 
     def __init__(self, state: SamplerState):
@@ -626,14 +621,6 @@ class _PairPlan:
             for a, partners in self.spouses.items()
             for b in partners
         }
-        self.clear = {}
-        for a, b in self.scope:
-            if a < b:
-                nodes = {*state.stale[a], *state.stale[b]}
-                via = dict(state.stale_via[a] + state.stale_via[b])
-                self.clear[(a, b)] = self.clear[(b, a)] = list(nodes), [
-                    (c, live) for c, readers in via.items()
-                    if (live := [k for k in readers if k not in nodes])]
 
 
 def pair_nodes(state: SamplerState):
@@ -670,8 +657,8 @@ def pair_nodes(state: SamplerState):
 def _single_site_sweeps(state: SamplerState, count):
     """`count` sweeps of `single_site_move` on every diagnostic-sampled node
     in shuffled order, then `forward_redraw` on the forward tail, each in
-    one loop: the lookups are bound, and the visit counts, cost and sweep
-    index charged, once for all `count` sweeps, with the same totals."""
+    one loop, with the lookups bound once per stretch; each sweep costs
+    the chain's `sweep_cost`."""
     diagnostic = state.diagnostic
     forward = state.topo_forward
     rng = state.rng
@@ -705,17 +692,13 @@ def _single_site_sweeps(state: SamplerState, count):
             sums[n] += p_on
             if (draw() < p_on) != x[n]:
                 flip(n)
-    counts = state.acc.counts
-    for n in diagnostic + forward:
-        counts[n] += count
-    state.cost += count * state.sweep_cost
-    state.sweep_idx += count
+    _close_stretch(state, count, count, count * state.sweep_cost)
 
 
 def _pair_sweeps(state: SamplerState, count):
     """`count` sweeps of a pair schedule, each a visit list and one loop
-    over it, with the lookups bound and the cost of the inline moves
-    charged once for all `count` sweeps.
+    over it, with the lookups bound once and the stretch closed by
+    `_close_stretch` with the summed cost of the inline moves.
 
     The visit list reads no chain value.  The random schedule shuffles
     `pair_nodes`'s pairs and singles together and appends the forward tail.
@@ -754,7 +737,6 @@ def _pair_sweeps(state: SamplerState, count):
     is_on = x.__getitem__
     surv = state.surv
     sums = state.acc.sums
-    counts = state.acc.counts
     move_cost = state.move_cost
     forward_sampled = state.forward_sampled
     tail = state.topo_forward
@@ -793,8 +775,6 @@ def _pair_sweeps(state: SamplerState, count):
                             # the identity exchange: each node credited its value
                             sums[a] += x[a]
                             sums[b] += x[b]
-                            counts[a] += 1
-                            counts[b] += 1
                             cost += 1
                         else:
                             swap_pair_move(state, a, b)
@@ -803,7 +783,6 @@ def _pair_sweeps(state: SamplerState, count):
             elif forward_sampled[v]:
                 p_on = 1.0 - surv[v]
                 sums[v] += p_on
-                counts[v] += 1
                 cost += 1
                 if (draw() < p_on) != x[v]:
                     flip(v)
@@ -813,7 +792,6 @@ def _pair_sweeps(state: SamplerState, count):
             for n in nodes:
                 odds, p_on = cache[n] or fill(n)
                 sums[n] += p_on
-                counts[n] += 1
                 cost += move_cost[n]
                 if gibbs:
                     if (draw() < p_on) != x[n]:
@@ -822,6 +800,23 @@ def _pair_sweeps(state: SamplerState, count):
                     ratio = (1.0 - p_on) / p_on if x[n] else odds
                     if ratio >= 1.0 or draw() < ratio:
                         flip(n)
+    # forward passes are the even sweeps
+    redraws = (count + 1 - state.sweep_idx % 2) // 2 if alternating else count
+    _close_stretch(state, count, redraws, cost)
+
+
+def _close_stretch(state: SamplerState, count, redraws, cost):
+    """End a stretch of `count` sweeps: count `count` visits to every
+    diagnostic-sampled node and `redraws` to every forward-sampled one,
+    charge `cost` and advance the sweep index.  Every sweep visits each
+    diagnostic-sampled node once, alone or in a pair, and each
+    forward-sampled node once, or on forward passes only under the
+    alternating schedule, so these are the totals of a count per visit."""
+    counts = state.acc.counts
+    for n in state.diagnostic:
+        counts[n] += count
+    for n in state.topo_forward:
+        counts[n] += redraws
     state.cost += cost
     state.sweep_idx += count
 
@@ -874,9 +869,9 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     from the credits held after that sweep; the credits are cleared after
     sweep `burn_in`, so a checkpoint at or before it covers burn-in sweeps
     only (the benchmark grid rejects such checkpoints); the survival caches
-    are recomputed after every 20000th sweep.  The chain runs in stretches
-    between those stops, one `run_sweep` call per stretch.  Returns (state,
-    checkpoint estimates, sweep-loop seconds) per chain.
+    are recomputed every `_REFRESH_SWEEPS` sweeps.  The chain runs in
+    stretches between those stops, one `run_sweep` call per stretch.
+    Returns (state, checkpoint estimates, sweep-loop seconds) per chain.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
@@ -890,7 +885,8 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     if problems:
         raise ValueError("network fails strict validation: " + "; ".join(problems))
     wanted = set(checkpoints)
-    stops = sorted({*wanted, burn_in, sweeps, *range(20000, sweeps + 1, 20000)} - {0})
+    refreshes = range(_REFRESH_SWEEPS, sweeps + 1, _REFRESH_SWEEPS)
+    stops = sorted({*wanted, burn_in, sweeps, *refreshes} - {0})
     runs = []
     for seed in seeds:
         state = setup_chain(net, ev, strategy, ChainRandom(seed))
@@ -904,8 +900,8 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
                 marks[s] = estimate_marginals(state)
             if s == burn_in:
                 state.acc.reset()
-            if s % 20000 == 0:
-                state.refresh_survivals()  # bound float drift on very long runs
+            if s % _REFRESH_SWEEPS == 0:
+                state.refresh_survivals()
         runs.append((state, marks, time.perf_counter() - t0))
     return runs
 

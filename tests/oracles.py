@@ -4,9 +4,12 @@ Deliberately written in the most naive style available (dict-based, full
 enumeration, no caching, no log-space tricks) so that agreement with the
 library is evidence of correctness rather than shared bugs.  The
 `reference_*` functions are earlier library versions kept verbatim: a
-rewrite of the library must reproduce them exactly.  One has changed since:
+rewrite of the library must reproduce them exactly.  Two changes since:
 `reference_exact_posteriors` weighs a state from scratch every
-`REFERENCE_CHUNK` steps of its scan, so its rounding does not build up.
+`REFERENCE_CHUNK` steps of its scan, so its rounding does not build up;
+and, as in the library, no move counts its visit, so the reference moves
+credit sums and cost only and `reference_pair_sweep` counts, once per
+sweep, each node the sweep visited.
 
 `noisy_or_prob`, `joint_log_prob`, `markov_blanket` and `d_separated` are
 references that only tests call, kept verbatim from the library, which
@@ -36,6 +39,7 @@ from diagbn.sampler import (
     ChainRandom,
     SamplerState,
     StrategySpec,
+    _REFRESH_SWEEPS,
     block_pair_move,
     estimate_marginals,
     forward_redraw,
@@ -486,8 +490,6 @@ def reference_block_pair_move(state: SamplerState, a, b):
     b_mass = sum(w for w, v in zip(weights, b_vals) if v)
     acc.sums[a] += a_mass / total
     acc.sums[b] += b_mass / total
-    acc.counts[a] += 1
-    acc.counts[b] += 1
     if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         target = 3
@@ -517,9 +519,7 @@ def reference_single_site_move(state: SamplerState, n):
         odds = reference_cond_odds(state, n)
         hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
     odds, p_on = hit
-    acc = state.acc
-    acc.sums[n] += p_on
-    acc.counts[n] += 1
+    state.acc.sums[n] += p_on
     state.cost += state.move_cost[n]
     if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
@@ -615,7 +615,7 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
                 marks[s] = estimate_marginals(state)
             if s == burn_in:
                 state.acc.reset()
-            if s % 20000 == 0:
+            if s % _REFRESH_SWEEPS == 0:
                 state.refresh_survivals()  # bound float drift on very long runs
         runs.append((state, marks, time.perf_counter() - t0))
     return runs
@@ -684,7 +684,7 @@ def _reference_fwd_bwd_sweep(state: SamplerState):
     revisit only the diagnostic-sampled nodes, in reverse order.  Pairings
     are fresh per pass, and a pair makes its `reference_pair_event` at the
     position of whichever of its nodes the pass reaches first, gate shut or
-    not.
+    not.  Returns the nodes the pass visited.
     """
     backward = state.sweep_idx % 2 == 1
     pairs, _ = reference_pair_nodes(state)
@@ -692,31 +692,38 @@ def _reference_fwd_bwd_sweep(state: SamplerState):
     partner.update((b, a) for a, b in pairs)
     order = state.topo_diagnostic_reversed if backward else state.topo_free
     done = set()
+    visited = []
     for j in order:
         if j in done:
             continue
+        visited.append(j)
         if state.forward_sampled[j]:
             forward_redraw(state, j)
             continue
         if j in partner:
             reference_pair_event(state, j, partner[j])
             done.add(partner[j])
+            visited.append(partner[j])
         else:
             single_site_move(state, j)
+    return visited
 
 
 def reference_pair_sweep(state: SamplerState):
     """One sweep of the chain's pair schedule as first written: a call per
     pair event, per single-site move and per forward redraw.  The library's
-    stretch loop must reproduce its values, credits, cached conditionals,
-    cost and RNG draws exactly."""
+    stretch loop must reproduce its values, credits, visit counts, cached
+    conditionals, cost and RNG draws exactly."""
     if state.strategy.move_policy == OPTIMIZED_FWD_BWD:
-        _reference_fwd_bwd_sweep(state)
+        visited = _reference_fwd_bwd_sweep(state)
     else:
         pairs, singles = reference_pair_nodes(state)
         _reference_run_pair_events(state, pairs, singles)
         for j in state.topo_forward:
             forward_redraw(state, j)
+        visited = [j for pair in pairs for j in pair] + singles + state.topo_forward
+    for j in visited:
+        state.acc.counts[j] += 1
     state.sweep_idx += 1
 
 

@@ -17,7 +17,8 @@ AttributeError that no other test meets.
 
 A chain fixes its strategy, network, evidence, clamp, credits and pair
 scopes, so no sampler or exact function handed a chain as `state` takes
-any of them beside it.
+any of them beside it.  A chain's visit counts have one writer besides
+`MarginalAccumulator`: the sweep loops' `_close_stretch`.
 
 Anything else serves only tests: a test reference belongs in
 `tests/oracles.py`, a setting with one value in use is a module constant,
@@ -271,3 +272,35 @@ def test_no_function_takes_what_its_chain_fixes():
         if param in CHAIN_FIXES
     )
     assert not passed, f"arguments the chain already fixes: {passed}"
+
+
+def names_counts(target):
+    """True when an assignment target is `counts`, `<anything>.counts`, or
+    an item, slice or unpacked part of one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(names_counts(t) for t in target.elts)
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    return (isinstance(target, ast.Name) and target.id == "counts") or (
+        isinstance(target, ast.Attribute) and target.attr == "counts")
+
+
+def assignment_targets(node):
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.NamedExpr)):
+        return [node.target]
+    return []
+
+
+def test_only_the_stretch_close_writes_visit_counts():
+    # a move credits sums; the sweep loops count every visit once per
+    # stretch, in `_close_stretch`, and the accumulator merges and resets
+    writers = {
+        f"{os.path.basename(path)[:-3]}.{getattr(top, 'name', '<module>')}"
+        for path in library_sources()
+        for top in parse(path).body
+        for node in ast.walk(top)
+        if any(names_counts(t) for t in assignment_targets(node))
+    }
+    assert writers == {"sampler._close_stretch", "sampler.MarginalAccumulator"}, writers
