@@ -46,7 +46,6 @@ from .sampler import (
     GIBBS,
     METROPOLIS,
     PRESETS,
-    MarginalAccumulator,
     StrategySpec,
     derive_seed,
     estimate_marginals,
@@ -102,7 +101,6 @@ __all__ = [
     "ExperimentConfig",
     "FlowInfo",
     "GeneratorParams",
-    "MarginalAccumulator",
     "Network",
     "NetworkError",
     "Report",

@@ -64,10 +64,11 @@ or the end of burn-in to the next, with lookups bound once per stretch.
 A single-site sweep runs one loop per rule and then redraws its forward
 tail inline.  A pair sweep lists its visits and runs them in one loop,
 making its single-site moves, forward redraws and identity swaps inline
-and calling the block and swap moves.  Moves credit sums and charge cost
-but count no visit: both loops end a stretch with one `_close_stretch`,
-which counts the visits its sweeps made, charges the inline moves' cost
-and advances the sweep index.  Both loops fill a missing conditional
+and calling the block and swap moves.  Moves credit the chain's sums and
+charge cost but count no visit: both loops end a stretch with one
+`_close_stretch`, which adds its sweeps and its forward redraws to the
+chain's two visit totals, charges the inline moves' cost and advances the
+sweep index.  Both loops fill a missing conditional
 through `SamplerState.fill_odds`: one loop per value of the node over its
 scope links, the (child, 1 - p) pairs built with the chain.
 """
@@ -214,55 +215,39 @@ def derive_seed(master, *tags) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass
-class MarginalAccumulator:
-    """Per-node running sums of Rao-Blackwell credits and visit counts."""
-
-    sums: list
-    counts: list
-
-    @classmethod
-    def zeros(cls, n):
-        return cls([0.0] * n, [0] * n)
-
-    def merge(self, other: "MarginalAccumulator"):
-        for i in range(len(self.sums)):
-            self.sums[i] += other.sums[i]
-            self.counts[i] += other.counts[i]
-
-    def reset(self):
-        for i in range(len(self.sums)):
-            self.sums[i] = 0.0
-            self.counts[i] = 0
-
-
 class SamplerState:
-    """Mutable chain state: values, cached noisy-or survivals, scores, rng.
+    """Mutable chain state: values, cached noisy-or survivals, credits, rng.
 
-    The chain runs under `strategy` for life.  `clamp` is `clamp_pass`'s
-    result if the strategy clamps and `no_clamp`'s if not; the flow map is
-    the blanket map unless the strategy is flow-aware; `pair_plan` is the
-    strategy's `_PairPlan`, or None under the single-site policy.
-    `x` starts with the evidence at its observed values and every other
-    node off.  The free nodes are the clamp result's `unclamped`, split into
-    the `forward_sampled` ones and the `diagnostic` ones.  `surv` caches the
-    survivals as running products, which `toggle` updates over the
-    `child_links` and recomputes on underflow.  `odds_cache[n]` holds (odds,
-    p_on) of n's conditional for a diagnostic-sampled node n, or None when
-    `fill_odds` must recompute it over the `scope_links`.  `flip(k)` toggles
-    k, clears the nodes `stale[k]` lists, whatever the values, and for each
-    (c, readers) in `stale_via[k]` clears the readers when c is on.  A pair
-    move on (a, b) clears the same lists of a and then of b after its last
-    toggle, and `refresh_survivals` clears every entry.  A toggle and a
-    toggle back still clear, since `s * q / q` may differ from `s` in the
-    last bit.  Of `acc`, only `_close_stretch` writes the visit counts.
+    The chain runs under `strategy` for life.  It clamps by `clamp_pass` if
+    the strategy clamps and by `no_clamp` if not; the flow map is the
+    blanket map unless the strategy is flow-aware; `pair_plan` is the
+    strategy's `_PairPlan`, or None under the single-site policy.  `x`
+    starts with the evidence at its observed values and every other node
+    off, and only free nodes ever change.  The free nodes are the clamp's
+    `unclamped`, split into the `forward_sampled` ones and the `diagnostic`
+    ones.  `surv` caches the survivals as running products, which `toggle`
+    updates over the `child_links` and recomputes on underflow.
+    `odds_cache[n]` holds (odds, p_on) of n's conditional for a
+    diagnostic-sampled node n, or None when `fill_odds` must recompute it
+    over the `scope_links`.  `flip(k)` toggles k, clears the nodes
+    `stale[k]` lists, whatever the values, and for each (c, readers) in
+    `stale_via[k]` clears the readers when c is on.  A pair move on (a, b)
+    clears the same lists of a and then of b after its last toggle, and
+    `refresh_survivals` clears every entry.  A toggle and a toggle back
+    still clear, since `s * q / q` may differ from `s` in the last bit.
+
+    The chain keeps its own book since the last reset: `sums`, each node's
+    summed Rao-Blackwell credits, which the moves add to, and two visit
+    totals, which only `_close_stretch` adds to: `sweeps`, the visits every
+    diagnostic-sampled node has had, and `redraws`, the visits every
+    forward-sampled node has had.
     """
 
     def __init__(self, net, ev, strategy: StrategySpec, rng):
         self.net = net
         self.ev = ev
         self.strategy = strategy
-        clamp = self.clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
+        clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
         flow = classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
         self.rng = rng
         n = len(net.ids)
@@ -297,7 +282,8 @@ class SamplerState:
         self.topo_forward = [j for j in self.topo_free if self.forward_sampled[j]]
         # (c, 1 - p) per child, needed to keep surv caches exact
         self.child_links = [[(c, 1.0 - net.edge_p[(j, c)]) for c in net.children[j]] for j in range(n)]
-        self.acc = MarginalAccumulator.zeros(n)
+        self.sums = [0.0] * n
+        self.sweeps = self.redraws = 0
         self.sweep_idx = 0
         self.cost = 0
         # deterministic per-node move cost, used for the benchmark cost ratios;
@@ -411,7 +397,7 @@ def single_site_move(state: SamplerState, n):
     neither it nor `forward_redraw`; the two stay as the moves' reference
     form, which the benchmark's tracer wraps by name."""
     odds, p_on = state.odds_cache[n] or state.fill_odds(n)
-    state.acc.sums[n] += p_on
+    state.sums[n] += p_on
     state.cost += state.move_cost[n]
     if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
@@ -460,11 +446,11 @@ def swap_pair_move(state: SamplerState, a, b):
     move still credits both nodes (with their current indicator, the
     one-state distribution), since the sweep counts the visit all the same.
     """
-    acc = state.acc
+    sums = state.sums
     x = state.x
     if x[a] == x[b]:
-        acc.sums[a] += float(x[a])
-        acc.sums[b] += float(x[b])
+        sums[a] += float(x[a])
+        sums[b] += float(x[b])
         state.cost += 1
         return
     touched = state.pair_plan.scope[(a, b)]
@@ -479,8 +465,8 @@ def swap_pair_move(state: SamplerState, a, b):
         total = w_cur + w_swap
     # credit using the pre-move values: a held x[a], now flipped
     on_weight_a = w_cur if x[b] else w_swap  # weight of the state where a is on
-    acc.sums[a] += on_weight_a / total
-    acc.sums[b] += (total - on_weight_a) / total
+    sums[a] += on_weight_a / total
+    sums[b] += (total - on_weight_a) / total
     if state.strategy.rule == GIBBS:
         stay = state.rng.random() >= w_swap / total
     else:
@@ -493,7 +479,6 @@ def swap_pair_move(state: SamplerState, a, b):
 
 def block_pair_move(state: SamplerState, a, b):
     """Resample two spouses jointly over their four joint assignments."""
-    acc = state.acc
     touched = state.pair_plan.scope[(a, b)]
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     w0 = state.restricted_weight(touched)
@@ -514,8 +499,8 @@ def block_pair_move(state: SamplerState, a, b):
         w0, w1, w2, w3 = _underflow_weights(
             state, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))
         total = w0 + w1 + w2 + w3
-    acc.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
-    acc.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
+    state.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
+    state.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
     if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         if u < w0:
@@ -558,7 +543,7 @@ def forward_redraw(state: SamplerState, n):
     """Draw a forward-sampled node straight from its noisy-or distribution.
     Both sweep loops make this move inline (see `single_site_move`)."""
     p_on = 1.0 - state.surv[n]
-    state.acc.sums[n] += p_on
+    state.sums[n] += p_on
     state.cost += 1
     want = 1 if state.rng.random() < p_on else 0
     if want != state.x[n]:
@@ -669,7 +654,7 @@ def _single_site_sweeps(state: SamplerState, count):
     flip = state.flip
     x = state.x
     surv = state.surv
-    sums = state.acc.sums
+    sums = state.sums
     gibbs = state.strategy.rule == GIBBS
     for _ in range(count):
         order = list(diagnostic)
@@ -736,7 +721,7 @@ def _pair_sweeps(state: SamplerState, count):
     x = state.x
     is_on = x.__getitem__
     surv = state.surv
-    sums = state.acc.sums
+    sums = state.sums
     move_cost = state.move_cost
     forward_sampled = state.forward_sampled
     tail = state.topo_forward
@@ -806,17 +791,14 @@ def _pair_sweeps(state: SamplerState, count):
 
 
 def _close_stretch(state: SamplerState, count, redraws, cost):
-    """End a stretch of `count` sweeps: count `count` visits to every
-    diagnostic-sampled node and `redraws` to every forward-sampled one,
-    charge `cost` and advance the sweep index.  Every sweep visits each
-    diagnostic-sampled node once, alone or in a pair, and each
-    forward-sampled node once, or on forward passes only under the
-    alternating schedule, so these are the totals of a count per visit."""
-    counts = state.acc.counts
-    for n in state.diagnostic:
-        counts[n] += count
-    for n in state.topo_forward:
-        counts[n] += redraws
+    """End a stretch of `count` sweeps: add `count` to the chain's `sweeps`
+    and `redraws` to its `redraws`, charge `cost` and advance the sweep
+    index.  Every sweep visits each diagnostic-sampled node once, alone or
+    in a pair, and each forward-sampled node once, or on forward passes
+    only under the alternating schedule, so one total per kind of node
+    counts every node's visits."""
+    state.sweeps += count
+    state.redraws += redraws
     state.cost += cost
     state.sweep_idx += count
 
@@ -833,21 +815,25 @@ def run_sweep(state: SamplerState, count):
 
 
 def estimate_marginals(state: SamplerState) -> dict:
-    """The chain's posterior estimates for every node: evidence is its
-    indicator, clamped nodes report 0, free nodes report their mean
-    Rao-Blackwell credit."""
-    ev = state.ev
-    clamped = state.clamp.clamped_false
-    acc = state.acc
+    """The chain's posterior estimates for every node.  A node that is not
+    free reports its fixed value: evidence its indicator, clamped nodes 0.
+    A free node reports its mean Rao-Blackwell credit, its sum over the
+    chain's `redraws` if forward-sampled and over its `sweeps` if not;
+    ValueError naming the node if it has had no visit since the reset."""
+    x = state.x
+    sums = state.sums
+    is_free = state.is_free
+    forward_sampled = state.forward_sampled
     out = {}
     for j, nid in enumerate(state.net.ids):
-        if nid in ev:
-            out[nid] = 1.0 if ev[nid] else 0.0
-        elif nid in clamped:
-            out[nid] = 0.0
-        else:
-            c = acc.counts[j]
-            out[nid] = acc.sums[j] / c if c else 0.0
+        if not is_free[j]:
+            out[nid] = float(x[j])
+            continue
+        visits = state.redraws if forward_sampled[j] else state.sweeps
+        if not visits:
+            why = "every sweep was a backward pass" if state.sweeps else "no sweep has run"
+            raise ValueError(f"node {nid!r} has no visit to estimate from: {why} since burn-in")
+        out[nid] = sums[j] / visits
     return out
 
 
@@ -866,15 +852,16 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     """Validate once, then run one chain per seed.
 
     Each chain is set up and swept `sweeps` times.  A checkpoint estimates
-    from the credits held after that sweep; the credits are cleared after
-    sweep `burn_in`, so a checkpoint at or before it covers burn-in sweeps
-    only (the benchmark grid rejects such checkpoints); the survival caches
-    are recomputed every `_REFRESH_SWEEPS` sweeps.  The chain runs in
-    stretches between those stops, one `run_sweep` call per stretch.
+    from the chain's book after that sweep; its sums and visit totals are
+    cleared after sweep `burn_in`, so a checkpoint at or before it covers
+    burn-in sweeps only (the benchmark grid rejects such checkpoints); the
+    survival caches are recomputed every `_REFRESH_SWEEPS` sweeps.  The
+    chain runs in stretches between those stops, one `run_sweep` call per
+    stretch.
     Returns (state, checkpoint estimates, sweep-loop seconds) per chain.
     """
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    if type(sweeps) is not int or sweeps < 1:
+        raise ValueError(f"sweeps must be an integer of at least 1, got {sweeps!r}")
     if type(burn_in) is not int or not 0 <= burn_in < sweeps:
         raise ValueError(
             f"burn-in must be an integer in [0, sweeps), got {burn_in} with {sweeps} sweeps")
@@ -899,7 +886,8 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
             if s in wanted:
                 marks[s] = estimate_marginals(state)
             if s == burn_in:
-                state.acc.reset()
+                state.sums = [0.0] * len(state.sums)
+                state.sweeps = state.redraws = 0
             if s % _REFRESH_SWEEPS == 0:
                 state.refresh_survivals()
         runs.append((state, marks, time.perf_counter() - t0))
@@ -915,12 +903,15 @@ def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> Cha
 
 
 def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> dict:
-    """Merge one or more chains into a single marginal estimate per node."""
-    if chains < 1:
-        raise ValueError("need at least one chain")
+    """Merge one or more chains into a single marginal estimate per node:
+    their sums added in chain order, and their visit totals added."""
+    if type(chains) is not int or chains < 1:
+        raise ValueError(f"chains must be an integer of at least 1, got {chains!r}")
     seeds = [derive_seed(seed, "chain", k) for k in range(chains)] if chains > 1 else [seed]
     runs = _run_chains(net, ev, strategy, sweeps, seeds, burn_in)
     first = runs[0][0]
     for state, _, _ in runs[1:]:
-        first.acc.merge(state.acc)
+        first.sums = [s + t for s, t in zip(first.sums, state.sums)]
+        first.sweeps += state.sweeps
+        first.redraws += state.redraws
     return estimate_marginals(first)

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from diagbn.bench import load_config, run_experiment
+from diagbn.generate import GeneratorParams, generate_network
 from diagbn.network import build_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -64,6 +65,15 @@ def tiny_leak_problem():
     off, a zero-probability state the strict profile must not let in."""
     net = build_network([("m", "model", 0.5), ("s", "sensory", 1e-17)], [("m", "s", 0.5)])
     return net, {"s": True}
+
+
+def backward_tail_problem():
+    """The network `diagnose gen --models 6 --sensors 4 --links 12 --seed 3`
+    writes, with s1 observed true and s2 false.  A flow-aware chain
+    forward-samples s3 and s4, which under the alternating schedule are
+    redrawn on forward passes, the even sweeps, only."""
+    net = generate_network(GeneratorParams(n_model=6, n_sensory=4, n_links=12, seed=3))
+    return net, {"s1": True, "s2": False}
 
 
 def wide_finding_problem(n):

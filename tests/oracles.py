@@ -8,8 +8,9 @@ rewrite of the library must reproduce them exactly.  Two changes since:
 `reference_exact_posteriors` weighs a state from scratch every
 `REFERENCE_CHUNK` steps of its scan, so its rounding does not build up;
 and, as in the library, no move counts its visit, so the reference moves
-credit sums and cost only and `reference_pair_sweep` counts, once per
-sweep, each node the sweep visited.
+credit sums and cost only and `reference_pair_sweep` adds, once per
+sweep, to the chain's two visit totals, after checking that the sweep
+visited each node as those totals count it.
 
 `noisy_or_prob`, `joint_log_prob`, `markov_blanket` and `d_separated` are
 references that only tests call, kept verbatim from the library, which
@@ -457,7 +458,6 @@ def reference_block_pair_move(state: SamplerState, a, b):
     generator sums, over a scope listed from the chain's scope children.
     The library's straight-line move must reproduce its values, credits,
     cost and RNG draws exactly."""
-    acc = state.acc
     touched = [a, b]
     seen = {a, b}
     for j in (a, b):
@@ -488,8 +488,8 @@ def reference_block_pair_move(state: SamplerState, a, b):
     total = sum(weights)
     a_mass = sum(w for w, v in zip(weights, a_vals) if v)
     b_mass = sum(w for w, v in zip(weights, b_vals) if v)
-    acc.sums[a] += a_mass / total
-    acc.sums[b] += b_mass / total
+    state.sums[a] += a_mass / total
+    state.sums[b] += b_mass / total
     if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         target = 3
@@ -519,7 +519,7 @@ def reference_single_site_move(state: SamplerState, n):
         odds = reference_cond_odds(state, n)
         hit = state.odds_cache[n] = (odds, odds / (1.0 + odds))
     odds, p_on = hit
-    state.acc.sums[n] += p_on
+    state.sums[n] += p_on
     state.cost += state.move_cost[n]
     if state.strategy.rule == GIBBS:
         want = 1 if state.rng.random() < p_on else 0
@@ -614,7 +614,8 @@ def reference_run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=
             if s in wanted:
                 marks[s] = estimate_marginals(state)
             if s == burn_in:
-                state.acc.reset()
+                state.sums = [0.0] * len(state.sums)
+                state.sweeps = state.redraws = 0
             if s % _REFRESH_SWEEPS == 0:
                 state.refresh_survivals()  # bound float drift on very long runs
         runs.append((state, marks, time.perf_counter() - t0))
@@ -712,9 +713,14 @@ def _reference_fwd_bwd_sweep(state: SamplerState):
 def reference_pair_sweep(state: SamplerState):
     """One sweep of the chain's pair schedule as first written: a call per
     pair event, per single-site move and per forward redraw.  The library's
-    stretch loop must reproduce its values, credits, visit counts, cached
-    conditionals, cost and RNG draws exactly."""
+    stretch loop must reproduce its values, credits, visit totals, cached
+    conditionals, cost and RNG draws exactly.  The sweep must visit every
+    diagnostic-sampled node once and, on a forward pass (every sweep of
+    the random schedule), every forward-sampled node once, which is what
+    lets the chain count visits by two totals."""
+    forward_pass = True
     if state.strategy.move_policy == OPTIMIZED_FWD_BWD:
+        forward_pass = state.sweep_idx % 2 == 0
         visited = _reference_fwd_bwd_sweep(state)
     else:
         pairs, singles = reference_pair_nodes(state)
@@ -722,8 +728,10 @@ def reference_pair_sweep(state: SamplerState):
         for j in state.topo_forward:
             forward_redraw(state, j)
         visited = [j for pair in pairs for j in pair] + singles + state.topo_forward
-    for j in visited:
-        state.acc.counts[j] += 1
+    assert sorted(j for j in visited if not state.forward_sampled[j]) == state.diagnostic
+    assert [j for j in visited if state.forward_sampled[j]] == (state.topo_forward if forward_pass else [])
+    state.sweeps += 1
+    state.redraws += forward_pass
     state.sweep_idx += 1
 
 

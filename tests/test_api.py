@@ -17,8 +17,9 @@ AttributeError that no other test meets.
 
 A chain fixes its strategy, network, evidence, clamp, credits and pair
 scopes, so no sampler or exact function handed a chain as `state` takes
-any of them beside it.  A chain's visit counts have one writer besides
-`MarginalAccumulator`: the sweep loops' `_close_stretch`.
+any of them beside it.  Moves credit sums only: a chain's two visit
+totals are written where the chain is built, by the sweep loops'
+`_close_stretch`, at the burn-in reset and by the merge of chains.
 
 Anything else serves only tests: a test reference belongs in
 `tests/oracles.py`, a setting with one value in use is a module constant,
@@ -256,7 +257,7 @@ def test_every_function_the_benchmark_traces_exists():
 
 
 # what a chain fixes, which a function handed the chain reads from it
-CHAIN_FIXES = {"rule", "strategy", "net", "ev", "clamp", "acc", "touched"}
+CHAIN_FIXES = {"rule", "strategy", "net", "ev", "clamp", "sums", "touched"}
 
 
 def test_no_function_takes_what_its_chain_fixes():
@@ -274,15 +275,17 @@ def test_no_function_takes_what_its_chain_fixes():
     assert not passed, f"arguments the chain already fixes: {passed}"
 
 
-def names_counts(target):
-    """True when an assignment target is `counts`, `<anything>.counts`, or
-    an item, slice or unpacked part of one."""
+VISIT_TOTALS = {"sweeps", "redraws"}
+
+
+def names_a_total(target):
+    """True when an assignment target is `<anything>.sweeps` or
+    `<anything>.redraws`, or an unpacked part of one."""
     if isinstance(target, (ast.Tuple, ast.List)):
-        return any(names_counts(t) for t in target.elts)
-    while isinstance(target, (ast.Subscript, ast.Starred)):
-        target = target.value
-    return (isinstance(target, ast.Name) and target.id == "counts") or (
-        isinstance(target, ast.Attribute) and target.attr == "counts")
+        return any(names_a_total(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return names_a_total(target.value)
+    return isinstance(target, ast.Attribute) and target.attr in VISIT_TOTALS
 
 
 def assignment_targets(node):
@@ -293,14 +296,27 @@ def assignment_targets(node):
     return []
 
 
+def total_writers(node, scope, found):
+    """Add to `found` the dotted scope of every assignment to a visit total
+    under `node`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if any(names_a_total(t) for t in assignment_targets(node)):
+        found.add(scope)
+    for child in ast.iter_child_nodes(node):
+        total_writers(child, scope, found)
+    return found
+
+
 def test_only_the_stretch_close_writes_visit_counts():
     # a move credits sums; the sweep loops count every visit once per
-    # stretch, in `_close_stretch`, and the accumulator merges and resets
-    writers = {
-        f"{os.path.basename(path)[:-3]}.{getattr(top, 'name', '<module>')}"
-        for path in library_sources()
-        for top in parse(path).body
-        for node in ast.walk(top)
-        if any(names_counts(t) for t in assignment_targets(node))
-    }
-    assert writers == {"sampler._close_stretch", "sampler.MarginalAccumulator"}, writers
+    # stretch, in `_close_stretch`, and the whole runs clear and merge
+    writers = set()
+    for path in library_sources():
+        total_writers(parse(path), os.path.basename(path)[:-3], writers)
+    assert writers == {
+        "sampler.SamplerState.__init__",
+        "sampler._close_stretch",
+        "sampler._run_chains",
+        "sampler.sample_posteriors",
+    }, writers

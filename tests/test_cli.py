@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     VASE_P_B,
     VASE_P_E,
+    backward_tail_problem,
     pair_underflow_problem,
     tiny_leak_problem,
     underflow_problem,
@@ -238,6 +239,31 @@ class TestSample:
         assert rc == 2
         assert err.startswith("error:") and "'s': leak 1e-17" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_no_forward_pass_after_burn_in_exits_2(self, tmp_path, capsys):
+        # the one sweep after burn-in is a backward pass, which redraws no
+        # forward-sampled node: this used to print 0.0 for each with exit 0
+        net, ev = backward_tail_problem()
+        net_path, ev_path, out = tmp_path / "net.json", tmp_path / "ev.json", tmp_path / "x.json"
+        net_path.write_text(serialize_network(net))
+        ev_path.write_text(json.dumps(ev))
+        rc, _, err = run_cli(
+            [
+                "sample",
+                "--network", str(net_path),
+                "--evidence", str(ev_path),
+                "--strategy", "optimized-fwd-bwd",
+                "--sweeps", "2",
+                "--burn-in", "1",
+                "--seed", "1",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert rc == 2
+        assert err.startswith("error: node 's") and "has no visit to estimate from" in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
 

@@ -65,10 +65,11 @@ def stationarity_error(net, ev, strategy):
     if strategy.move_policy == OPTIMIZED_FWD_BWD:
         P = P @ sweep_kernel(net, ev, strategy, 1)[1]
     free = chain.free
+    # evidence at its values and clamped nodes off, as the chain holds them
+    fixed = {nid: bool(chain.x[j]) for j, nid in enumerate(net.ids) if not chain.is_free[j]}
     weights = []
     for s in range(len(P)):
-        values = dict(ev)
-        values.update((nid, False) for nid in chain.clamp.clamped_false)
+        values = dict(fixed)
         values.update((net.ids[j], bool((s >> k) & 1)) for k, j in enumerate(free))
         weights.append(joint_prob(net, values))
     pi = np.array(weights) / sum(weights)
