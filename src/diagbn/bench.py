@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .generate import cases_from_jsonable
 from .network import MODEL, STRICT, parse_network
-from .sampler import derive_seed, preset, run_chain
+from .sampler import derive_seed, forward_passes, preset, run_chain
 
 DEFAULT_EPSILON_FLOOR = 0.01
 
@@ -56,15 +56,14 @@ class ExperimentConfig:
     burn_in: int = 0
 
     def check(self):
-        """Reject a grid that cannot run, would score burn-in sweeps, names
-        a baseline it does not run, has no finite nonnegative accuracy floor,
-        or lacks a truth for a scored node."""
+        """Reject a grid that cannot run, would score burn-in sweeps or a
+        checkpoint with no forward pass since burn-in, names a baseline it
+        does not run, has no finite nonnegative accuracy floor, or lacks a
+        truth for a scored node."""
         if not self.strategies:
             raise ValueError("need at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"strategies listed more than once: {self.strategies}")
-        for name in self.strategies:
-            preset(name)
         if self.baseline is not None and self.baseline not in self.strategies:
             raise ValueError(
                 f"baseline {self.baseline!r} is not one of the strategies {self.strategies}"
@@ -84,6 +83,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"checkpoints {early} do not come after the {self.burn_in} burn-in sweeps"
             )
+        # each name must be a preset, and a later checkpoint follows every
+        # forward pass the first one does
+        first = min(self.checkpoints)
+        for name in self.strategies:
+            if not forward_passes(preset(name), self.burn_in, first - self.burn_in):
+                raise ValueError(
+                    f"checkpoint {first} follows no {name} forward pass since the {self.burn_in}"
+                    " burn-in sweeps, so its forward-sampled nodes have no estimate there")
         if self.truths is None:
             return
         if len(self.truths) != len(self.cases):

@@ -162,16 +162,16 @@ def generate_cases(
         raise ValueError("positive_range demands more true observations than evidence slots")
     rng = random.Random(seed)
     cases = []
-    x = [0] * len(net.ids)
+    world = [0] * len(net.ids)
     for case_idx in range(n_cases):
         for attempt in range(_MAX_ATTEMPTS):
             for j in net.topo:
-                x[j] = 1 if rng.random() < 1.0 - net.survival(j, x) else 0
+                world[j] = 1 if rng.random() < 1.0 - net.survival(j, world) else 0
             k = rng.randint(ev_lo, ev_hi)
             observed = rng.sample(sensory, k)
-            n_pos = sum(x[net.index[sid]] for sid in observed)
+            n_pos = sum(world[net.index[sid]] for sid in observed)
             if pos_lo <= n_pos <= pos_hi:
-                ev = {sid: bool(x[net.index[sid]]) for sid in sorted(observed)}
+                ev = {sid: bool(world[net.index[sid]]) for sid in sorted(observed)}
                 cases.append(TestCase(evidence=ev, n_positive=n_pos))
                 break
         else:

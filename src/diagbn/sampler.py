@@ -44,17 +44,13 @@ A single-site move reuses a node's conditional until a value it read
 changes, as in Pearl's message-passing Gibbs, where a node recomputes only
 when a neighbour announces a change.  `SamplerState` caches each
 diagnostic-sampled node's (odds, p_on).  The conditional of d reads x and
-the survival cache of d, x of each scope child, and the survival cache of a
-scope child only while that child is on.  So toggling k makes stale every
-node with k as a scope child, k's children, and, for each child of k that
-is on, every node with that child as a scope child (k among them when the
-child is in k's scope).  `SamplerState` holds that rule as one pair of
-lists per node, which a flip clears after its toggle and a pair move clears
-for each of its two nodes after its last toggle.  The rule reads only
-whether a child is on, and a pair move changes no value but its own nodes',
-whose readers are on their lists, so that clears all it must.  A hit
-returns the floats a recompute would, so chains are bit-identical with or
-without the cache.
+the survival cache of d and of each scope child, and a survival changes
+when a parent flips.  So flipping k makes d stale when k is d, a parent of
+d, a scope child of d or a parent of one, whatever the values.
+`SamplerState` holds that rule as one list per node, and every change of
+a value after set-up is a `flip`, which clears its node's list; a pair
+move walks its joint states by flips.  A hit returns the floats a
+recompute would, so chains are bit-identical with or without the cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
@@ -68,9 +64,8 @@ and calling the block and swap moves.  Moves credit the chain's sums and
 charge cost but count no visit: both loops end a stretch with one
 `_close_stretch`, which adds its sweeps and its forward redraws to the
 chain's two visit totals, charges the inline moves' cost and advances the
-sweep index.  Both loops fill a missing conditional
-through `SamplerState.fill_odds`: one loop per value of the node over its
-scope links, the (child, 1 - p) pairs built with the chain.
+sweep index.  Both loops fill a missing conditional by
+`SamplerState.fill_odds`.
 """
 
 from __future__ import annotations
@@ -192,14 +187,14 @@ class ChainRandom(random.Random):
             r = getrandbits(k)
         return r
 
-    def shuffle(self, x):
+    def shuffle(self, items):
         # Fisher-Yates from the back, drawing j below n for position n - 1
         getrandbits = self.getrandbits
-        for n, k, last in _shuffle_steps(len(x)):
+        for n, k, last in _shuffle_steps(len(items)):
             j = getrandbits(k)
             while j >= n:
                 j = getrandbits(k)
-            x[last], x[j] = x[j], x[last]
+            items[last], items[j] = items[j], items[last]
 
 
 @functools.lru_cache(maxsize=128)
@@ -225,16 +220,14 @@ class SamplerState:
     starts with the evidence at its observed values and every other node
     off, and only free nodes ever change.  The free nodes are the clamp's
     `unclamped`, split into the `forward_sampled` ones and the `diagnostic`
-    ones.  `surv` caches the survivals as running products, which `toggle`
+    ones.  `surv` caches the survivals as running products, which `flip`
     updates over the `child_links` and recomputes on underflow.
     `odds_cache[n]` holds (odds, p_on) of n's conditional for a
     diagnostic-sampled node n, or None when `fill_odds` must recompute it
-    over the `scope_links`.  `flip(k)` toggles k, clears the nodes
-    `stale[k]` lists, whatever the values, and for each (c, readers) in
-    `stale_via[k]` clears the readers when c is on.  A pair move on (a, b)
-    clears the same lists of a and then of b after its last toggle, and
-    `refresh_survivals` clears every entry.  A toggle and a toggle back
-    still clear, since `s * q / q` may differ from `s` in the last bit.
+    over the `scope_links`.  `flip(k)` toggles k and clears the nodes
+    `stale[k]` lists, whatever the values; `refresh_survivals` clears every
+    entry.  A flip and a flip back both clear, since `s * q / q` may differ
+    from `s` in the last bit.
 
     The chain keeps its own book since the last reset: `sums`, each node's
     summed Rao-Blackwell credits, which the moves add to, and two visit
@@ -290,18 +283,13 @@ class SamplerState:
         # a single-site sweep moves every diagnostic node and redraws the rest
         self.move_cost = [1 + len(self.scope_children[j]) for j in range(n)]
         self.sweep_cost = sum(self.move_cost[j] for j in self.diagnostic) + len(self.topo_forward)
-        # the conditional of d reads x and surv of d, x of its scope children
-        # and surv of the scope children that are on; surv of a node changes
-        # when one of its parents flips
-        readers = [[] for _ in range(n)]  # c -> the nodes with c as a scope child
-        stale = [[] for _ in range(n)]  # k -> k's diagnostic children
+        # the conditional of d reads x and surv of d and of its scope
+        # children, and surv of a node changes when one of its parents flips
+        self.stale = [[] for _ in range(n)]
         for d in self.diagnostic:
-            for c in self.scope_children[d]:
-                readers[c].append(d)
-            for k in net.parents[d]:
-                stale[k].append(d)
-        self.stale = [r + s for r, s in zip(readers, stale)]
-        self.stale_via = [[(c, readers[c]) for c in net.children[k] if readers[c]] for k in range(n)]
+            scope = [d, *self.scope_children[d]]
+            for k in {*scope, *(i for c in scope for i in net.parents[c])}:
+                self.stale[k].append(d)
         self.odds_cache = [None] * n
         # the plan reads x at fixed nodes only, which hold their values by now
         self.pair_plan = _PairPlan(self) if strategy.pair_move else None
@@ -312,23 +300,10 @@ class SamplerState:
         self.odds_cache = [None] * len(self.x)
 
     def flip(self, n):
-        """Toggle node n, update its children's survival caches and drop
-        the cached conditionals that read a value this changed."""
-        self.toggle(n)
-        cache = self.odds_cache
-        for k in self.stale[n]:
-            cache[k] = None
-        x = self.x
-        for c, readers in self.stale_via[n]:
-            if x[c]:
-                for k in readers:
-                    cache[k] = None
-
-    def toggle(self, n):
-        """Toggle node n and update the survival caches of all its children,
-        leaving the cached conditionals to the caller to clear.  Turning
-        n off recomputes from its parents, rather than divides, a survival
-        that underflowed below the smallest normal float."""
+        """Toggle node n, update the survival caches of all its children and
+        drop the cached conditionals on `stale[n]`.  Turning n off
+        recomputes from its parents, rather than divides, a survival that
+        underflowed below the smallest normal float."""
         x = self.x
         surv = self.surv
         if x[n]:
@@ -340,6 +315,9 @@ class SamplerState:
             x[n] = 1
             for c, q in self.child_links[n]:
                 surv[c] *= q
+        cache = self.odds_cache
+        for k in self.stale[n]:
+            cache[k] = None
 
     def fill_odds(self, n):
         """Compute, cache and return the odds and probability of n being on
@@ -445,6 +423,7 @@ def swap_pair_move(state: SamplerState, a, b):
     When the two values are already equal the exchange is the identity; the
     move still credits both nodes (with their current indicator, the
     one-state distribution), since the sweep counts the visit all the same.
+    Otherwise it flips both nodes, and back unless the exchange is taken.
     """
     sums = state.sums
     x = state.x
@@ -455,8 +434,8 @@ def swap_pair_move(state: SamplerState, a, b):
         return
     touched = state.pair_plan.scope[(a, b)]
     w_cur = state.restricted_weight(touched)
-    state.toggle(a)
-    state.toggle(b)
+    state.flip(a)
+    state.flip(b)
     w_swap = state.restricted_weight(touched)
     state.cost += 2 * len(touched)
     total = w_cur + w_swap
@@ -472,21 +451,21 @@ def swap_pair_move(state: SamplerState, a, b):
     else:
         stay = w_swap < w_cur and state.rng.random() >= w_swap / w_cur
     if stay:
-        state.toggle(a)
-        state.toggle(b)
-    _clear_stale(state, a, b)
+        state.flip(a)
+        state.flip(b)
 
 
 def block_pair_move(state: SamplerState, a, b):
-    """Resample two spouses jointly over their four joint assignments."""
+    """Resample two spouses jointly over their four joint assignments,
+    walked by `flip`, so the move clears `stale[a]` and `stale[b]`."""
     touched = state.pair_plan.scope[(a, b)]
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     w0 = state.restricted_weight(touched)
-    state.toggle(b)
+    state.flip(b)
     w1 = state.restricted_weight(touched)
-    state.toggle(a)
+    state.flip(a)
     w2 = state.restricted_weight(touched)
-    state.toggle(b)
+    state.flip(b)
     w3 = state.restricted_weight(touched)
     state.cost += 4 * len(touched)
     # the walk now stands at state 3: a flipped, b at its original value.
@@ -519,24 +498,9 @@ def block_pair_move(state: SamplerState, a, b):
             target = 0
     # from state 3, a moves back for targets 0 and 1, b moves for 1 and 2
     if target < 2:
-        state.toggle(a)
+        state.flip(a)
     if target == 1 or target == 2:
-        state.toggle(b)
-    _clear_stale(state, a, b)
-
-
-def _clear_stale(state, a, b):
-    """Drop, at the final values, what a move on (a, b) made stale: what a
-    flip of a and then a flip of b would clear."""
-    cache = state.odds_cache
-    x = state.x
-    for n in (a, b):
-        for k in state.stale[n]:
-            cache[k] = None
-        for c, readers in state.stale_via[n]:
-            if x[c]:
-                for k in readers:
-                    cache[k] = None
+        state.flip(b)
 
 
 def forward_redraw(state: SamplerState, n):
@@ -677,7 +641,7 @@ def _single_site_sweeps(state: SamplerState, count):
             sums[n] += p_on
             if (draw() < p_on) != x[n]:
                 flip(n)
-    _close_stretch(state, count, count, count * state.sweep_cost)
+    _close_stretch(state, count, count * state.sweep_cost)
 
 
 def _pair_sweeps(state: SamplerState, count):
@@ -699,8 +663,7 @@ def _pair_sweeps(state: SamplerState, count):
     single-site.  Otherwise a block policy makes the block move, and a swap
     policy swaps on a fraction `SWAP_FRACTION` of visits, crediting an
     exchange of equal values inline as `swap_pair_move` would, and moves
-    the two nodes single-site on the rest.  No move on a pair changes a
-    gate child, so every branch keeps the posterior invariant on its own.
+    the two nodes single-site on the rest.
 
     Under the alternating schedule only the posterior of the
     diagnostic-sampled nodes stays invariant, not the joint: the backward
@@ -785,20 +748,24 @@ def _pair_sweeps(state: SamplerState, count):
                     ratio = (1.0 - p_on) / p_on if x[n] else odds
                     if ratio >= 1.0 or draw() < ratio:
                         flip(n)
-    # forward passes are the even sweeps
-    redraws = (count + 1 - state.sweep_idx % 2) // 2 if alternating else count
-    _close_stretch(state, count, redraws, cost)
+    _close_stretch(state, count, cost)
 
 
-def _close_stretch(state: SamplerState, count, redraws, cost):
+def forward_passes(strategy: StrategySpec, first, count) -> int:
+    """How many of `count` sweeps from sweep index `first` redraw the
+    forward-sampled nodes under `strategy`: every one, or under the
+    alternating schedule the forward passes, the even sweeps."""
+    return (count + 1 - first % 2) // 2 if strategy.move_policy == OPTIMIZED_FWD_BWD else count
+
+
+def _close_stretch(state: SamplerState, count, cost):
     """End a stretch of `count` sweeps: add `count` to the chain's `sweeps`
-    and `redraws` to its `redraws`, charge `cost` and advance the sweep
-    index.  Every sweep visits each diagnostic-sampled node once, alone or
-    in a pair, and each forward-sampled node once, or on forward passes
-    only under the alternating schedule, so one total per kind of node
-    counts every node's visits."""
+    and its `forward_passes` to its `redraws`, charge `cost` and advance
+    the sweep index.  Every sweep visits each diagnostic-sampled node once,
+    alone or in a pair, and each forward-sampled node on every forward
+    pass, so one total per kind of node counts every node's visits."""
     state.sweeps += count
-    state.redraws += redraws
+    state.redraws += forward_passes(state.strategy, state.sweep_idx, count)
     state.cost += cost
     state.sweep_idx += count
 

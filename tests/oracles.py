@@ -10,7 +10,12 @@ rewrite of the library must reproduce them exactly.  Two changes since:
 and, as in the library, no move counts its visit, so the reference moves
 credit sums and cost only and `reference_pair_sweep` adds, once per
 sweep, to the chain's two visit totals, after checking that the sweep
-visited each node as those totals count it.
+visited each node as those totals count it.  `reference_toggle` is the
+library's toggle as it stood before every value change became a `flip`:
+the block move as first written toggles and clears its stale lists
+itself.  `reference_stale` is now the library's cache rule as well, and
+stays as the independent build of it that `SamplerState.stale` is
+checked against.
 
 `noisy_or_prob`, `joint_log_prob`, `markov_blanket` and `d_separated` are
 references that only tests call, kept verbatim from the library, which
@@ -40,6 +45,7 @@ from diagbn.sampler import (
     ChainRandom,
     SamplerState,
     StrategySpec,
+    _MIN_NORMAL,
     _REFRESH_SWEEPS,
     block_pair_move,
     estimate_marginals,
@@ -472,11 +478,11 @@ def reference_block_pair_move(state: SamplerState, a, b):
     # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
     weights = [0.0] * 4
     weights[0] = state.restricted_weight(touched)
-    state.toggle(b)
+    reference_toggle(state, b)
     weights[1] = state.restricted_weight(touched)
-    state.toggle(a)
+    reference_toggle(state, a)
     weights[2] = state.restricted_weight(touched)
-    state.toggle(b)
+    reference_toggle(state, b)
     weights[3] = state.restricted_weight(touched)
     state.cost += 4 * len(touched)
     # current position in the walk is state 3; values of a at each walk state
@@ -505,9 +511,27 @@ def reference_block_pair_move(state: SamplerState, a, b):
         if not (weights[target] >= weights[0] or state.rng.random() < weights[target] / weights[0]):
             target = 0
     if a_vals[target] != x[a]:
-        state.toggle(a)
+        reference_toggle(state, a)
     if b_vals[target] != x[b]:
-        state.toggle(b)
+        reference_toggle(state, b)
+
+
+def reference_toggle(state: SamplerState, n):
+    """Toggle node n and update the survival caches of all its children,
+    leaving the cached conditionals to the caller to clear.  Turning
+    n off recomputes from its parents, rather than divides, a survival
+    that underflowed below the smallest normal float."""
+    x = state.x
+    surv = state.surv
+    if x[n]:
+        x[n] = 0
+        for c, q in state.child_links[n]:
+            s = surv[c]
+            surv[c] = s / q if s >= _MIN_NORMAL else state.net.survival(c, x)
+    else:
+        x[n] = 1
+        for c, q in state.child_links[n]:
+            surv[c] *= q
 
 
 def reference_single_site_move(state: SamplerState, n):

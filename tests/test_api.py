@@ -19,7 +19,9 @@ A chain fixes its strategy, network, evidence, clamp, credits and pair
 scopes, so no sampler or exact function handed a chain as `state` takes
 any of them beside it.  Moves credit sums only: a chain's two visit
 totals are written where the chain is built, by the sweep loops'
-`_close_stretch`, at the burn-in reset and by the merge of chains.
+`_close_stretch`, at the burn-in reset and by the merge of chains.  Once
+a chain is set up, `flip` is the one writer of its values, survivals and
+cached conditionals besides the refresh and the refill of a cache entry.
 
 Anything else serves only tests: a test reference belongs in
 `tests/oracles.py`, a setting with one value in use is a module constant,
@@ -289,34 +291,71 @@ def names_a_total(target):
 
 
 def assignment_targets(node):
-    if isinstance(node, ast.Assign):
+    if isinstance(node, (ast.Assign, ast.Delete)):
         return node.targets
     if isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.NamedExpr)):
         return [node.target]
     return []
 
 
-def total_writers(node, scope, found):
-    """Add to `found` the dotted scope of every assignment to a visit total
-    under `node`."""
+def writers(node, scope, names_it, found):
+    """Add to `found` the dotted scope of every assignment under `node` to
+    a target that `names_it` accepts."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
-    if any(names_a_total(t) for t in assignment_targets(node)):
+    if any(names_it(t) for t in assignment_targets(node)):
         found.add(scope)
     for child in ast.iter_child_nodes(node):
-        total_writers(child, scope, found)
+        writers(child, scope, names_it, found)
+    return found
+
+
+def library_writers(names_it):
+    found = set()
+    for path in library_sources():
+        writers(parse(path), os.path.basename(path)[:-3], names_it, found)
     return found
 
 
 def test_only_the_stretch_close_writes_visit_counts():
     # a move credits sums; the sweep loops count every visit once per
     # stretch, in `_close_stretch`, and the whole runs clear and merge
-    writers = set()
-    for path in library_sources():
-        total_writers(parse(path), os.path.basename(path)[:-3], writers)
-    assert writers == {
+    assert library_writers(names_a_total) == {
         "sampler.SamplerState.__init__",
         "sampler._close_stretch",
         "sampler._run_chains",
         "sampler.sample_posteriors",
-    }, writers
+    }
+
+
+CHAIN_ARRAYS = {"x", "surv", "cache", "odds_cache"}
+
+
+def names_a_chain_item(target):
+    """True when an assignment target is an item of `x`, `surv`, `cache`
+    or `odds_cache`, bare or as an attribute, or an unpacked part of one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(names_a_chain_item(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return names_a_chain_item(target.value)
+    if not isinstance(target, ast.Subscript):
+        return False
+    array = target.value
+    if isinstance(array, ast.Attribute):
+        return array.attr in CHAIN_ARRAYS
+    return isinstance(array, ast.Name) and array.id in CHAIN_ARRAYS
+
+
+def test_only_flip_changes_a_chain_value_after_set_up():
+    # a chain's values, survivals and cached conditionals change where the
+    # chain is set up, refreshed or refilled, and otherwise only in `flip`,
+    # which clears what the change makes stale; `_underflow_weights` sets
+    # pair values and puts them back (test_sampler.py checks it does)
+    assert library_writers(names_a_chain_item) == {
+        "sampler.SamplerState.__init__",
+        "sampler.SamplerState.flip",
+        "sampler.SamplerState.refresh_survivals",
+        "sampler.SamplerState.fill_odds",
+        "sampler.setup_chain",
+        "sampler._underflow_weights",
+    }

@@ -1,9 +1,10 @@
 import json
+import os
 import re
 
 import pytest
 
-from conftest import VASE_P_B, VASE_P_E
+from conftest import DATA_DIR, VASE_P_B, VASE_P_E
 from diagbn.bench import (
     DEFAULT_EPSILON_FLOOR,
     ExperimentConfig,
@@ -12,6 +13,7 @@ from diagbn.bench import (
     render_table,
     run_experiment,
 )
+from diagbn.cli import main
 from diagbn.exact import exact_posteriors
 from diagbn.generate import TestCase as Case
 from diagbn.generate import cases_to_jsonable
@@ -185,6 +187,36 @@ class TestLoadConfig:
             load_config(path)
         path = self.write_bundle(tmp_path, vase, burn_in=50, checkpoints=[51, 100])
         assert load_config(path).burn_in == 50
+
+    def fixture_grid(self, tmp_path, burn_in):
+        """The committed grid cut to one repetition of gibbs and
+        optimized-fwd-bwd, scored once, one sweep after burn-in."""
+        with open(os.path.join(DATA_DIR, "bench_config.json")) as fh:
+            raw = json.load(fh)
+        for key in ("network", "cases", "truth"):
+            raw[key] = os.path.join(DATA_DIR, raw[key])
+        raw.update(burn_in=burn_in, checkpoints=[burn_in + 1], repetitions=1,
+                   strategies=["gibbs", "optimized-fwd-bwd"])
+        path = tmp_path / f"grid-{burn_in}.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def test_checkpoint_with_no_forward_pass_rejected(self, tmp_path, capsys):
+        # after an odd burn-in the next sweep is a backward pass, which
+        # redraws no forward-sampled node, so the grid is refused before
+        # any chain runs
+        path = self.fixture_grid(tmp_path, burn_in=1)
+        with pytest.raises(ValueError, match=r"checkpoint 2 follows no optimized-fwd-bwd forward pass"):
+            load_config(path)
+        out = tmp_path / "report.json"
+        assert main(["bench", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: checkpoint 2 follows")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+        # after an even burn-in the next sweep is a forward pass
+        assert load_config(self.fixture_grid(tmp_path, burn_in=2)).checkpoints == [3]
 
     def test_empty_checkpoints_rejected(self, tmp_path, vase):
         path = self.write_bundle(tmp_path, vase, checkpoints=[])

@@ -477,10 +477,8 @@ class TestSingleSiteSweepMatchesReference:
                     where = (trial, flow_aware, sweep)
                     assert state.x == ref.x, where
                     assert state.surv == ref.surv, where
-                    for n, (got, want) in enumerate(zip(state.odds_cache, ref.odds_cache)):
-                        if got is not None and want is not None:
-                            assert got == want, where + (n,)
-                            live += 1
+                    assert state.odds_cache == ref.odds_cache, where
+                    live += sum(hit is not None for hit in state.odds_cache)
                     assert state.sums == ref.sums, where
                     assert (state.sweeps, state.redraws) == (ref.sweeps, ref.redraws), where
                     assert state.cost == ref.cost, where
@@ -1062,24 +1060,6 @@ def fill_odds_cache(state):
         state.odds_cache[d] = fresh_odds(state, d)
 
 
-def scope_readers(state, c):
-    """The diagnostic-sampled nodes with c as a scope child."""
-    return {d for d in state.diagnostic if c in state.scope_children[d]}
-
-
-def expected_stale(state, k):
-    """The diagnostic-sampled nodes whose conditional reads a value or a
-    survival that flipping k changes, in the current state: every node with
-    k as a scope child, k's children, and every node with an on child of k
-    as a scope child.  A conditional reads the survival of a scope child
-    only while that child is on, and k's own value only through them."""
-    stale = scope_readers(state, k) | set(state.net.children[k])
-    for c in state.net.children[k]:
-        if state.x[c]:
-            stale |= scope_readers(state, c)
-    return stale & set(state.diagnostic)
-
-
 def assert_odds_cache_coherent(state):
     """Every entry not marked stale holds, bit for bit, what a recompute gives.
     Returns how many entries were live."""
@@ -1100,21 +1080,11 @@ class TestOddsCache:
             ev = random_evidence(rng, net, max_nodes=2)
             for name in PRESETS:
                 state = make_state(net, ev, name, seed=trial)
+                blind = reference_stale(state)
                 for k in range(len(net.ids)):
                     where = (trial, name, k)
                     assert len(set(state.stale[k])) == len(state.stale[k]), where
-                    children = set(net.children[k])
-                    assert set(state.stale[k]) == scope_readers(state, k) | (
-                        children & set(state.diagnostic)), where
-                    via = dict(state.stale_via[k])
-                    assert len(via) == len(state.stale_via[k]), where
-                    assert via == {
-                        c: readers for c in net.children[k]
-                        if (readers := sorted(scope_readers(state, c)))
-                    }, where
-                    on = set(state.stale[k]).union(
-                        *(readers for c, readers in state.stale_via[k] if state.x[c]))
-                    assert on == expected_stale(state, k), where
+                    assert set(state.stale[k]) == set(blind[k]), where
 
     def test_links_and_both_refill_loops_match_the_network(self):
         # the (c, 1 - p) links are the child lists with the network's
@@ -1159,14 +1129,12 @@ class TestOddsCache:
             assert state.fill_odds(s) == (math.inf, 1.0), value
 
     def test_pair_moves_clear_by_the_flip_rule(self):
-        # a pair move on a pair its chain's plan forms toggles its way
-        # through its joint values and then clears, at the final values,
-        # what a flip of each of its nodes would; `kept` counts entries it
-        # keeps that the value-blind lists of both nodes would clear, so the
-        # test sees the rule read values
+        # a pair move on a pair its chain's plan forms flips its way through
+        # its joint values, so it drops what a flip of each of its nodes
+        # would, and an identity exchange flips nothing
         rng = random.Random(65)
         pair_presets = [name for name, spec in PRESETS.items() if spec.pair_move]
-        moves = kept = 0
+        moves = 0
         for trial in range(40):
             nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
             net = build_network(nodes, edges)
@@ -1188,12 +1156,10 @@ class TestOddsCache:
                     if identity:
                         assert not dropped, where
                         continue
-                    assert dropped == expected_stale(state, a) | expected_stale(state, b), where
+                    assert dropped == set(blind[a]) | set(blind[b]), where
                     assert_odds_cache_coherent(state)
-                    kept += len((set(blind[a]) | set(blind[b])) - dropped)
                     moves += 1
         assert moves > 1000
-        assert kept > 100
 
     def test_cache_coherent_after_every_move(self, vase, monkeypatch):
         import diagbn.sampler as sampler
@@ -1231,46 +1197,13 @@ class TestOddsCache:
             net = build_network(nodes, edges)
             ev = random_evidence(rng, net, max_nodes=2)
             state = make_state(net, ev, "gibbs", seed=trial)
+            blind = reference_stale(state)
             for j in state.free:
                 fill_odds_cache(state)
                 state.flip(j)
                 dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
-                assert dropped == expected_stale(state, j), (trial, j)
+                assert dropped == set(blind[j]), (trial, j)
                 assert_odds_cache_coherent(state)
-
-    def test_coherent_where_the_rule_reads_values(self):
-        # true findings turn their parents on, and on parents turn free
-        # children on, so both branches of the value-dependent clause occur:
-        # a reader of an off child of the flipped node stays live, and a
-        # reader of an on child that `stale[k]` leaves out is cleared
-        rng = random.Random(66)
-        kept = cleared = 0
-        for trial in range(40):
-            nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
-            net = build_network(nodes, edges)
-            ev = random_evidence(rng, net, max_nodes=3, p_true=1.0)
-            for name in ("gibbs", "gibbs-flow"):
-                state = make_state(net, ev, name, seed=trial)
-                for _ in range(20):
-                    if not state.free:
-                        break
-                    fill_odds_cache(state)
-                    k = rng.choice(state.free)
-                    blind = set(state.stale[k])
-                    off = on = set()
-                    for c, readers in state.stale_via[k]:
-                        if state.x[c]:
-                            on = on | set(readers)
-                        else:
-                            off = off | set(readers)
-                    state.flip(k)
-                    assert_odds_cache_coherent(state)
-                    live = {d for d in state.diagnostic if state.odds_cache[d] is not None}
-                    assert not live & (blind | on), (trial, name, k)
-                    kept += len((off - blind - on) & live)
-                    cleared += len(on - blind)
-        assert kept > 100
-        assert cleared > 100
 
     def test_refresh_survivals_clears_the_cache(self, vase):
         state = make_state(vase, {"v": True})
