@@ -535,7 +535,7 @@ def explicit_transition_matrix(
         return [(rows, rows | bit[j], q1), (rows, rows & ~bit[j], 1.0 - q1)]
 
     def pair_entries(a, b, kind, rule, gate_children):
-        w = weight(chain.pair_plan.scope[(a, b)])
+        w = weight([k for k, _, _ in chain.pair_plan.scope[(a, b)]])
         both = bit[a] | bit[b]
         active = np.ones(size, dtype=bool)
         if gate_children is not None:

@@ -48,9 +48,13 @@ the survival cache of d and of each scope child, and a survival changes
 when a parent flips.  So flipping k makes d stale when k is d, a parent of
 d, a scope child of d or a parent of one, whatever the values.
 `SamplerState` holds that rule as one list per node, and every change of
-a value after set-up is a `flip`, which clears its node's list; a pair
-move walks its joint states by flips.  A hit returns the floats a
-recompute would, so chains are bit-identical with or without the cache.
+a value after set-up is a `flip`, which clears its node's list.  A pair
+move weighs its joint states from the caches without changing a value,
+each survival moved by the same float operations, a's flip then b's, that
+landing there applies, and flips only the nodes whose value its draw
+changes: a move that stays writes and clears nothing.  A hit returns the
+floats a recompute would, so chains are bit-identical with or without the
+cache.
 
 Every chain draws from a `ChainRandom`, which draws the numbers
 `random.Random` draws from the same seed and leaves it in the same state,
@@ -227,7 +231,8 @@ class SamplerState:
     over the `scope_links`.  `flip(k)` toggles k and clears the nodes
     `stale[k]` lists, whatever the values; `refresh_survivals` clears every
     entry.  A flip and a flip back both clear, since `s * q / q` may differ
-    from `s` in the last bit.
+    from `s` in the last bit.  So pair moves never flip to weigh: they read
+    every joint state's weight from the caches and flip only to land.
 
     The chain keeps its own book since the last reset: `sums`, each node's
     summed Rao-Blackwell credits, which the moves add to, and two visit
@@ -346,13 +351,6 @@ class SamplerState:
         hit = self.odds_cache[n] = (odds, odds / (1.0 + odds) if odds < 1e308 else 1.0)
         return hit
 
-    def restricted_weight(self, nodes) -> float:
-        """Product of current factor values over a set of node indices."""
-        w = 1.0
-        for k in nodes:
-            w *= (1.0 - self.surv[k]) if self.x[k] else self.surv[k]
-        return w
-
 
 def setup_chain(net, ev, strategy: StrategySpec, rng) -> SamplerState:
     """Start a chain under `strategy`: evidence fixed, clamped nodes false,
@@ -393,11 +391,12 @@ def _log(v):
 
 def _underflow_weights(state, a, b, joint):
     """The restricted weights, over the plan's scope for (a, b), of a pair
-    move's joint states, each an (x[a], x[b]) pair in `joint`, for when
-    their total from the caches is below the smallest normal float, so some
-    weights may have lost factors to underflow: each summed as logs of
-    factors computed from the parents, not the caches, and scaled so the
-    largest is 1.0.  Leaves the values and the caches as they were."""
+    move's joint states, each an (x[a], x[b]) pair in `joint`, for when the
+    caches cannot give them: a survival the move would divide, or the
+    weights' total, is below the smallest normal float, so some weights may
+    have lost factors to underflow.  Each is summed as logs of factors
+    computed from the parents, not the caches, and scaled so the largest is
+    1.0.  Leaves the values and the caches as they were."""
     net = state.net
     x = state.x
     held = x[a], x[b]
@@ -405,7 +404,7 @@ def _underflow_weights(state, a, b, joint):
     for xa, xb in joint:
         x[a], x[b] = xa, xb
         lw = 0.0
-        for k in state.pair_plan.scope[(a, b)]:
+        for k, _, _ in state.pair_plan.scope[(a, b)]:
             ls = _log(1.0 - net.leak[k])
             for i, p in zip(net.parents[k], net.parent_p[k]):
                 if x[i]:
@@ -423,7 +422,9 @@ def swap_pair_move(state: SamplerState, a, b):
     When the two values are already equal the exchange is the identity; the
     move still credits both nodes (with their current indicator, the
     one-state distribution), since the sweep counts the visit all the same.
-    Otherwise it flips both nodes, and back unless the exchange is taken.
+    Otherwise it weighs the exchanged state from the caches, each survival
+    moved as `flip` of a, then of b, would move it, and makes those two
+    flips only if the exchange is taken: a move that stays changes nothing.
     """
     sums = state.sums
     x = state.x
@@ -432,54 +433,95 @@ def swap_pair_move(state: SamplerState, a, b):
         sums[b] += float(x[b])
         state.cost += 1
         return
-    touched = state.pair_plan.scope[(a, b)]
-    w_cur = state.restricted_weight(touched)
-    state.flip(a)
-    state.flip(b)
-    w_swap = state.restricted_weight(touched)
-    state.cost += 2 * len(touched)
-    total = w_cur + w_swap
-    if total < _MIN_NORMAL:
-        w_cur, w_swap = _underflow_weights(state, a, b, ((1 - x[a], 1 - x[b]), (x[a], x[b])))
+    table = state.pair_plan.scope[(a, b)]
+    state.cost += 2 * len(table)
+    surv = state.surv
+    a_on = x[a]  # the exchange turns a off and b on, or a on and b off
+    w_cur = w_swap = 1.0
+    total = 0.0  # stays 0.0 if a survival to divide is below the normal floats
+    for k, qa, qb in table:
+        s = surv[k]
+        if a_on:
+            if s < _MIN_NORMAL:
+                break
+            t = s / qa * qb
+        else:
+            t = s * qa
+            if t < _MIN_NORMAL:
+                break
+            t /= qb
+        on = x[k]
+        w_cur *= 1.0 - s if on else s
+        if k == a or k == b:
+            on = not on
+        w_swap *= 1.0 - t if on else t
+    else:
         total = w_cur + w_swap
-    # credit using the pre-move values: a held x[a], now flipped
-    on_weight_a = w_cur if x[b] else w_swap  # weight of the state where a is on
+    if total < _MIN_NORMAL:
+        w_cur, w_swap = _underflow_weights(state, a, b, ((x[a], x[b]), (x[b], x[a])))
+        total = w_cur + w_swap
+    on_weight_a = w_cur if a_on else w_swap  # weight of the state where a is on
     sums[a] += on_weight_a / total
     sums[b] += (total - on_weight_a) / total
     if state.strategy.rule == GIBBS:
         stay = state.rng.random() >= w_swap / total
     else:
         stay = w_swap < w_cur and state.rng.random() >= w_swap / w_cur
-    if stay:
+    if not stay:
         state.flip(a)
         state.flip(b)
 
 
 def block_pair_move(state: SamplerState, a, b):
-    """Resample two spouses jointly over their four joint assignments,
-    walked by `flip`, so the move clears `stale[a]` and `stale[b]`."""
-    touched = state.pair_plan.scope[(a, b)]
-    # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
-    w0 = state.restricted_weight(touched)
-    state.flip(b)
-    w1 = state.restricted_weight(touched)
-    state.flip(a)
-    w2 = state.restricted_weight(touched)
-    state.flip(b)
-    w3 = state.restricted_weight(touched)
-    state.cost += 4 * len(touched)
-    # the walk now stands at state 3: a flipped, b at its original value.
-    # The sums add in walk order, as a running sum from 0 would, and 0 + w
-    # is w for every float, so each mass is the same float it always was.
+    """Resample two spouses jointly over their four joint assignments.
+
+    It weighs each of them from the caches, each survival moved as `flip`
+    of a, then of b, from the start would move it, and then flips, in that
+    order, only the nodes whose value the draw changes: a move that lands
+    where it started changes nothing.
+    """
+    table = state.pair_plan.scope[(a, b)]
+    state.cost += 4 * len(table)
+    surv = state.surv
     x = state.x
-    total = w0 + w1 + w2 + w3
-    if total < _MIN_NORMAL:
-        a0, b0 = 1 - x[a], x[b]
-        w0, w1, w2, w3 = _underflow_weights(
-            state, a, b, ((a0, b0), (a0, 1 - b0), (1 - a0, 1 - b0), (1 - a0, b0)))
+    xa, xb = x[a], x[b]
+    # the joint states (a, b), (a, !b), (!a, !b) and (!a, b), with a and b
+    # at their start values and negated
+    w0 = w1 = w2 = w3 = 1.0
+    total = 0.0  # stays 0.0 if a survival to divide is below the normal floats
+    for k, qa, qb in table:
+        s = surv[k]
+        if xa:
+            if s < _MIN_NORMAL:
+                break
+            s3 = s / qa
+        else:
+            s3 = s * qa
+        if xb:
+            if s < _MIN_NORMAL or s3 < _MIN_NORMAL:
+                break
+            s1 = s / qb
+            s2 = s3 / qb
+        else:
+            s1 = s * qb
+            s2 = s3 * qb
+        on0 = on1 = on2 = on3 = x[k]
+        if k == a:
+            on2 = on3 = not on0
+        elif k == b:
+            on1 = on2 = not on0
+        w0 *= 1.0 - s if on0 else s
+        w1 *= 1.0 - s1 if on1 else s1
+        w2 *= 1.0 - s2 if on2 else s2
+        w3 *= 1.0 - s3 if on3 else s3
+    else:
         total = w0 + w1 + w2 + w3
-    state.sums[a] += (w2 + w3 if x[a] else w0 + w1) / total
-    state.sums[b] += (w0 + w3 if x[b] else w1 + w2) / total
+    if total < _MIN_NORMAL:
+        w0, w1, w2, w3 = _underflow_weights(
+            state, a, b, ((xa, xb), (xa, 1 - xb), (1 - xa, 1 - xb), (1 - xa, xb)))
+        total = w0 + w1 + w2 + w3
+    state.sums[a] += (w0 + w1 if xa else w2 + w3) / total
+    state.sums[b] += (w0 + w3 if xb else w1 + w2) / total
     if state.strategy.rule == GIBBS:
         u = state.rng.random() * total
         if u < w0:
@@ -491,13 +533,13 @@ def block_pair_move(state: SamplerState, a, b):
         else:
             target = 3
     else:
-        # the chain is logically still at walk state 0; propose one of the others
+        # propose one of the three other states
         target = 1 + state.rng.randrange(3)
         w = (w1, w2, w3)[target - 1]
         if not (w >= w0 or state.rng.random() < w / w0):
             target = 0
-    # from state 3, a moves back for targets 0 and 1, b moves for 1 and 2
-    if target < 2:
+    # a moves for targets 2 and 3, then b for 1 and 2
+    if target >= 2:
         state.flip(a)
     if target == 1 or target == 2:
         state.flip(b)
@@ -533,13 +575,16 @@ class _PairPlan:
     fixed off (false evidence; a free node's children are never clamped)
     is dropped, since it could never open.
 
-    `spouses` maps every node with a link, in index order, to its partners
-    in link order without repeats; `gates` maps a gated child-true pair
-    (either way round) to the free children whose being on opens it.  The
-    gate is read when the pair moves, never when pairs are chosen, and
-    neither map reads a free value.  Links run both ways, so `scope` maps
-    both orders of each pair to the nodes a move on it weighs: a, b, then
-    their scope children in order, without repeats.
+    `spouses` maps every node with a partner, in index order, to its
+    partners in link order without repeats; `gates` maps a gated
+    child-true pair (either way round) to the free children whose being on
+    opens it.  The gate is read when the pair moves, never when pairs are
+    chosen, and neither map reads a free value.  Links run both ways, so
+    `scope` maps both orders (a, b) of each pair to the nodes a move on it
+    weighs, each as (k, qa, qb): a, b, then their scope children in order,
+    without repeats, with the factor 1 - p of the link from a and from b
+    to k, or 1.0 where there is none, which a move may multiply or divide
+    by without changing the survival.
     """
 
     def __init__(self, state: SamplerState):
@@ -562,14 +607,20 @@ class _PairPlan:
                     for b in others:
                         if is_free[c] and b not in ungated:
                             self.gates.setdefault((j, b), []).append(c)
-            if links:
-                self.spouses[j] = list(dict.fromkeys(b for _, others in links for b in others))
+            partners = list(dict.fromkeys(b for _, others in links for b in others))
+            if partners:
+                self.spouses[j] = partners
         scope_children = state.scope_children
-        self.scope = {
-            (a, b): list(dict.fromkeys([a, b, *scope_children[a], *scope_children[b]]))
-            for a, partners in self.spouses.items()
-            for b in partners
-        }
+        factor = {j: dict(state.child_links[j]) for j in self.spouses}
+        self.scope = {}
+        for a, partners in self.spouses.items():
+            to_a = factor[a]
+            for b in partners:
+                to_b = factor[b]
+                self.scope[(a, b)] = [
+                    (k, to_a.get(k, 1.0), to_b.get(k, 1.0))
+                    for k in dict.fromkeys([a, b, *scope_children[a], *scope_children[b]])
+                ]
 
 
 def pair_nodes(state: SamplerState):
@@ -593,7 +644,7 @@ def pair_nodes(state: SamplerState):
             continue
         partners = [b for b in spouses[a] if not matched[b]]
         if partners:
-            b = partners[randrange(len(partners))]
+            b = partners[randrange(len(partners))] if len(partners) > 1 else partners[0]
             matched[a] = matched[b] = True
             pairs.append((a, b))
     return pairs, [j for j in state.diagnostic if not matched[j]]

@@ -460,10 +460,14 @@ def conditional_prob(net, state, nid, info: FlowInfo) -> float:
 
 
 def reference_block_pair_move(state: SamplerState, a, b):
-    """The block move as first written: weights in a list, masses by
-    generator sums, over a scope listed from the chain's scope children.
-    The library's straight-line move must reproduce its values, credits,
-    cost and RNG draws exactly."""
+    """The block move as first written, with its weights from the network:
+    each joint state weighed from the parents by
+    `_reference_restricted_weight`, over a scope listed from the chain's
+    scope children, masses by generator sums, and the draw landed by
+    `reference_toggle` from the start state, a then b, each toggle clearing
+    `reference_stale`'s list.  The library's move must reproduce its
+    values, survivals, cost and RNG draws exactly, and its credits to
+    rounding."""
     touched = [a, b]
     seen = {a, b}
     for j in (a, b):
@@ -471,26 +475,17 @@ def reference_block_pair_move(state: SamplerState, a, b):
             if c not in seen:
                 seen.add(c)
                 touched.append(c)
-    stale = reference_stale(state)
-    cache = state.odds_cache
-    for k in stale[a] + stale[b]:
-        cache[k] = None
-    # walk the four assignments by single flips: (a,b), (a,!b), (!a,!b), (!a,b)
-    weights = [0.0] * 4
-    weights[0] = state.restricted_weight(touched)
-    reference_toggle(state, b)
-    weights[1] = state.restricted_weight(touched)
-    reference_toggle(state, a)
-    weights[2] = state.restricted_weight(touched)
-    reference_toggle(state, b)
-    weights[3] = state.restricted_weight(touched)
-    state.cost += 4 * len(touched)
-    # current position in the walk is state 3; values of a at each walk state
     x = state.x
-    av = 1 - x[a]  # a's original value (a was flipped once)
-    bv = x[b]  # b is back to its original value
+    av, bv = x[a], x[b]
+    # the joint states: (a, b), (a, !b), (!a, !b), (!a, b)
     a_vals = [av, av, 1 - av, 1 - av]
     b_vals = [bv, 1 - bv, 1 - bv, bv]
+    weights = []
+    for va, vb in zip(a_vals, b_vals):
+        values = list(x)
+        values[a], values[b] = va, vb
+        weights.append(_reference_restricted_weight(state.net, values, touched))
+    state.cost += 4 * len(touched)
     total = sum(weights)
     a_mass = sum(w for w, v in zip(weights, a_vals) if v)
     b_mass = sum(w for w, v in zip(weights, b_vals) if v)
@@ -506,14 +501,16 @@ def reference_block_pair_move(state: SamplerState, a, b):
                 target = k
                 break
     else:
-        # the chain is logically still at walk state 0; propose one of the others
+        # propose one of the three other states
         target = 1 + state.rng.randrange(3)
         if not (weights[target] >= weights[0] or state.rng.random() < weights[target] / weights[0]):
             target = 0
-    if a_vals[target] != x[a]:
-        reference_toggle(state, a)
-    if b_vals[target] != x[b]:
-        reference_toggle(state, b)
+    stale = reference_stale(state)
+    for n, want in ((a, a_vals[target]), (b, b_vals[target])):
+        if x[n] != want:
+            reference_toggle(state, n)
+            for k in stale[n]:
+                state.odds_cache[k] = None
 
 
 def reference_toggle(state: SamplerState, n):
@@ -661,7 +658,8 @@ def reference_pair_nodes(state: SamplerState):
             continue
         partners = [b for b in spouses[a] if b not in matched]
         if partners:
-            b = partners[rng.randrange(len(partners))]
+            # the last partner left is taken without a draw
+            b = partners[rng.randrange(len(partners))] if len(partners) > 1 else partners[0]
             matched.add(a)
             matched.add(b)
             pairs.append((a, b))

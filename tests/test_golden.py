@@ -39,10 +39,10 @@ LAYERED = dict(
 )
 LAYERED_SEEDS = (0, 4, 8)
 SWEEPS = 300
-GOLDEN_SHA256 = "baa1860fb49fdbe13909d077561c82891f371d27c96b260b205f80fc42b58217"
+GOLDEN_SHA256 = "a1afd7bc6d540f01ed192ff8a38e061cad9c965438d6ebeba79575b29f27aab1"
 # sha256 of the committed grid's JSON report, as
 # `diagnose bench --config tests/data/bench_config.json --out report.json` writes it
-REPORT_SHA256 = "e79aa816c6518494e283f6669d6153d6469509018f85ab982dae3604feadb6c2"
+REPORT_SHA256 = "62d0714a4a8cfa38cac624b8cb1799057ba86dad2e98e1f55b2f17dfcc4c7721"
 
 
 def golden_record() -> list:

@@ -388,8 +388,9 @@ class TestBlockPairMove:
 
 
 class TestBlockMoveMatchesReference:
-    """The straight-line block move against the move as first written, on
-    the pairs each block policy's plan forms, flow-aware or not."""
+    """The block move, weighed from the caches, against the move as first
+    written with its weights from the network, on the pairs each block
+    policy's plan forms, flow-aware or not."""
 
     @pytest.mark.parametrize("rule", [GIBBS, METROPOLIS])
     def test_same_moves_as_reference(self, vase, rule):
@@ -416,7 +417,7 @@ class TestBlockMoveMatchesReference:
                     where = (trial, policy, flow_aware, step)
                     assert state.x == ref.x, where
                     assert state.surv == ref.surv, where
-                    assert state.sums == ref.sums, where
+                    assert state.sums == pytest.approx(ref.sums, rel=0, abs=1e-12), where
                     assert (state.sweeps, state.redraws) == (ref.sweeps, ref.redraws) == (0, 0), where
                     assert state.cost == ref.cost, where
                     assert state.rng.getstate() == ref.rng.getstate(), where
@@ -851,8 +852,9 @@ class TestPairingMatchesReference:
 
     def test_plan_scopes_match_reference(self):
         # every pair the plan can hand a move, in either order, has the
-        # reference scope list, in order, since the weight product's float
-        # order follows it; and the plan holds no other pair
+        # reference scope list, in order, each node with the factor 1 - p
+        # of its link from a and from b, or 1.0 where there is none; and
+        # the plan holds no other pair
         problems = []
         for gs in LAYERED_SEEDS:
             net = gen.generate_network(gen.GeneratorParams(seed=gs, **LAYERED))
@@ -873,7 +875,12 @@ class TestPairingMatchesReference:
                 assert set(plan.scope) == keys, (trial, name)
                 assert {(b, a) for a, b in keys} == keys, (trial, name)
                 for (a, b), scope in plan.scope.items():
-                    assert scope == oracles._reference_pair_scope(net, flow, a, b), (trial, name, a, b)
+                    assert [k for k, _, _ in scope] == oracles._reference_pair_scope(net, flow, a, b), (
+                        trial, name, a, b)
+                    for k, qa, qb in scope:
+                        for j, q in ((a, qa), (b, qb)):
+                            assert q == (1.0 - net.edge_p[(j, k)] if (j, k) in net.edge_p else 1.0), (
+                                trial, name, a, b, k)
                     checked += 1
                 # pair_nodes hands a move (a, b), and the alternating
                 # schedule (a, b) or (b, a), whichever node it reaches first
@@ -1129,12 +1136,13 @@ class TestOddsCache:
             assert state.fill_odds(s) == (math.inf, 1.0), value
 
     def test_pair_moves_clear_by_the_flip_rule(self):
-        # a pair move on a pair its chain's plan forms flips its way through
-        # its joint values, so it drops what a flip of each of its nodes
-        # would, and an identity exchange flips nothing
+        # a pair move on a pair its chain's plan forms weighs its joint
+        # values from the caches and flips only the nodes whose value the
+        # draw changes, so it drops exactly what a flip of each of those
+        # would, and nothing when it stays
         rng = random.Random(65)
         pair_presets = [name for name, spec in PRESETS.items() if spec.pair_move]
-        moves = 0
+        flipped = stayed = 0
         for trial in range(40):
             nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
             net = build_network(nodes, edges)
@@ -1149,17 +1157,48 @@ class TestOddsCache:
                 for step in range(10):
                     a, b = rng.choice(pairs)
                     fill_odds_cache(state)
-                    identity = move is swap_pair_move and state.x[a] == state.x[b]
+                    before = list(state.x)
                     move(state, a, b)
                     where = (trial, name, rule, step, a, b)
+                    moved = [n for n in (a, b) if state.x[n] != before[n]]
                     dropped = {d for d in state.diagnostic if state.odds_cache[d] is None}
-                    if identity:
-                        assert not dropped, where
-                        continue
-                    assert dropped == set(blind[a]) | set(blind[b]), where
+                    assert dropped == {d for n in moved for d in blind[n]}, where
                     assert_odds_cache_coherent(state)
-                    moves += 1
-        assert moves > 1000
+                    flipped += bool(moved)
+                    stayed += not moved
+        assert flipped > 300 and stayed > 1000, (flipped, stayed)
+
+    def test_a_pair_move_that_stays_changes_nothing(self):
+        # a swap that keeps its values, and a block move that lands where it
+        # started, leave the values, the survivals and the cached
+        # conditionals bit for bit as they were, under every pair preset
+        # and either rule
+        rng = random.Random(66)
+        pair_presets = [name for name, spec in PRESETS.items() if spec.pair_move]
+        stays = {(name, rule): 0 for name in pair_presets for rule in (GIBBS, METROPOLIS)}
+        for trial in range(40):
+            nodes, edges = random_dag(rng, rng.randint(4, 10), edge_prob=0.4)
+            net = build_network(nodes, edges)
+            ev = random_evidence(rng, net, max_nodes=3, p_true=1.0)
+            for name, rule in stays:
+                state = make_state(net, ev, name, seed=trial, rule=rule)
+                pairs = list(state.pair_plan.scope)
+                if not pairs:
+                    continue
+                move = swap_pair_move if PRESETS[name].pair_move == "swap" else block_pair_move
+                for step in range(10):
+                    a, b = rng.choice(pairs)
+                    fill_odds_cache(state)
+                    x, surv, cache = list(state.x), list(state.surv), list(state.odds_cache)
+                    move(state, a, b)
+                    if state.x != x:
+                        continue
+                    where = (trial, name, rule, step, a, b)
+                    assert state.surv == surv, where
+                    assert state.odds_cache == cache, where
+                    # an exchange of equal values stays by definition
+                    stays[name, rule] += x[a] != x[b] or move is block_pair_move
+        assert min(stays.values()) > 20, stays
 
     def test_cache_coherent_after_every_move(self, vase, monkeypatch):
         import diagbn.sampler as sampler
@@ -1577,7 +1616,7 @@ class TestExtremeParameters:
         assert got == pytest.approx([VASE_WEIGHTS[j] / top for j in joint], rel=1e-12)
         assert state.x == x and state.surv == surv
 
-    def test_pair_moves_weigh_a_subnormal_total_exactly(self):
+    def test_pair_moves_weigh_a_subnormal_total_exactly(self, monkeypatch):
         # 26 models drive s through p = 1 - 1e-12 links, so with them on s's
         # survival is subnormal: a pair move on a and b sums a nonzero total
         # whose weights lost most of their digits to underflow
@@ -1606,6 +1645,46 @@ class TestExtremeParameters:
             move(state, a, b)
             assert state.sums[a] == pytest.approx(p_a, abs=1e-12), move.__name__
             assert state.sums[b] == pytest.approx(p_b, abs=1e-12), move.__name__
+        # 26 of the 40 models of the pair-underflow net on, a among them,
+        # leave s's survival subnormal, while with a and b off it is
+        # normal, and so is the weights' total; a move that turns a off
+        # would divide that survival, so it weighs every joint state from
+        # the parents
+        net, ev = pair_underflow_problem()
+        a, b, s = (net.index[n] for n in ("m00", "m01", "s"))
+        q = 1.0 - net.edge_p[(a, s)]
+        # each model's factor is 0.99 on and 0.01 off; s is observed off, so
+        # its factor is its survival, of which only q ** (x[a] + x[b]) varies
+        w = {(va, vb): (0.99 if va else 0.01) * (0.99 if vb else 0.01) * q ** (va + vb)
+             for va in (0, 1) for vb in (0, 1)}
+        total = sum(w.values())
+        exact = {
+            block_pair_move: ((1, 1), (w[1, 0] + w[1, 1]) / total, (w[0, 1] + w[1, 1]) / total),
+            swap_pair_move: ((1, 0), w[1, 0] / (w[1, 0] + w[0, 1]), w[0, 1] / (w[1, 0] + w[0, 1])),
+        }
+        calls = []
+
+        def spied(*args, _weights=sampler._underflow_weights):
+            calls.append(args[1:3])
+            return _weights(*args)
+
+        monkeypatch.setattr(sampler, "_underflow_weights", spied)
+        for move, ((va, vb), p_a, p_b) in exact.items():
+            state = make_state(net, ev, "block-spouses-cover" if move is block_pair_move else "swap-spouses-cover")
+            others = [j for j in state.free if j not in (a, b)]
+            values = {a: va, b: vb, **dict.fromkeys(others[:26 - va - vb], 1)}
+            for j in state.free:
+                state.x[j] = values.get(j, 0)
+            state.refresh_survivals()
+            assert sum(state.x[j] for j in state.free) == 26
+            assert 0.0 < state.surv[s] < sampler._MIN_NORMAL
+            assert net.survival(s, [0 if j in (a, b) else v for j, v in enumerate(state.x)]) > sampler._MIN_NORMAL
+            del calls[:]
+            move(state, a, b)
+            assert calls == [(a, b)], move.__name__
+            assert state.sums[a] == pytest.approx(p_a, rel=1e-9), move.__name__
+            assert state.sums[b] == pytest.approx(p_b, rel=1e-9), move.__name__
+            assert state.surv[s] == pytest.approx(net.survival(s, state.x), rel=1e-9), move.__name__
 
     def test_leak_below_float_resolution_rejected(self):
         # every preset used to divide by 1 - 1.0 = 0 here
