@@ -70,6 +70,8 @@ class ExperimentConfig:
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
         # max(band, nan) is the band, and an infinite floor accepts every
         # estimate; neither writes valid JSON
         if not (math.isfinite(self.epsilon_floor) and self.epsilon_floor >= 0):

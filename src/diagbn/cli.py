@@ -86,7 +86,7 @@ def _cmd_analyze(args):
     flow = classify_flow(net, ev, clamp)
     doc = {
         "clamped_false": sorted(clamp.clamped_false),
-        "evidence": {nid: bool(v) for nid, v in sorted(ev.items())},
+        "evidence": ev,
         "flow": {
             nid: {
                 "conditioning_set": sorted(info.conditioning_set),

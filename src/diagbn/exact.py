@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import _closure, check_evidence
-from .network import Network
+from .flow import _closure
+from .network import Network, check_evidence
 from .sampler import (
     GIBBS,
     OPTIMIZED_FWD_BWD,
@@ -110,11 +110,10 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     node; `cap` only refuses a plan whose largest clique holds more nodes.
     Past the cap on both plans, or on a barren node's tree, or where a
     table cannot be allocated, it raises EnumerationCapError; evidence of
-    probability zero raises ValueError, as does an evidence node the
-    network lacks.
+    probability zero, or failing `check_evidence`, raises ValueError.
     """
     check_evidence(net, ev)
-    observed = {net.index[nid]: bool(value) for nid, value in ev.items()}
+    observed = {net.index[nid]: value for nid, value in ev.items()}
     tree, barren = _plan(net, observed, cap)
     z = tree.collect()
     if z == -math.inf:

@@ -22,14 +22,15 @@ blanket one.  The flow map is the only place flow-awareness enters a chain.
 Both facts are closures of the evidence under one graph walk, `_closure`.
 The evidence cover is the true evidence closed over parents; clamping keeps
 free the cover closed over children; a child carries evidence when it lies
-in the closure of all the evidence over parents.
+in the closure of all the evidence over parents.  Both clamp passes, and so
+every chain, first hold the evidence to `network.check_evidence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import Network
+from .network import Network, check_evidence
 
 CLAMPED = "clamped"
 FORWARD_SAMPLED = "forward-sampled"
@@ -49,13 +50,6 @@ class FlowInfo:
     status: str
     evidential_children: tuple
     conditioning_set: frozenset
-
-
-def check_evidence(net: Network, ev: dict):
-    """Raise ValueError naming the first evidence node the network lacks."""
-    for nid in ev:
-        if nid not in net.index:
-            raise ValueError(f"evidence references unknown node {nid!r}")
 
 
 def clamp_pass(net: Network, ev: dict) -> ClampResult:

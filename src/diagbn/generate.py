@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .network import MODEL, SENSORY, Network, build_network, validate
+from .network import MODEL, SENSORY, Network, build_network, check_evidence, validate
 
 TWO_LAYER = "two-layer"
 LAYERED_CAUSAL = "layered-causal"
@@ -196,12 +196,9 @@ def cases_from_jsonable(raw, net: Network) -> list:
                 raise ValueError(f"case {k} lacks the required key {key!r}")
         if not isinstance(item["evidence"], dict) or type(item["n_positive"]) is not int:
             raise ValueError(f"case {k}: 'evidence' must be an object and 'n_positive' an integer")
-        ev = {}
-        for nid, value in item["evidence"].items():
-            if nid not in net.index:
-                raise ValueError(f"case references unknown node {nid!r}")
-            if not isinstance(value, bool):
-                raise ValueError(f"case evidence for {nid!r} must be boolean")
-            ev[nid] = value
-        out.append(TestCase(evidence=ev, n_positive=int(item["n_positive"])))
+        try:
+            check_evidence(net, item["evidence"])
+        except ValueError as exc:
+            raise ValueError(f"case {k}: {exc}") from None
+        out.append(TestCase(evidence=dict(item["evidence"]), n_positive=item["n_positive"]))
     return out

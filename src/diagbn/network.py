@@ -8,6 +8,9 @@ parent i an independent chance p of activating j, so
 
 The leak behaves exactly like one extra parent that is always on.  Node ids
 are strings at the API surface; dense integer indices are used internally.
+
+Evidence maps node ids to findings seen true or false.  `check_evidence` is
+its one rule, for a file, a case file or a dict given to the library alike.
 """
 
 from __future__ import annotations
@@ -203,14 +206,22 @@ def serialize_network(net: Network) -> str:
 
 
 def _detect_duplicate_keys(pairs):
-    seen = set()
     out = {}
     for key, value in pairs:
-        if key in seen:
+        if key in out:
             raise NetworkError(f"evidence assigns node {key!r} twice")
-        seen.add(key)
         out[key] = value
     return out
+
+
+def check_evidence(net: Network, ev: dict):
+    """Raise NetworkError naming the first evidence node the network lacks
+    or whose value is not a bool: the one rule every evidence input meets."""
+    for nid, value in ev.items():
+        if nid not in net.index:
+            raise NetworkError(f"evidence references unknown node {nid!r}")
+        if type(value) is not bool:
+            raise NetworkError(f"evidence for {nid!r} must be a boolean, got {value!r}")
 
 
 def parse_evidence(text: str, net: Network) -> dict:
@@ -221,9 +232,5 @@ def parse_evidence(text: str, net: Network) -> dict:
         raise NetworkError(f"evidence file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise NetworkError("evidence file must be a JSON object")
-    for nid, value in doc.items():
-        if nid not in net.index:
-            raise NetworkError(f"evidence references unknown node {nid!r}")
-        if not isinstance(value, bool):
-            raise NetworkError(f"evidence for {nid!r} must be true or false")
-    return dict(doc)
+    check_evidence(net, doc)
+    return doc

@@ -27,9 +27,7 @@ kernel of the sweep the library runs, by replaying the unmodified
 
 import itertools
 import math
-import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -348,74 +346,6 @@ def random_dag(rng, n_nodes, edge_prob=0.3, p_range=(0.05, 0.95), leak_range=(0.
 def random_evidence(rng, net, max_nodes=3, p_true=0.6):
     picks = rng.sample(list(net.ids), min(len(net.ids), rng.randint(0, max_nodes)))
     return {nid: rng.random() < p_true for nid in picks}
-
-
-@dataclass(frozen=True)
-class MoveProposal:
-    """A candidate move: the nodes that may change and the joint values offered."""
-
-    delta_nodes: tuple
-    candidate_states: tuple
-    rule: str = GIBBS
-
-
-def metropolis_accept(weight_current, weight_proposed, rng) -> bool:
-    """Accept a proposed state by probability min(1, proposed / current)."""
-    if weight_current <= 0.0 or weight_proposed <= 0.0:
-        raise ValueError("metropolis_accept needs strictly positive weights")
-    if weight_proposed >= weight_current:
-        return True
-    return rng.random() < weight_proposed / weight_current
-
-
-def transition_distribution(net, state, proposal: MoveProposal, scope=None) -> list:
-    """Distribution over the proposal's candidate states under the Gibbs rule.
-
-    Weights are products of the factors of the changed nodes and their
-    children (their whole restricted neighbourhood); factors untouched by the
-    move cancel and are skipped.  `scope` optionally narrows each changed
-    node's children to the flow map's evidential children.
-    """
-    if proposal.rule != GIBBS:
-        raise ValueError("transition_distribution applies to the Gibbs rule")
-    delta = [net.index[nid] for nid in proposal.delta_nodes]
-    current = tuple(bool(state.x[j]) for j in delta)
-    candidates = list(proposal.candidate_states)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("candidate states must be distinct")
-    if current not in candidates:
-        raise ValueError("candidate states must include the current assignment")
-    touched = []
-    seen = set()
-    for j in delta:
-        if j not in seen:
-            seen.add(j)
-            touched.append(j)
-        kids = net.children[j] if scope is None else scope.get(j, net.children[j])
-        for c in kids:
-            if c not in seen:
-                seen.add(c)
-                touched.append(c)
-    overlay = {}
-    weights = []
-    for cand in candidates:
-        if len(cand) != len(delta):
-            raise ValueError("candidate state arity differs from delta_nodes")
-        overlay = dict(zip(delta, cand))
-        w = 1.0
-        for k in touched:
-            s = 1.0 - net.leak[k]
-            for i, p in zip(net.parents[k], net.parent_p[k]):
-                val = overlay.get(i, state.x[i])
-                if val:
-                    s *= 1.0 - p
-            val = overlay.get(k, state.x[k])
-            w *= (1.0 - s) if val else s
-        weights.append(w)
-    total = sum(weights)
-    if total <= 0.0:
-        raise ValueError("all candidate states have zero probability")
-    return [w / total for w in weights]
 
 
 def conditional_prob(net, state, nid, info: FlowInfo) -> float:

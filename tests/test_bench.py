@@ -188,6 +188,20 @@ class TestLoadConfig:
         path = self.write_bundle(tmp_path, vase, burn_in=50, checkpoints=[51, 100])
         assert load_config(path).burn_in == 50
 
+    def test_negative_burn_in_rejected_before_any_chain(self, tmp_path, vase, capsys, monkeypatch):
+        path = self.write_bundle(tmp_path, vase, burn_in=-1)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative, got -1"):
+            load_config(path)
+        # no truth is computed and no chain runs before the refusal
+        monkeypatch.setattr("diagbn.bench._case_truths", None)
+        monkeypatch.setattr("diagbn.bench.run_chain", None)
+        out = tmp_path / "report.json"
+        assert main(["bench", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: burn_in must be nonnegative, got -1\n"
+        assert not out.exists()
+
     def fixture_grid(self, tmp_path, burn_in):
         """The committed grid cut to one repetition of gibbs and
         optimized-fwd-bwd, scored once, one sweep after burn-in."""

@@ -261,6 +261,17 @@ class TestCaseSerialization:
         with pytest.raises(ValueError, match="unknown node"):
             cases_from_jsonable([{"evidence": {"ghost": True}, "n_positive": 1}], net)
 
+    def test_evidence_error_names_the_case(self):
+        net = generate_network(
+            GeneratorParams(n_model=2, n_sensory=1, n_links=2, seed=5)
+        )
+        sid = next(nid for nid in net.ids if nid.startswith("s"))
+        raw = [{"evidence": {sid: True}, "n_positive": 1}] * 3
+        with pytest.raises(ValueError, match=r"^case 3: evidence references unknown node 'zz'$"):
+            cases_from_jsonable(raw + [{"evidence": {"zz": True}, "n_positive": 1}], net)
+        with pytest.raises(ValueError, match=rf"^case 1: evidence for '{sid}' must be a boolean, got 'yes'$"):
+            cases_from_jsonable(raw[:1] + [{"evidence": {sid: "yes"}, "n_positive": 1}], net)
+
     def test_non_boolean_evidence_rejected(self):
         net = generate_network(
             GeneratorParams(n_model=2, n_sensory=1, n_links=2, seed=5)

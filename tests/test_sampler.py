@@ -62,11 +62,8 @@ from diagbn.sampler import (
 import oracles
 from test_golden import LAYERED, LAYERED_SEEDS
 from oracles import (
-    MoveProposal,
     conditional_by_enumeration,
     conditional_prob,
-    joint_prob,
-    metropolis_accept,
     random_dag,
     random_evidence,
     reference_block_pair_move,
@@ -75,7 +72,6 @@ from oracles import (
     reference_run_chains,
     reference_single_site_move,
     reference_stale,
-    transition_distribution,
 )
 
 
@@ -186,111 +182,6 @@ class TestConditionalProb:
                     cached = odds / (1.0 + odds)
                     assert cached == pytest.approx(fresh, abs=1e-10), (trial, name, nid)
                 state.flip(rng.choice(state.free))
-
-
-class TestTransitionDistribution:
-    def test_vase_block_distribution(self, vase):
-        state = make_state(vase, {"v": True})
-        proposal = MoveProposal(
-            delta_nodes=("e", "b"),
-            candidate_states=((1, 0), (0, 1), (1, 1), (0, 0)),
-        )
-        probs = transition_distribution(vase, state, proposal)
-        want = [
-            VASE_BLOCK_DIST[(1, 0)],
-            VASE_BLOCK_DIST[(0, 1)],
-            VASE_BLOCK_DIST[(1, 1)],
-            VASE_BLOCK_DIST[(0, 0)],
-        ]
-        assert probs == pytest.approx(want, abs=1e-12)
-
-    def test_single_node_reduces_to_blanket_conditional(self, vase):
-        state = make_state(vase, {"v": True})
-        force(state, "b", 0)
-        proposal = MoveProposal(delta_nodes=("e",), candidate_states=((1,), (0,)))
-        probs = transition_distribution(vase, state, proposal)
-        assert probs[0] == pytest.approx(VASE_P_E_GIVEN_B0, abs=1e-12)
-        assert sum(probs) == pytest.approx(1.0, abs=1e-15)
-
-    def test_equal_weights_symmetric(self):
-        net = build_network([("a", "model", 0.5), ("b", "model", 0.5)], [])
-        state = make_state(net, {})
-        proposal = MoveProposal(delta_nodes=("a",), candidate_states=((1,), (0,)))
-        probs = transition_distribution(net, state, proposal)
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-15)
-
-    def test_matches_restricted_joint_ratio_on_random_nets(self):
-        rng = random.Random(33)
-        for _ in range(30):
-            nodes, edges = random_dag(rng, rng.randint(3, 12))
-            net = build_network(nodes, edges)
-            ev = random_evidence(rng, net, max_nodes=3)
-            state = make_state(net, ev, "gibbs", seed=2)
-            free = state_free_ids(state)
-            if len(free) < 2:
-                continue
-            a, b = rng.sample(free, 2)
-            cands = tuple(itertools.product((0, 1), repeat=2))
-            proposal = MoveProposal(delta_nodes=(a, b), candidate_states=cands)
-            probs = transition_distribution(net, state, proposal)
-            joints = []
-            for va, vb in cands:
-                values = {nid: bool(state.x[net.index[nid]]) for nid in net.ids}
-                values[a] = bool(va)
-                values[b] = bool(vb)
-                joints.append(joint_prob(net, values))
-            total = sum(joints)
-            for got, jw in zip(probs, joints):
-                assert got == pytest.approx(jw / total, abs=1e-12)
-
-    def test_rejects_duplicate_candidates(self, vase):
-        state = make_state(vase, {"v": True})
-        proposal = MoveProposal(delta_nodes=("e",), candidate_states=((1,), (1,)))
-        with pytest.raises(ValueError, match="distinct"):
-            transition_distribution(vase, state, proposal)
-
-    def test_rejects_missing_current_assignment(self, vase):
-        state = make_state(vase, {"v": True})
-        cur = state.x[vase.index["e"]]
-        proposal = MoveProposal(delta_nodes=("e",), candidate_states=((1 - cur,),))
-        with pytest.raises(ValueError, match="current"):
-            transition_distribution(vase, state, proposal)
-
-    def test_rejects_metropolis_rule(self, vase):
-        state = make_state(vase, {"v": True})
-        proposal = MoveProposal(
-            delta_nodes=("e",), candidate_states=((1,), (0,)), rule=METROPOLIS
-        )
-        with pytest.raises(ValueError, match="Gibbs"):
-            transition_distribution(vase, state, proposal)
-
-
-class TestMetropolisAccept:
-    def test_ratio_above_one_always_accepts(self):
-        rng = random.Random(1)
-        assert all(metropolis_accept(1.0, VASE_SWAP_RATIO, rng) for _ in range(1000))
-
-    def test_reverse_ratio_statistics(self):
-        rng = random.Random(2)
-        want = 1.0 / VASE_SWAP_RATIO
-        n = 20_000
-        hits = sum(metropolis_accept(VASE_SWAP_RATIO, 1.0, rng) for _ in range(n))
-        assert hits / n == pytest.approx(want, abs=0.02)
-
-    def test_equal_weights_accept(self):
-        rng = random.Random(3)
-        assert all(metropolis_accept(0.5, 0.5, rng) for _ in range(100))
-
-    def test_vanishing_ratio_never_accepts(self):
-        rng = random.Random(4)
-        assert not any(metropolis_accept(1.0, 1e-12, rng) for _ in range(10_000))
-
-    def test_nonpositive_weight_rejected(self):
-        rng = random.Random(5)
-        with pytest.raises(ValueError):
-            metropolis_accept(0.0, 0.5, rng)
-        with pytest.raises(ValueError):
-            metropolis_accept(0.5, 0.0, rng)
 
 
 class TestSingleSiteMove:
@@ -1706,3 +1597,29 @@ def test_unknown_evidence_node_raises_one_error_everywhere(vase):
             sample_posteriors(vase, ev, strategy, sweeps=10, seed=1)
         with pytest.raises(ValueError, match=unknown):
             explicit_transition_matrix(vase, ev, strategy)
+
+
+# every library entry point that takes evidence, each called on the vase
+EVIDENCE_ENTRY_POINTS = [
+    *((f"sample_posteriors-{name}",
+       lambda net, ev, s=strategy: sample_posteriors(net, ev, s, sweeps=10, seed=1))
+      for name, strategy in PRESETS.items()),
+    ("run_chain", lambda net, ev: run_chain(net, ev, PRESETS["gibbs"], sweeps=10, seed=1)),
+    ("setup_chain", lambda net, ev: setup_chain(net, ev, PRESETS["gibbs"], random.Random(1))),
+    ("exact_posteriors", exact_posteriors),
+    ("clamp_pass", clamp_pass),
+    ("no_clamp", no_clamp),
+    ("explicit_transition_matrix",
+     lambda net, ev: explicit_transition_matrix(net, ev, PRESETS["optimized-fwd-bwd"])),
+]
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0.0, None], ids=repr)
+@pytest.mark.parametrize("call", [c for _, c in EVIDENCE_ENTRY_POINTS],
+                         ids=[name for name, _ in EVIDENCE_ENTRY_POINTS])
+def test_non_bool_evidence_value_raises_naming_the_node(vase, call, value):
+    # a dict passed to the library meets the rule an evidence file does,
+    # so no truthy or falsy stand-in is read as on or off
+    with pytest.raises(ValueError, match=r"evidence for 'b' must be a boolean"):
+        call(vase, {"v": True, "b": value})
+    call(vase, {"v": True, "b": False})
