@@ -56,10 +56,12 @@ class ExperimentConfig:
     burn_in: int = 0
 
     def check(self):
-        """Reject a grid that cannot run, would score burn-in sweeps or a
-        checkpoint with no forward pass since burn-in, names a baseline it
-        does not run, has no finite nonnegative accuracy floor, or lacks a
-        truth for a scored node."""
+        """Reject a grid that cannot run, has no case, would score burn-in
+        sweeps or a checkpoint with no forward pass since burn-in, names a
+        baseline it does not run, has no finite nonnegative accuracy floor,
+        or lacks a truth for a scored node."""
+        if not self.cases:
+            raise ValueError("need at least one case")
         if not self.strategies:
             raise ValueError("need at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):
@@ -113,8 +115,8 @@ def _scored_nodes(net, case) -> list:
 _REQUIRED_KEYS = ("network", "cases", "strategies", "checkpoints", "repetitions", "seed")
 # what each config key must be when present, and a test of its JSON type
 _KEY_TYPES = [
-    ("a file path", ("network", "cases"), lambda v: type(v) is str),
-    ("a file path or null", ("truth",), lambda v: v is None or type(v) is str),
+    ("a file path", ("network", "cases"), lambda v: type(v) is str and v != ""),
+    ("a file path or null", ("truth",), lambda v: v is None or type(v) is str and v != ""),
     ("a list of preset names", ("strategies",), lambda v: type(v) is list and all(type(s) is str for s in v)),
     ("a list of integers", ("checkpoints",), lambda v: type(v) is list and all(type(c) is int for c in v)),
     ("an integer", ("repetitions", "seed", "burn_in"), lambda v: type(v) is int),
@@ -222,7 +224,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Scoring covers model nodes not fixed by evidence in a case. Each cell
     (strategy, case, repetition) gets its own derived seed, so the grid can
-    be reordered or parallelized without changing any number.
+    be reordered or parallelized without changing any number.  A baseline
+    whose chains move no node, and so cost nothing, raises ValueError once
+    its cells have run.
     """
     config.check()
     net = config.net
@@ -233,6 +237,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     seconds = {s: 0.0 for s in config.strategies}
     cost = {s: 0 for s in config.strategies}
     cells = len(config.cases) * config.repetitions
+    base = config.strategies[0] if config.baseline is None else config.baseline
     for name in config.strategies:
         strategy = preset(name)
         for case_idx, case in enumerate(config.cases):
@@ -255,7 +260,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     est = {nid: result.checkpoint_estimates[ck][nid] for nid in scored}
                     errors[name][ci] += error_count(est, truth, config.epsilon_floor)
         errors[name] = [round(e / cells, 6) for e in errors[name]]
-    base = config.strategies[0] if config.baseline is None else config.baseline
+        if name == base and not cost[base]:
+            raise ValueError(
+                f"baseline {base!r} moves no node in any case, so no cost ratio can be taken to it")
     time_ratio = {
         s: (seconds[s] / seconds[base]) if seconds[base] > 0 else float("nan")
         for s in config.strategies

@@ -468,6 +468,11 @@ def explicit_transition_matrix(
     The state space covers all free nodes, and forward redraws appear as
     explicit kernels in product stages.  A move whose conditional has zero
     weight in some state it may run from raises ValueError naming the move.
+
+    For optimized-fwd-bwd the composed sweep is a backward pass, then a
+    forward pass, of single-site and forward kernels only.  Its swap
+    kernels are built, but no stage applies them, although the sampler's
+    sweep swaps pairs: `apply_sweep` is not that chain's sweep.
     """
     # the one user of scipy, imported here so `exact_posteriors` never loads it
     from scipy import sparse

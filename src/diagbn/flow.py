@@ -85,7 +85,9 @@ def classify_flow(net: Network, ev: dict, clamp: ClampResult, blanket: bool = Fa
     their parents alone.  Clamped nodes get an empty FlowInfo.  With
     blanket=True every child is evidential and every free node, childless or
     not, is diagnostic-sampled: the whole Markov blanket is conditioned on.
+    Evidence failing `check_evidence` raises ValueError.
     """
+    check_evidence(net, ev)
     # every evidence node and every node with an evidence descendant
     carries = None if blanket else _closure((net.index[nid] for nid in ev), net.parents)
     out = {}

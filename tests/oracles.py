@@ -22,19 +22,26 @@ references that only tests call, kept verbatim from the library, which
 does not ship them: tests check `Network.survival` and `classify_flow`
 against them.  `ForkRng` and `sweep_kernel` give the exact transition
 kernel of the sweep the library runs, by replaying the unmodified
-`run_sweep` down every path its random draws can take.
+`run_sweep` down every path its random draws can take.  `move_kernels`
+gives the same way the exact kernel of every move a sweep is made of,
+from the shipped `single_site_move`, `block_pair_move`, `swap_pair_move`
+and `forward_redraw`, and `apply_sweep` composes them into a sweep as
+`TransitionMatrix.apply_sweep` does: detailed balance and the sweep's
+fixed point are checked on them, and `explicit_transition_matrix` is
+held to them.
 """
 
+import collections
+import functools
 import itertools
 import math
 import time
 
 import numpy as np
-from scipy import sparse
 
 from diagbn import flow as flowmod
-from diagbn.exact import EnumerationCapError, TransitionMatrix
-from diagbn.flow import FlowInfo, clamp_pass, classify_flow, evidence_cover, no_clamp
+from diagbn.exact import EnumerationCapError
+from diagbn.flow import FlowInfo
 from diagbn.network import Network, NetworkError, validate
 from diagbn.sampler import (
     GIBBS,
@@ -42,7 +49,6 @@ from diagbn.sampler import (
     SWAP_FRACTION,
     ChainRandom,
     SamplerState,
-    StrategySpec,
     _MIN_NORMAL,
     _REFRESH_SWEEPS,
     block_pair_move,
@@ -859,272 +865,10 @@ def _reference_pair_scope(net, flow, a, b):
                 touched.append(c)
     return touched
 
-def reference_transition_matrix(
-    net: Network,
-    ev: dict,
-    strategy: StrategySpec,
-    cap: int = 12,
-    collapse_forward: bool = False,
-) -> TransitionMatrix:
-    """The transition-matrix oracle as first written: every kernel entry
-    computed state by state from scalar factors.
-
-    Build every kernel the strategy's sweeps are made of, exactly.
-
-    With collapse_forward=True the state space enumerates only the
-    diagnostic-sampled nodes and pi is the posterior with the forward
-    region summed out; flow-aware single and pair kernels are honest
-    reversible chains on that space.  Otherwise the space covers all free
-    nodes and forward redraws appear as explicit kernels in product stages.
-    """
-    clamp = clamp_pass(net, ev) if strategy.clamp else no_clamp(net, ev)
-    flow = classify_flow(net, ev, clamp, blanket=not strategy.flow_aware)
-    free = sorted(net.index[nid] for nid in clamp.unclamped)
-    fs = {j for j in free if flow[net.ids[j]].status == flowmod.FORWARD_SAMPLED}
-    ds = [j for j in free if j not in fs]
-    chain_nodes = ds if collapse_forward else free
-    if len(chain_nodes) > cap:
-        raise EnumerationCapError(
-            f"{len(chain_nodes)} chain nodes exceed the transition matrix cap of {cap}"
-        )
-    size = 1 << len(chain_nodes)
-    pos = {j: k for k, j in enumerate(chain_nodes)}
-
-    base = [0] * len(net.ids)
-    for nid, value in ev.items():
-        base[net.index[nid]] = 1 if value else 0
-    states = []
-    xvecs = []
-    for s in range(size):
-        x = list(base)
-        for k, j in enumerate(chain_nodes):
-            x[j] = (s >> k) & 1
-        states.append(tuple((s >> k) & 1 for k in range(len(chain_nodes))))
-        xvecs.append(x)
-
-    if collapse_forward:
-        # forward region sums out: weigh only the remaining nodes' factors
-        scored = [j for j in range(len(net.ids)) if j not in fs]
-        weights = np.array([_reference_restricted_weight(net, x, scored) for x in xvecs])
-    else:
-        weights = np.array([_reference_restricted_weight(net, x, range(len(net.ids))) for x in xvecs])
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("state space has zero total probability")
-    pi = weights / total
-
-    moves = []
-
-    def add_move(label, entries):
-        rows, cols, vals = zip(*entries)
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        sums = np.asarray(mat.sum(axis=1)).ravel()
-        assert np.allclose(sums, 1.0, atol=1e-12)
-        moves.append((label, mat))
-
-    def single_entries(j, rule):
-        scope = [j] + _reference_scoped_children(net, flow, j)
-        entries = []
-        for s, x in enumerate(xvecs):
-            old = x[j]
-            x[j] = 1
-            w1 = _reference_restricted_weight(net, x, scope)
-            x[j] = 0
-            w0 = _reference_restricted_weight(net, x, scope)
-            x[j] = old
-            q1 = w1 / (w1 + w0)
-            s_on = s | (1 << pos[j])
-            s_off = s & ~(1 << pos[j])
-            if rule == GIBBS:
-                entries.append((s, s_on, q1))
-                entries.append((s, s_off, 1.0 - q1))
-            else:
-                w_cur = w1 if old else w0
-                w_flip = w0 if old else w1
-                alpha = min(1.0, w_flip / w_cur)
-                flip = s_off if old else s_on
-                entries.append((s, flip, alpha))
-                if alpha < 1.0:
-                    entries.append((s, s, 1.0 - alpha))
-        return entries
-
-    def redraw_entries(j):
-        entries = []
-        for s, x in enumerate(xvecs):
-            sself = 1.0 - net.leak[j]
-            for i, p in zip(net.parents[j], net.parent_p[j]):
-                if x[i]:
-                    sself *= 1.0 - p
-            q1 = 1.0 - sself
-            entries.append((s, s | (1 << pos[j]), q1))
-            entries.append((s, s & ~(1 << pos[j]), 1.0 - q1))
-        return entries
-
-    def pair_entries(a, b, kind, rule, gate_children):
-        scope = _reference_pair_scope(net, flow, a, b)
-        bit_a, bit_b = 1 << pos[a], 1 << pos[b]
-        entries = []
-        for s, x in enumerate(xvecs):
-            if gate_children is not None and not any(x[c] for c in gate_children):
-                entries.append((s, s, 1.0))
-                continue
-            va, vb = x[a], x[b]
-            if kind == "swap":
-                if va == vb:
-                    entries.append((s, s, 1.0))
-                    continue
-                x[a], x[b] = vb, va
-                w_swap = _reference_restricted_weight(net, x, scope)
-                x[a], x[b] = va, vb
-                w_cur = _reference_restricted_weight(net, x, scope)
-                t = (s & ~(bit_a | bit_b)) | (bit_a if vb else 0) | (bit_b if va else 0)
-                if rule == GIBBS:
-                    p_move = w_swap / (w_cur + w_swap)
-                else:
-                    p_move = min(1.0, w_swap / w_cur)
-                entries.append((s, t, p_move))
-                if p_move < 1.0:
-                    entries.append((s, s, 1.0 - p_move))
-            else:
-                ws = {}
-                for ca in (0, 1):
-                    for cb in (0, 1):
-                        x[a], x[b] = ca, cb
-                        ws[(ca, cb)] = _reference_restricted_weight(net, x, scope)
-                x[a], x[b] = va, vb
-                targets = {
-                    (ca, cb): (s & ~(bit_a | bit_b)) | (bit_a if ca else 0) | (bit_b if cb else 0)
-                    for (ca, cb) in ws
-                }
-                if rule == GIBBS:
-                    z = sum(ws.values())
-                    for key, w in ws.items():
-                        entries.append((s, targets[key], w / z))
-                else:
-                    w_cur = ws[(va, vb)]
-                    stay = 1.0
-                    for key, w in ws.items():
-                        if key == (va, vb):
-                            continue
-                        alpha = min(1.0, w / w_cur) / 3.0
-                        entries.append((s, targets[key], alpha))
-                        stay -= alpha
-                    entries.append((s, s, stay))
-        merged = {}
-        for r, c, v in entries:
-            merged[(r, c)] = merged.get((r, c), 0.0) + v
-        return [(r, c, v) for (r, c), v in merged.items()]
-
-    def spouse_pairs():
-        """Unordered diagnostic-sampled pairs sharing a child that is not
-        forward-sampled, with the policy's gate.  A child-true link counts
-        only through a child that is free or observed true: one observed
-        false could never open its gate."""
-        cover = evidence_cover(net, ev) if strategy.cover_gated else None
-        seenp = {}
-        movable = set(ds)
-        for c in range(len(net.ids)):
-            if c in fs:
-                continue
-            if cover is None and net.ids[c] in ev and not ev[net.ids[c]]:
-                continue
-            ps = [i for i in net.parents[c] if i in movable]
-            for ai in range(len(ps)):
-                for bi in range(ai + 1, len(ps)):
-                    a, b = sorted((ps[ai], ps[bi]))
-                    if cover is not None:
-                        if c in cover:
-                            seenp[(a, b)] = None
-                    else:
-                        seenp.setdefault((a, b), set()).add(c)
-        return sorted((a, b, None if gate is None else sorted(gate)) for (a, b), gate in seenp.items())
-
-    mixture_labels = []
-    # every policy keeps single-site moves for nodes the pairing leaves over
-    for j in ds:
-        label = ("single", net.ids[j])
-        add_move(label, single_entries(j, strategy.rule))
-        mixture_labels.append(label)
-    kind = strategy.pair_move
-    if kind is not None:
-        for a, b, gate in spouse_pairs():
-            label = (kind, net.ids[a], net.ids[b])
-            add_move(label, pair_entries(a, b, kind, strategy.rule, gate))
-            mixture_labels.append(label)
-    fs_labels = []
-    if not collapse_forward:
-        for j in net.topo:
-            if j in fs:
-                label = ("fs", net.ids[j])
-                add_move(label, redraw_entries(j))
-                fs_labels.append(label)
-
-    if strategy.move_policy == OPTIMIZED_FWD_BWD and not collapse_forward:
-        fwd = []
-        for j in net.topo:
-            if j in fs:
-                fwd.append(("fs", net.ids[j]))
-            elif j in ds:
-                fwd.append(("single", net.ids[j]))
-        bwd = [("single", net.ids[j]) for j in reversed(net.topo) if j in ds]
-        stages = [("product", bwd), ("product", fwd)]
-    else:
-        stages = [("mixture", mixture_labels)] if mixture_labels else []
-        if fs_labels:
-            stages.append(("product", fs_labels))
-    return TransitionMatrix(
-        node_order=tuple(net.ids[j] for j in chain_nodes),
-        states=states,
-        pi=pi,
-        moves=moves,
-        sweep_stages=stages,
-    )
-
-
-def collapsed_space(tm: TransitionMatrix) -> TransitionMatrix:
-    """The full-space matrix `tm` cut down to its diagnostic-sampled nodes,
-    as `reference_transition_matrix(..., collapse_forward=True)` builds it:
-    the rows and columns whose forward-sampled bits are 0, pi summed over
-    those bits, the forward redraws dropped and the rest one mixture stage.
-    No diagnostic move reads a forward-sampled value, so the cut kernels
-    are the collapsed ones."""
-    forward = {label[1] for label, _ in tm.moves if label[0] == "fs"}
-    keep = [k for k, nid in enumerate(tm.node_order) if nid not in forward]
-    mask = sum(1 << k for k, nid in enumerate(tm.node_order) if nid in forward)
-    full = np.arange(len(tm.states))
-    rows = full[(full & mask) == 0]
-    # a cut state's index packs its kept bits, in the order rows lists them
-    packed = np.zeros(len(full), dtype=int)
-    packed[rows] = np.arange(len(rows))
-    moves = [(label, mat[rows][:, rows]) for label, mat in tm.moves if label[0] != "fs"]
-    return TransitionMatrix(
-        node_order=tuple(tm.node_order[k] for k in keep),
-        states=[tuple(tm.states[s][k] for k in keep) for s in rows],
-        pi=np.bincount(packed[full & ~mask], weights=tm.pi, minlength=len(rows)),
-        moves=moves,
-        sweep_stages=[("mixture", [label for label, _ in moves])] if moves else [],
-    )
-
-
-def reference_apply_sweep(tm: TransitionMatrix, vec: np.ndarray) -> np.ndarray:
-    """`TransitionMatrix.apply_sweep` as first written: each kernel found by
-    label and applied as `out @ kernel`."""
-    kernel = dict(tm.moves)
-    out = np.asarray(vec, dtype=float)
-    for kind, labels in tm.sweep_stages:
-        if kind == "mixture":
-            mixed = np.zeros_like(out)
-            for lab in labels:
-                mixed += out @ kernel[lab]
-            out = mixed / len(labels)
-        else:
-            for lab in labels:
-                out = out @ kernel[lab]
-    return out
-
 
 # ---------------------------------------------------------------------------
-# the exact kernel of the shipped sweep, by enumerating its random choices
+# exact kernels of the shipped sweep and moves, by enumerating their random
+# choices
 
 
 class _Uniform:
@@ -1222,30 +966,120 @@ class ForkRng:
             self._path[-1] += 1
 
 
+def _starts(chain):
+    """Every state of the chain's free nodes as (values, survivals): state
+    s sets chain.free[k] to bit k of s, and the nodes that are not free
+    keep their values, evidence as observed and clamped nodes off."""
+    starts = []
+    for s in range(1 << len(chain.free)):
+        for k, j in enumerate(chain.free):
+            chain.x[j] = (s >> k) & 1
+        chain.refresh_survivals()
+        starts.append((list(chain.x), list(chain.surv)))
+    return starts
+
+
+def _kernel(chain, step, starts):
+    """P[s, t], the probability that `step()` takes the chain from state s
+    of `starts` to state t, down every path of the draws of its ForkRng,
+    each path from the state's values and survivals with no conditional
+    cached."""
+    index = {tuple(x): t for t, (x, _) in enumerate(starts)}
+    moves = collections.defaultdict(float)  # (s, t) -> probability
+
+    def run(x, surv):
+        chain.x[:] = x
+        chain.surv[:] = surv
+        chain.odds_cache = [None] * len(x)
+        step()
+        return index[tuple(chain.x)]
+
+    for s, start in enumerate(starts):
+        for t, prob in chain.rng.paths(functools.partial(run, *start)):
+            moves[s, t] += prob
+    P = np.zeros((len(starts), len(starts)))
+    P[tuple(zip(*moves))] = list(moves.values())
+    return P
+
+
 def sweep_kernel(net, ev, strategy, sweep_idx):
     """The exact transition matrix of one `run_sweep` call, as shipped.
 
     Builds the strategy's chain on a ForkRng and, from every assignment of
     its free nodes, runs the unmodified `run_sweep` down every path of its
-    random draws with `sweep_idx` set first.  Returns (chain, P): state s
-    sets chain.free[k] to bit k of s, clamped nodes are false, and P[s, t]
-    is the probability that the sweep takes s to t.
+    random draws with `sweep_idx` set first.  Returns (chain, P), with the
+    states of `_starts` and P as `_kernel` gives it.
     """
-    rng = ForkRng()
-    chain = SamplerState(net, ev, strategy, rng)
-    free = chain.free
-    size = 1 << len(free)
-    P = np.zeros((size, size))
+    chain = SamplerState(net, ev, strategy, ForkRng())
 
-    def run(s):
-        for k, j in enumerate(free):
-            chain.x[j] = (s >> k) & 1
-        chain.refresh_survivals()
+    def sweep():
         chain.sweep_idx = sweep_idx
         run_sweep(chain, 1)
-        return sum(chain.x[j] << k for k, j in enumerate(free))
 
-    for s in range(size):
-        for t, prob in rng.paths(lambda: run(s)):
-            P[s, t] += prob
-    return chain, P
+    return chain, _kernel(chain, sweep, _starts(chain))
+
+
+def move_kernels(net, ev, strategy):
+    """The exact kernel of every move the strategy's chain is made of, each
+    read from the shipped move by `_kernel`, as `sweep_kernel` reads a
+    sweep.
+
+    Returns (states, pi, kernels).  states[s] maps each free node, in the
+    chain's order, to its value 0 or 1 in state s of `_starts`.  pi is the
+    chain's target: each state's joint probability by `joint_prob`, with
+    the evidence at its values and clamped nodes off, normalized.  kernels
+    lists (label, P) under the labels `explicit_transition_matrix` gives:
+    ("single", d) for each diagnostic-sampled d, running
+    `single_site_move`; (move, a, b) for each pair a < b of the chain's
+    `_PairPlan`, running `block_pair_move` or `swap_pair_move` while the
+    pair's gate is open and nothing while it is shut, as a sweep does (a
+    swap of two equal values is the identity by the move itself); then
+    ("fs", f) for each forward-sampled f in topological order, running
+    `forward_redraw`.
+    """
+    chain = SamplerState(net, ev, strategy, ForkRng())
+    starts = _starts(chain)
+    ids = net.ids
+    kernels = [(("single", ids[j]), _kernel(chain, functools.partial(single_site_move, chain, j), starts))
+               for j in chain.diagnostic]
+    plan = chain.pair_plan
+    if plan is not None:
+        move = block_pair_move if strategy.pair_move == "block" else swap_pair_move
+        for a, b in sorted((a, b) for a, partners in plan.spouses.items() for b in partners if a < b):
+
+            def step(a=a, b=b, gate=plan.gates.get((a, b))):
+                if gate is None or any(chain.x[c] for c in gate):
+                    move(chain, a, b)
+
+            kernels.append(((strategy.pair_move, ids[a], ids[b]), _kernel(chain, step, starts)))
+    kernels += [(("fs", ids[j]), _kernel(chain, functools.partial(forward_redraw, chain, j), starts))
+                for j in chain.topo_forward]
+    states = [{ids[j]: x[j] for j in chain.free} for x, _ in starts]
+    weights = np.array([joint_prob(net, dict(zip(ids, x))) for x, _ in starts])
+    return states, weights / weights.sum(), kernels
+
+
+def apply_sweep(net, strategy, kernels, vec):
+    """The distribution `vec` (or each row of a matrix) after one sweep,
+    composed from the kernels of `move_kernels` as
+    `TransitionMatrix.apply_sweep` composes the library's: the uniform
+    mixture of the single-site and pair kernels, then the forward redraws
+    in topological order.  Under optimized-fwd-bwd it is, as in the
+    library, a backward pass of the single-site kernels in reverse
+    topological order, then a forward pass of the single-site and forward
+    kernels in topological order.  Its swap kernels never enter, although
+    the sweep that ships swaps pairs, so that composition is not the
+    shipped chain's kernel; `sweep_kernel` is."""
+    kernel = dict(kernels)
+    if strategy.move_policy == OPTIMIZED_FWD_BWD:
+        at = {net.ids[j]: k for k, j in enumerate(net.topo)}
+        forward = sorted((lab for lab in kernel if lab[0] in ("single", "fs")), key=lambda lab: at[lab[1]])
+        order = [lab for lab in reversed(forward) if lab[0] == "single"] + forward
+    else:
+        mixture = [lab for lab in kernel if lab[0] != "fs"]
+        if mixture:
+            vec = sum(vec @ kernel[lab] for lab in mixture) / len(mixture)
+        order = [lab for lab in kernel if lab[0] == "fs"]
+    for lab in order:
+        vec = vec @ kernel[lab]
+    return vec

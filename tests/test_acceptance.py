@@ -13,14 +13,10 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from conftest import VASE_P_B, VASE_P_E
 from diagbn.cli import main as cli_main
-from diagbn.exact import (
-    exact_posteriors,
-    explicit_transition_matrix,
-)
+from diagbn.exact import exact_posteriors
 from diagbn.flow import FORWARD_SAMPLED, clamp_pass, classify_flow, no_clamp
 from diagbn.network import build_network
 from diagbn.sampler import (
@@ -31,11 +27,12 @@ from diagbn.sampler import (
     setup_chain,
 )
 from oracles import (
-    collapsed_space,
+    apply_sweep,
     conditional_by_enumeration,
     conditional_prob,
     d_separated,
     joint_log_prob,
+    move_kernels,
     noisy_or_prob,
     random_dag,
     random_evidence,
@@ -69,9 +66,24 @@ def test_criterion_1_joint_normalization():
 
 
 def _db_violation(pi, mat):
-    flux = sparse.diags(pi) @ mat
-    gap = flux - flux.T
-    return 0.0 if gap.nnz == 0 else float(abs(gap).max())
+    flux = pi[:, None] * mat
+    return float(np.abs(flux - flux.T).max())
+
+
+def _diagnostic_cut(states, pi, kernels):
+    """pi and the single-site and pair kernels of `move_kernels` on the
+    states whose forward-sampled bits are 0, pi summed over those bits.  No
+    diagnostic move reads a forward-sampled value, so each cut kernel is
+    its move's kernel on the diagnostic-sampled nodes, which a flow-aware
+    chain keeps at their posterior with the forward region summed out.
+    Only flow-aware chains forward-sample, so for the rest the cut keeps
+    every state."""
+    forward = {label[1] for label, _ in kernels if label[0] == "fs"}
+    mask = sum(1 << k for k, nid in enumerate(states[0]) if nid in forward)
+    full = np.arange(len(states))
+    rows = full[(full & mask) == 0]
+    cut_pi = np.bincount(np.searchsorted(rows, full & ~mask), weights=pi, minlength=len(rows))
+    return cut_pi, [(label, mat[np.ix_(rows, rows)]) for label, mat in kernels if label[0] != "fs"]
 
 
 def test_criterion_2_detailed_balance_and_fixed_point(vase):
@@ -94,32 +106,31 @@ def test_criterion_2_detailed_balance_and_fixed_point(vase):
             for cid in clamp.clamped_false:
                 target_ev[cid] = False
             target = exact_posteriors(net, target_ev)
-            full = explicit_transition_matrix(net, ev, strategy)
-            db_space = collapsed_space(full) if strategy.flow_aware else full
+            # every kernel is read from the moves that ship
+            states, pi, kernels = move_kernels(net, ev, strategy)
             # reversibility, move by move (forward redraws are not reversible
             # kernels; they are covered by the sweep fixed point below)
-            for label, mat in db_space.moves:
-                if label[0] == "fs":
-                    continue
-                gap = _db_violation(db_space.pi, mat)
+            db_pi, db_moves = _diagnostic_cut(states, pi, kernels)
+            for label, mat in db_moves:
+                gap = _db_violation(db_pi, mat)
                 worst_db = max(worst_db, gap)
                 if gap > 1e-12:
                     problems.append((name, label, gap))
-            # the composed sweep holds the posterior fixed on the full space
-            after = full.apply_sweep(full.pi)
-            fix_gap = float(np.max(np.abs(after - full.pi))) if len(full.pi) else 0.0
+            # the sweep, composed as the library composes it, holds the
+            # posterior fixed on the full space
+            after = apply_sweep(net, strategy, kernels, pi)
+            fix_gap = float(np.max(np.abs(after - pi)))
             worst_fix = max(worst_fix, fix_gap)
             if fix_gap > 1e-10:
                 problems.append((name, "sweep", fix_gap))
             # and that stationary vector is the exact posterior
-            if len(full.states):
-                bits = np.array(full.states, dtype=float)
-                margs = bits.T @ full.pi
-                for k, nid in enumerate(full.node_order):
-                    m_gap = abs(margs[k] - target[nid])
-                    worst_marg = max(worst_marg, m_gap)
-                    if m_gap > 1e-10:
-                        problems.append((name, ("pi", nid), m_gap))
+            bits = np.array([list(state.values()) for state in states], dtype=float)
+            margs = bits.T @ pi
+            for k, nid in enumerate(states[0]):
+                m_gap = abs(margs[k] - target[nid])
+                worst_marg = max(worst_marg, m_gap)
+                if m_gap > 1e-10:
+                    problems.append((name, ("pi", nid), m_gap))
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 30.0
     msg = _line(2, ok, f"vase + 20 nets x {len(PRESETS)} strategies: "

@@ -132,9 +132,9 @@ class TestRunExperiment:
 
 
 class TestLoadConfig:
-    def write_bundle(self, tmp_path, vase, truth=None, **config_overrides):
+    def write_bundle(self, tmp_path, vase, truth=None, evidence=({"v": True},), **config_overrides):
         (tmp_path / "net.json").write_text(serialize_network(vase))
-        cases = [Case(evidence={"v": True}, n_positive=1)]
+        cases = [Case(evidence=ev, n_positive=sum(ev.values())) for ev in evidence]
         (tmp_path / "cases.json").write_text(json.dumps(cases_to_jsonable(cases)))
         raw = {
             "network": "net.json",
@@ -236,6 +236,25 @@ class TestLoadConfig:
         path = self.write_bundle(tmp_path, vase, checkpoints=[])
         with pytest.raises(ValueError, match="checkpoint"):
             load_config(path)
+
+    @pytest.mark.parametrize("evidence, overrides, message", [
+        ((), {}, "need at least one case"),
+        # the clamp pins e and b, so the baseline's chains move no node
+        (({"v": False},), {"strategies": ["gibbs", "gibbs-clamp"], "baseline": "gibbs-clamp"},
+         "baseline 'gibbs-clamp' moves no node in any case"),
+        (({"v": True},), {"truth": ""}, "config key 'truth' must be a file path or null, got ''"),
+    ], ids=["no-cases", "baseline-moves-nothing", "empty-truth-path"])
+    def test_grid_that_cannot_score_exits_2(self, tmp_path, vase, capsys, evidence, overrides, message):
+        path = self.write_bundle(tmp_path, vase, evidence=evidence)
+        # set after the bundle is written: its `truth` argument writes a file
+        raw = json.loads((tmp_path / "config.json").read_text())
+        (tmp_path / "config.json").write_text(json.dumps({**raw, **overrides}))
+        out = tmp_path / "report.json"
+        assert main(["bench", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_loaded_config_runs(self, tmp_path, vase):
         config = load_config(self.write_bundle(tmp_path, vase))

@@ -1597,6 +1597,8 @@ def test_unknown_evidence_node_raises_one_error_everywhere(vase):
             sample_posteriors(vase, ev, strategy, sweeps=10, seed=1)
         with pytest.raises(ValueError, match=unknown):
             explicit_transition_matrix(vase, ev, strategy)
+    with pytest.raises(ValueError, match=unknown):
+        classify_flow(vase, ev, clamp_pass(vase, {"v": True}))
 
 
 # every library entry point that takes evidence, each called on the vase
@@ -1609,6 +1611,7 @@ EVIDENCE_ENTRY_POINTS = [
     ("exact_posteriors", exact_posteriors),
     ("clamp_pass", clamp_pass),
     ("no_clamp", no_clamp),
+    ("classify_flow", lambda net, ev: classify_flow(net, ev, clamp_pass(net, {"v": True}))),
     ("explicit_transition_matrix",
      lambda net, ev: explicit_transition_matrix(net, ev, PRESETS["optimized-fwd-bwd"])),
 ]
