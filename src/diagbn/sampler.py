@@ -62,10 +62,19 @@ but shuffles and picks below n without a Python call per draw.  Every
 chain runs a stretch of sweeps per `run_sweep` call, from one checkpoint
 or the end of burn-in to the next, with lookups bound once per stretch.
 A single-site sweep runs one loop per rule and then redraws its forward
-tail inline.  A pair sweep lists its visits and runs them in one loop,
-making its single-site moves, forward redraws and identity swaps inline
-and calling the block and swap moves.  Moves credit the chain's sums and
-charge cost but count no visit: both loops end a stretch with one
+tail in a loop of its own.  A pair sweep lists its visits and runs them in
+one loop, making its single-site moves, forward redraws and identity swaps
+inline and calling the block and swap moves.  Under the random schedule the
+visits are the shuffled pairs and singles, and the forward tail is redrawn
+after them in a loop of its own, as in the single-site sweep.  Under the
+alternating schedule they are the pass's walk, its forward redraws
+included, with each pair put at its first node by a node-to-position table
+per walk, built once per stretch.  The pair path draws only through the
+rng's `random`, `randrange` and `shuffle`: the tests find a sweep's exact
+kernel by replaying it down every outcome of those three draws
+(`tests/oracles.py`, `ForkRng`), and a draw through any other method would
+fail that replay.  Moves credit the chain's sums and charge cost but count
+no visit: both loops end a stretch with one
 `_close_stretch`, which adds its sweeps and its forward redraws to the
 chain's two visit totals, charges the inline moves' cost and advances the
 sweep index.  Both loops fill a missing conditional by
@@ -631,6 +640,10 @@ def pair_nodes(state: SamplerState):
     paired.  The candidates come from the pair plan built with the chain
     and the draws from the chain's rng alone: pairing reads no value of the
     chain, and a child-true gate is read when its pair moves (`_pair_sweeps`).
+    It draws through `shuffle` and `randrange` only, two of the three draws
+    the exact-kernel replay in `tests/oracles.py` (`ForkRng`) can enumerate.
+    `_pair_sweeps` calls it by this name once per sweep, so the benchmark's
+    tracer, which wraps it by name, times every pairing.
     """
     spouses = state.pair_plan.spouses
     rng = state.rng
@@ -701,11 +714,17 @@ def _pair_sweeps(state: SamplerState, count):
     `_close_stretch` with the summed cost of the inline moves.
 
     The visit list reads no chain value.  The random schedule shuffles
-    `pair_nodes`'s pairs and singles together and appends the forward tail.
-    The alternating schedule walks every free node in topological order on
-    forward passes, and only the diagnostic-sampled ones, in reverse, on
-    backward passes; pairings are fresh per pass, and a pair moves at the
-    position of whichever of its nodes the pass reaches first.
+    `pair_nodes`'s pairs and singles together, visits them, and then
+    redraws the forward tail in a loop of its own.  The alternating
+    schedule walks every free node in topological order on forward passes,
+    and only the diagnostic-sampled ones, in reverse, on backward passes;
+    pairings are fresh per pass.  Its visit list is a copy of the pass's
+    walk in which each pair takes the slot of whichever of its nodes the
+    pass reaches first, oriented (that node, the other), and the other
+    node's slot is dropped; both walks' node-to-position tables are built
+    once per stretch.  The draws go through `random` here and `shuffle` and
+    `randrange` in `pair_nodes`, the only draws `tests/oracles.py`'s
+    `ForkRng` replays.
 
     A node visit is a forward redraw for a forward-sampled node and a
     single-site move otherwise, each the move `forward_redraw` or
@@ -738,29 +757,38 @@ def _pair_sweeps(state: SamplerState, count):
     sums = state.sums
     move_cost = state.move_cost
     forward_sampled = state.forward_sampled
-    tail = state.topo_forward
     gates = state.pair_plan.gates
-    cost = 0
+    if alternating:
+        # each pass's walk, with a table of each node's position in it
+        passes = []
+        for walk in (state.topo_free, state.topo_diagnostic_reversed):
+            pos = [0] * len(x)
+            for i, j in enumerate(walk):
+                pos[j] = i
+            passes.append((walk, pos))
+        tail = ()  # the forward walk visits the forward-sampled nodes
+    else:
+        tail = state.topo_forward
+    cost = count * len(tail)  # a forward redraw costs 1
     for sweep in range(state.sweep_idx, state.sweep_idx + count):
         pairs, singles = pair_nodes(state)
-        if not alternating:
+        if alternating:
+            walk, pos = passes[sweep % 2]
+            visits = list(walk)
+            for pair in pairs:
+                a, b = pair
+                i = pos[a]
+                k = pos[b]
+                if i < k:
+                    visits[i] = pair
+                    visits[k] = None
+                else:
+                    visits[k] = (b, a)
+                    visits[i] = None
+            visits = [v for v in visits if v is not None]
+        else:
             visits = pairs + singles
             shuffle(visits)
-            visits += tail
-        else:
-            first = {}
-            for a, b in pairs:
-                first[a] = (a, b)
-                first[b] = (b, a)
-            visits = []
-            for j in state.topo_diagnostic_reversed if sweep % 2 else state.topo_free:
-                if j in first:
-                    pair = first[j]
-                    if pair is not None:
-                        visits.append(pair)
-                        first[pair[1]] = None
-                else:
-                    visits.append(j)
         for v in visits:
             if type(v) is tuple:
                 gate = gates.get(v)
@@ -799,6 +827,11 @@ def _pair_sweeps(state: SamplerState, count):
                     ratio = (1.0 - p_on) / p_on if x[n] else odds
                     if ratio >= 1.0 or draw() < ratio:
                         flip(n)
+        for n in tail:
+            p_on = 1.0 - surv[n]
+            sums[n] += p_on
+            if (draw() < p_on) != x[n]:
+                flip(n)
     _close_stretch(state, count, cost)
 
 
@@ -867,7 +900,7 @@ class ChainResult:
 
 
 def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
-    """Validate once, then run one chain per seed.
+    """Validate once, then run one chain per seed, in seed order.
 
     Each chain is set up and swept `sweeps` times.  A checkpoint estimates
     from the chain's book after that sweep; its sums and visit totals are
@@ -876,7 +909,9 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     survival caches are recomputed every `_REFRESH_SWEEPS` sweeps.  The
     chain runs in stretches between those stops, one `run_sweep` call per
     stretch.
-    Returns (state, checkpoint estimates, sweep-loop seconds) per chain.
+    Yields (state, checkpoint estimates, sweep-loop seconds) as each chain
+    finishes, and takes the next seed only then, so a caller that keeps no
+    finished chain holds only the running one, however many it runs.
     """
     if type(sweeps) is not int or sweeps < 1:
         raise ValueError(f"sweeps must be an integer of at least 1, got {sweeps!r}")
@@ -892,7 +927,6 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
     wanted = set(checkpoints)
     refreshes = range(_REFRESH_SWEEPS, sweeps + 1, _REFRESH_SWEEPS)
     stops = sorted({*wanted, burn_in, sweeps, *refreshes} - {0})
-    runs = []
     for seed in seeds:
         state = setup_chain(net, ev, strategy, ChainRandom(seed))
         marks = {}
@@ -908,8 +942,8 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
                 state.sweeps = state.redraws = 0
             if s % _REFRESH_SWEEPS == 0:
                 state.refresh_survivals()
-        runs.append((state, marks, time.perf_counter() - t0))
-    return runs
+        yield state, marks, time.perf_counter() - t0
+        del state, marks  # hold no finished chain while the next one runs
 
 
 def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> ChainResult:
@@ -922,14 +956,17 @@ def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> Cha
 
 def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> dict:
     """Merge one or more chains into a single marginal estimate per node:
-    their sums added in chain order, and their visit totals added."""
+    each chain's sums and visit totals are added into the first chain's
+    book as the chain finishes, in chain order, so memory stays flat in the
+    number of chains."""
     if type(chains) is not int or chains < 1:
         raise ValueError(f"chains must be an integer of at least 1, got {chains!r}")
-    seeds = [derive_seed(seed, "chain", k) for k in range(chains)] if chains > 1 else [seed]
+    seeds = (derive_seed(seed, "chain", k) for k in range(chains)) if chains > 1 else [seed]
     runs = _run_chains(net, ev, strategy, sweeps, seeds, burn_in)
-    first = runs[0][0]
-    for state, _, _ in runs[1:]:
+    first, _, _ = next(runs)
+    for state, _, _ in runs:
         first.sums = [s + t for s, t in zip(first.sums, state.sums)]
         first.sweeps += state.sweeps
         first.redraws += state.redraws
+        del state  # let it go before the next chain is set up
     return estimate_marginals(first)

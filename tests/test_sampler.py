@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import itertools
 import math
+import os
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     VASE_BLOCK_DIST,
     VASE_P_B,
     VASE_P_E,
@@ -31,6 +34,7 @@ from diagbn.flow import (
 )
 from diagbn import generate as gen
 from diagbn import sampler
+from diagbn.bench import load_config
 from diagbn.exact import exact_posteriors, explicit_transition_matrix
 from diagbn.network import build_network, validate
 from diagbn.sampler import (
@@ -1214,6 +1218,25 @@ class TestDeterminism:
         a = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=9, chains=3)
         b = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=9, chains=3)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["gibbs", "optimized-random"])
+    def test_chains_merge_as_they_finish(self, name):
+        # each chain joins the first chain's book as it finishes, so memory
+        # stays flat in the number of chains; holding every chain to the
+        # end made the 40-chain peak about 20 times the 2-chain one
+        config = load_config(os.path.join(DATA_DIR, "bench_config.json"))
+        ev = config.cases[0].evidence
+
+        def peak(chains):
+            tracemalloc.start()
+            try:
+                sample_posteriors(config.net, ev, PRESETS[name], sweeps=2, seed=1, chains=chains)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak(2)
+        assert peak(40) < 2 * two
 
     def test_different_seeds_differ(self, vase):
         a = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=1)
