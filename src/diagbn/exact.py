@@ -55,9 +55,10 @@ from .sampler import (
 
 _MATRIX_CAP = 12  # chain nodes a transition matrix may enumerate
 # a junction tree's Python work, in the table entries that take as long:
-# on a 2.1 GHz x86-64 core a table's messages take about 30 us, and a
-# node's factor and elimination step about 25 us, against 55-130 ns per
-# entry, more in tables that hold more factors
+# on a 2.1 GHz x86-64 core a table's messages take 17-25 us, and a node's
+# factor and elimination step 17-22 us, against 110-130 ns per entry, more
+# in tables that hold more factors: about 150-190 and 150-170 entries, so
+# both charges are above the costs they stand for and await a refit
 _CLIQUE_ENTRIES = 1 << 8  # per table
 _NODE_ENTRIES = 1 << 9  # per node
 
@@ -109,21 +110,27 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     the pruned tree's counted once for the evidence and once per barren
     node; `cap` only refuses a plan whose largest clique holds more nodes.
     Past the cap on both plans, or on a barren node's tree, or where a
-    table cannot be allocated, it raises EnumerationCapError; evidence of
-    probability zero, or failing `check_evidence`, raises ValueError.
+    table cannot be allocated, it raises EnumerationCapError; a cap that is
+    not a nonnegative integer, evidence of probability zero, or evidence
+    failing `check_evidence`, raises ValueError.
     """
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise ValueError(f"cap must be a nonnegative integer, got {cap!r}")
     check_evidence(net, ev)
     observed = {net.index[nid]: value for nid, value in ev.items()}
-    tree, barren = _plan(net, observed, cap)
+    # no node of a barren pass's tree has the barren node as a parent, or
+    # that node would be an ancestor of the evidence: one table serves all
+    splits = [_split(net, observed, j) for j in range(len(net.ids))]
+    tree, barren = _plan(net, observed, cap, splits)
     z = tree.collect()
     if z == -math.inf:
         raise ValueError("evidence has zero probability under this network")
     marginals = tree.distribute()
     for c in barren:
-        marginals[c] = tree.read(_split(net, observed, c))
+        marginals[c] = tree.read(splits[c])
         if marginals[c] is None:
             off = {**observed, c: False}
-            c_tree = _JunctionTree(net, off, _free_ancestors(net, off))
+            c_tree = _JunctionTree(off, _free_ancestors(net, off), splits)
             c_tree.check_cap(cap)
             # rounding can take the ratio a few ulps past 1
             marginals[c] = max(0.0, -math.expm1(c_tree.collect() - z))
@@ -133,10 +140,10 @@ def exact_posteriors(net: Network, ev: dict, cap: int = 22) -> dict:
     return out
 
 
-def _plan(net, observed, cap):
+def _plan(net, observed, cap, splits):
     """The junction tree to calibrate and the barren nodes it leaves out."""
     free = [j for j in range(len(net.ids)) if j not in observed]
-    full = _JunctionTree(net, observed, free)
+    full = _JunctionTree(observed, free, splits)
     kept = _free_ancestors(net, observed)
     barren = sorted(set(free).difference(kept))
     # a pruned pass eliminates the n kept nodes in some t tables, each at
@@ -149,7 +156,7 @@ def _plan(net, observed, cap):
     if not barren or full.width <= cap and full.cost <= floor:
         full.check_cap(cap)
         return full, []
-    pruned = _JunctionTree(net, observed, kept)
+    pruned = _JunctionTree(observed, kept, splits)
     fitting = [(tree, out) for tree, out in ((full, []), (pruned, barren)) if tree.width <= cap]
     if not fitting:
         min(full, pruned, key=lambda tree: tree.width).check_cap(cap)
@@ -164,23 +171,23 @@ def _free_ancestors(net, observed) -> list:
 def _split(net, observed, j):
     """Node j's stay-off weight with its free parents off, 1 - leak times
     1 - p over its parents observed on, as (value, log), and its free
-    parents, in index order, each paired with its 1 - p."""
+    parents, in index order, each paired with its log(1 - p)."""
     s0 = 1.0 - net.leak[j]
     log_s0 = _log(s0)
     links = []
     for i, p in sorted(zip(net.parents[j], net.parent_p[j])):
         if i not in observed:
-            links.append((i, 1.0 - p))
+            links.append((i, _log(1.0 - p)))
         elif observed[i]:
             s0 *= 1.0 - p
             log_s0 += _log(1.0 - p)
     return (s0, log_s0), links
 
 
-def _factors(net, observed, nodes):
+def _factors(observed, nodes, splits):
     """The joint of the observed nodes and the free `nodes`, which must hold
     every free parent of each, as a log constant, log `kept` terms and a
-    list of factors.
+    list of factors, from each node's `_split` in `splits`.
 
     A factor is (scope, node, s0, links), with s0 and links from `_split`.
     `node` is the free node the factor gives the probability of, or None
@@ -194,42 +201,28 @@ def _factors(net, observed, nodes):
     kept = {}  # free node -> sum of log(1 - p) over its children observed off
     factors = []
     for j in sorted(observed):
-        s0, links = _split(net, observed, j)
+        s0, links = splits[j]
         if not observed[j]:
             const += s0[1]
-            for i, q in links:
-                kept[i] = kept.get(i, 0.0) + _log(q)
+            for i, lq in links:
+                kept[i] = kept.get(i, 0.0) + lq
         elif links:
-            factors.append((tuple(i for i, _ in links), None, s0, links))
+            factors.append((tuple([i for i, _ in links]), None, s0, links))
         else:
             const += _log(1.0 - s0[0])
     for j in nodes:
-        s0, links = _split(net, observed, j)
+        s0, links = splits[j]
         factors.append((tuple(sorted([j] + [i for i, _ in links])), j, s0, links))
     return const, kept, factors
 
 
-def _log_table(factor, kept):
-    """A factor's log table, one axis per node of its scope.  Stay-off
-    weights are summed as logs, so none underflows, and an on weight is 1
-    less the stay-off weight, taken as -expm1 of its log.  The log of a
-    weight 0 is -inf: call with numpy's divide warnings off."""
-    scope, node, (_, log_s0), links = factor
-    log_off = _log_off(log_s0, links)
-    log_on = np.log(-np.expm1(log_off))
-    if node is None:
-        return log_on
-    # the node's off/on pair along a new first axis, moved to its place
-    k = scope.index(node)
-    axes = (*range(1, k + 1), 0, *range(k + 1, len(scope)))
-    return np.array((log_off, log_on + kept.get(node, 0.0))).transpose(axes)
-
-
 def _log_off(log_s0, links):
-    """Log stay-off weights, one axis per free parent in `links`, off then on."""
-    log_off = np.float64(log_s0)
-    for _, q in links:
-        log_off = np.add.outer(log_off, (0.0, _log(q)))
+    """Log stay-off weights over the free parents in `links`, one axis
+    each, off then on, flattened in C order: log s0 plus, in link order,
+    the log(1 - p) of each parent on."""
+    log_off = [log_s0]
+    for _, lq in links:
+        log_off = [y for x in log_off for y in (x, x + lq)]
     return log_off
 
 
@@ -255,10 +248,18 @@ def _fill(adj, v) -> int:
 def _eliminate(nodes, scopes):
     """Min-fill elimination order, ties to the lower index, and each node's
     elimination clique as a bitmask, bit v for node v: itself and its
-    neighbours when it is eliminated."""
+    neighbours when it is eliminated.
+
+    Fill counts are kept up to date, not recounted (Kjaerulff 1990).  When
+    v has fill 0, each neighbour a loses only v, and with it the missing
+    edges from v to a's neighbours outside v's.  When eliminating v joins
+    its neighbours, they are recounted, and any other node loses the new
+    edges among its own neighbours."""
     adj = dict.fromkeys(sorted(nodes), 0)
     for scope in scopes:
-        mask = sum(1 << v for v in scope)
+        mask = 0
+        for v in scope:
+            mask |= 1 << v
         for v in scope:
             adj[v] |= mask ^ 1 << v
     fill = {v: _fill(adj, v) for v in adj}
@@ -266,16 +267,44 @@ def _eliminate(nodes, scopes):
     while fill:
         v = min(fill, key=fill.__getitem__)  # the first, so the lowest, of least fill
         added = fill.pop(v)
-        nb = touched = adj.pop(v)
+        nb = rest = adj.pop(v)
+        bit = 1 << v
         order.append(v)
-        cliques[v] = nb | 1 << v
-        for a in _bits(nb):
-            adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
-            # without added edges only v's neighbours see their neighbourhood change
-            if added:
-                touched |= adj[a]
-        for u in _bits(touched):
-            fill[u] = _fill(adj, u)
+        cliques[v] = nb | bit
+        outside = ~(nb | bit)
+        if not added:
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                fill[a] -= (adj[a] & outside).bit_count()
+                adj[a] ^= bit
+            continue
+        new = {}  # v's neighbour -> its edges added by the fill
+        far = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            joined = (adj[a] | nb) & ~(low | bit)
+            new[a] = joined & ~adj[a]
+            adj[a] = joined
+            far |= joined
+        for a in new:
+            fill[a] = _fill(adj, a)
+        far &= outside
+        while far:
+            low = far & -far
+            far ^= low
+            u = low.bit_length() - 1
+            inside = rest = adj[u] & nb
+            if inside & (inside - 1):
+                lost = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    lost += (new[low.bit_length() - 1] & inside).bit_count()
+                fill[u] -= lost >> 1
     return order, cliques
 
 
@@ -287,8 +316,8 @@ def _shape(scope, nodes):
 
 class _JunctionTree:
     """The junction tree of the free `nodes` of a network with the observed
-    nodes fixed; `nodes` must hold every free parent of each of them and of
-    each observed node.
+    nodes fixed, from each node's `_split` in `splits`; `nodes` must hold
+    every free parent of each of them and of each observed node.
 
     Node v's elimination clique holds v and its neighbours when it is
     eliminated, and hangs below the clique of the first of those eliminated
@@ -303,12 +332,19 @@ class _JunctionTree:
     tables.  Tables and messages hold logs, so no product of many small
     factors underflows before the weights it is weighed against."""
 
-    def __init__(self, net, observed, nodes):
-        self.const, self.kept, factors = _factors(net, observed, nodes)
+    def __init__(self, observed, nodes, splits):
+        self.const, self.kept, factors = _factors(observed, nodes, splits)
         order, scope = _eliminate(nodes, [f[0] for f in factors])
-        at = {v: k for k, v in enumerate(order)}
         self.width = max(map(int.bit_count, scope.values()), default=0)
-        up = {v: min(_bits(scope[v] ^ 1 << v), key=at.__getitem__, default=None) for v in order}
+        up = {}  # node -> the first other node of its clique eliminated
+        for k, v in enumerate(order):
+            rest = scope[v] ^ 1 << v
+            u = None
+            if rest:
+                for u in order[k + 1 :]:
+                    if rest >> u & 1:
+                        break
+            up[v] = u
         home = {}  # node -> the clique its table folded into, then the table itself
         for v in order:
             u = up[v]
@@ -328,6 +364,7 @@ class _JunctionTree:
         tables = sum(_CLIQUE_ENTRIES + (1 << len(table)) for table in self.nodes.values())
         self.cost = len(order) * _NODE_ENTRIES + tables
         self.factors = {v: [] for v in self.nodes}
+        at = {v: k for k, v in enumerate(order)}
         for f in factors:
             self.factors[home[min(f[0], key=at.__getitem__)]].append(f)
 
@@ -343,22 +380,22 @@ class _JunctionTree:
         eliminates out of it into its parent's, scaling every message to a
         largest entry of 1.  Returns log Z, the log of the evidence's total
         weight: -inf when it is 0."""
-        self.tables, self.messages = {}, {}
-        with np.errstate(divide="ignore"):
-            for v, nodes in self.nodes.items():
-                try:
-                    table = self.tables[v] = np.zeros((2,) * len(nodes))
-                except MemoryError:
-                    n = len(nodes)
-                    raise EnumerationCapError(
-                        f"the junction tree's table over {n} nodes needs {(8 << n) / 2**30:g} GiB, "
-                        f"more than could be allocated; set a cap below {n} nodes (--cap)"
-                    ) from None
-                for f in self.factors[v]:
-                    table += _log_table(f, self.kept).reshape(_shape(f[0], nodes))
+        tables = self.tables = {}
+        for v, nodes in self.nodes.items():
+            try:
+                tables[v] = np.zeros((2,) * len(nodes))
+            except MemoryError:
+                n = len(nodes)
+                raise EnumerationCapError(
+                    f"the junction tree's table over {n} nodes needs {(8 << n) / 2**30:g} GiB, "
+                    f"more than could be allocated; set a cap below {n} nodes (--cap)"
+                ) from None
+        for v, part in self._log_tables():
+            tables[v] += part
+        self.messages = {}
         z = self.const
         for v, nodes in self.nodes.items():
-            message, u = self.tables[v], self.parent[v]
+            message, u = tables[v], self.parent[v]
             # logaddexp sums weights of 0 without taking the log of 0
             for k in sorted(map(nodes.index, self.eliminated[v]), reverse=True):
                 lead = (slice(None),) * k
@@ -369,12 +406,44 @@ class _JunctionTree:
             message -= peak
             z += peak
             if u is not None:
-                self.tables[u] += message.reshape(_shape(nodes, self.nodes[u]))
-                # log 0 - 0 is still log 0: `distribute` divides by one subtraction
-                # and a separator state of weight 0 below stays at weight 0
-                message[message == -math.inf] = 0.0
+                tables[u] += message.reshape(_shape(nodes, self.nodes[u]))
                 self.messages[v] = message
         return z
+
+    def _log_tables(self):
+        """The key of each factor's table and the factor's log table, laid
+        along that table's axes, in `factors` order.  Stay-off weights are
+        summed as logs, so none underflows, and an on weight is 1 less the
+        stay-off weight, taken as -expm1 of its log, by one expm1 and one
+        log over every factor.  A free node's factor lists its off entries,
+        then its on entries plus its `kept` term, and its own axis then
+        moves into place.  All are views of one array."""
+        factors = [f for out in self.factors.values() for f in out]
+        offs = [_log_off(f[2][1], f[3]) for f in factors]
+        with np.errstate(divide="ignore"):
+            ons = np.log(-np.expm1(np.array([x for off in offs for x in off]))).tolist()
+        flat, ends, at = [], [], 0
+        for (_, node, _, _), off in zip(factors, offs):
+            on = ons[at : at + len(off)]
+            at += len(off)
+            if node is not None:
+                flat += off
+                if node in self.kept:
+                    kept = self.kept[node]
+                    on = [x + kept for x in on]
+            flat += on
+            ends.append(len(flat))
+        flat = np.array(flat)
+        start, ends = 0, iter(ends)
+        for v, nodes in self.nodes.items():
+            for scope, node, _, _ in self.factors[v]:
+                end = next(ends)
+                part = flat[start:end]
+                start = end
+                if node is not None and node != scope[0]:
+                    # move the node's axis past those of its parents below it
+                    part = part.reshape(2, 1 << scope.index(node), -1).transpose(1, 0, 2)
+                yield v, part.reshape(_shape(scope, nodes))
 
     def distribute(self):
         """Pass messages back from the roots after `collect`, and read each
@@ -388,13 +457,18 @@ class _JunctionTree:
                 if u is not None:
                     axes = tuple(a for a, w in enumerate(self.nodes[u]) if w not in nodes)
                     ratio = np.log(weights[u].sum(axis=axes))
-                    ratio -= self.messages[v]
+                    # log 0 - 0 is still log 0: a separator state of weight 0
+                    # below stays at weight 0
+                    message = self.messages[v]
+                    message[message == -math.inf] = 0.0
+                    ratio -= message
                     table += ratio.reshape(_shape(self.nodes[u], nodes))
-                w = weights[v] = np.exp(table - table.max())
-                total = w.sum()
+                table -= table.max()
+                w = weights[v] = np.exp(table, out=table)
+                total = float(w.sum())
                 for x in self.eliminated[v]:
                     on = (slice(None),) * nodes.index(x) + (1,)
-                    marginals[x] = float(w[on].sum() / total)
+                    marginals[x] = float(w[on].sum()) / total
         return marginals
 
     def read(self, split):
@@ -411,7 +485,7 @@ class _JunctionTree:
         if not holding:
             return None
         v = min(holding, key=lambda v: len(self.nodes[v]))
-        on = -np.expm1(_log_off(log_s0, links)).reshape(_shape(parents, self.nodes[v]))
+        on = -np.expm1(np.array(_log_off(log_s0, links))).reshape(_shape(parents, self.nodes[v]))
         w = self.weights[v]
         return max(0.0, float((w * on).sum() / w.sum()))
 

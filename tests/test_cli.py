@@ -321,6 +321,19 @@ class TestExact:
         assert "largest clique has 12 nodes, over the cap of 10" in err
         assert not (tmp_path / "x.json").exists()
 
+    def test_negative_cap_exits_2(self, vase_files, tmp_path, capsys):
+        # refused as a cap, not as a clique of 0 nodes over it
+        net_path, _ = vase_files
+        ev_path, out = tmp_path / "ev.json", tmp_path / "x.json"
+        ev_path.write_text("{}")
+        rc, _, err = run_cli(
+            ["exact", "--network", net_path, "--evidence", str(ev_path), "--cap", "-3", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert err == "error: cap must be a nonnegative integer, got -3\n"
+        assert not out.exists()
+
     def test_table_past_memory_exits_2(self, tmp_path, capsys, tables_past_memory):
         # 34 models fit a cap of 40 but make one table of 128 GiB, which once
         # escaped numpy as a traceback with exit 1

@@ -20,9 +20,11 @@ from diagbn.exact import (
     _NODE_ENTRIES,
     EnumerationCapError,
     _eliminate,
+    _factors,
     _free_ancestors,
     _JunctionTree,
     _plan,
+    _split,
     exact_posteriors,
     explicit_transition_matrix,
 )
@@ -42,6 +44,12 @@ from oracles import (
     reference_eliminate,
     reference_exact_posteriors,
 )
+
+
+def splits(net, observed):
+    """Each node's `_split` given the observed nodes, as `exact_posteriors`
+    builds them for its trees."""
+    return [_split(net, observed, j) for j in range(len(net.ids))]
 
 
 def both_plans_cases(seed):
@@ -84,6 +92,20 @@ class TestExactPosteriors:
         want = reference_exact_posteriors(net, {"s": True})
         for nid in net.ids:
             assert got[nid] == pytest.approx(want[nid], abs=1e-12)
+
+    @pytest.mark.parametrize("cap", [-3, -1, True, False, 2.5, "22", None])
+    def test_cap_must_be_a_nonnegative_integer(self, vase, cap, monkeypatch):
+        # refused before any junction tree is built; a bool is no count
+        def no_tree(*args):
+            raise AssertionError("a junction tree was built")
+
+        monkeypatch.setattr("diagbn.exact._JunctionTree", no_tree)
+        with pytest.raises(ValueError, match=re.escape(f"cap must be a nonnegative integer, got {cap!r}")):
+            exact_posteriors(vase, {}, cap=cap)
+
+    def test_cap_of_zero_takes_full_evidence(self, vase):
+        post = exact_posteriors(vase, {"e": True, "b": False, "v": True}, cap=0)
+        assert post == {"e": 1.0, "b": 0.0, "v": 1.0}
 
     def test_impossible_evidence_rejected(self):
         # zero leak and no parents: the node can never be true
@@ -206,9 +228,9 @@ class TestExactPosteriors:
             # nodes read from Z(e, c = 0) / Z(e)
             observed = {net.index[nid]: value for nid, value in ev.items()}
             free = [j for j in range(len(net.ids)) if j not in observed]
-            full = _JunctionTree(net, observed, free).width
+            full = _JunctionTree(observed, free, splits(net, observed)).width
             try:
-                _, barren = _plan(net, observed, full - 1)
+                _, barren = _plan(net, observed, full - 1, splits(net, observed))
                 got = exact_posteriors(net, ev, cap=full - 1)
             except EnumerationCapError:
                 continue  # the pruned tree, or some barren node's, is past that cap
@@ -234,6 +256,41 @@ class TestExactPosteriors:
             assert order == want_order, (nodes, scopes)
             assert cliques == {v: sum(1 << u for u in c) for v, c in want_cliques.items()}, (nodes, scopes)
 
+    def test_eliminate_matches_reference_on_graphs_that_fill(self, monkeypatch):
+        # dense random scope sets over 30-60 nodes, and every scope set the
+        # fixture's five cases eliminate, so that most orders join some
+        # neighbours: the fill counts `_eliminate` keeps up to date, at v's
+        # neighbours and two steps away, must pick what a recount picks
+        rng = random.Random(23)
+        cases = []
+        for _ in range(40):
+            nodes = sorted(rng.sample(range(80), rng.randint(30, 60)))
+            scopes = [tuple(sorted(rng.sample(nodes, rng.randint(2, 6)))) for _ in range(rng.randint(15, 45))]
+            cases.append((nodes, scopes))
+        with open(os.path.join(DATA_DIR, "bench_net.json")) as fh:
+            net = parse_network(fh.read())
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            fixture = json.load(fh)
+        eliminate = _eliminate
+
+        def recorded(nodes, scopes):
+            cases.append((list(nodes), list(scopes)))
+            return eliminate(nodes, scopes)
+
+        monkeypatch.setattr("diagbn.exact._eliminate", recorded)
+        for case in fixture:
+            exact_posteriors(net, case["evidence"])
+        assert len(cases) == 40 + 103
+        filled = 0
+        for nodes, scopes in cases:
+            order, cliques = eliminate(nodes, scopes)
+            want_order, want_cliques = reference_eliminate(nodes, scopes)
+            assert order == want_order, (nodes, scopes)
+            assert cliques == {v: sum(1 << u for u in c) for v, c in want_cliques.items()}, (nodes, scopes)
+            edges = {(a, b) for scope in scopes for a in scope for b in scope}
+            filled += any((a, b) not in edges for c in want_cliques.values() for a in c for b in c)
+        assert filled >= 130, filled
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_merged_tree_structure(self, seed):
         # every free node eliminated once, by one table that holds each of
@@ -244,7 +301,7 @@ class TestExactPosteriors:
         for net, observed in both_plans_cases(seed):
             free = [j for j in range(len(net.ids)) if j not in observed]
             for nodes in (free, _free_ancestors(net, observed)):
-                tree = _JunctionTree(net, observed, nodes)
+                tree = _JunctionTree(observed, nodes, splits(net, observed))
                 assert sorted(v for out in tree.eliminated.values() for v in out) == nodes
                 for v, table in tree.nodes.items():
                     assert list(table) == sorted(table) and len(table) <= tree.width
@@ -274,11 +331,11 @@ class TestExactPosteriors:
         for net, observed in [*both_plans_cases(0), *both_plans_cases(1), *cases]:
             free = [j for j in range(len(net.ids)) if j not in observed]
             kept = _free_ancestors(net, observed)
-            full = _JunctionTree(net, observed, free)
-            pruned = _JunctionTree(net, observed, kept)
+            full = _JunctionTree(observed, free, splits(net, observed))
+            pruned = _JunctionTree(observed, kept, splits(net, observed))
             n_barren = len(free) - len(kept)
             want = n_barren > 0 and pruned.cost * (1 + n_barren) < full.cost
-            _, barren = _plan(net, observed, cap=40)
+            _, barren = _plan(net, observed, cap=40, splits=splits(net, observed))
             assert bool(barren) == want
             picks[want] += 1
         assert min(picks.values()) >= 40, picks
@@ -326,7 +383,7 @@ class TestExactPosteriors:
             cases = json.load(fh)
         for k, pruned in ((0, True), (1, False), (2, True), (4, False)):
             observed = {net.index[nid]: value for nid, value in cases[k]["evidence"].items()}
-            tree, barren = _plan(net, observed, cap=40)
+            tree, barren = _plan(net, observed, cap=40, splits=splits(net, observed))
             assert bool(barren) == pruned, k
             assert tree.width <= (9 if pruned else 18), k
 
@@ -349,13 +406,13 @@ class TestExactPosteriors:
             if not _free_ancestors(net, observed):
                 continue
             ev = {net.ids[j]: value for j, value in observed.items()}
-            cap = _JunctionTree(net, observed, free).width - 1
+            cap = _JunctionTree(observed, free, splits(net, observed)).width - 1
             try:
                 want = reference_exact_posteriors(net, ev)
             except ValueError:
                 continue  # evidence of probability zero
             try:
-                _, barren = _plan(net, observed, cap)
+                _, barren = _plan(net, observed, cap, splits(net, observed))
                 got = exact_posteriors(net, ev, cap=cap)
             except EnumerationCapError:
                 continue  # the pruned tree, or some barren node's, is past that cap
@@ -375,9 +432,9 @@ class TestExactPosteriors:
         observed_sizes = []
 
         class Counted(_JunctionTree):
-            def __init__(self, net, observed, nodes):
+            def __init__(self, observed, nodes, splits):
                 observed_sizes.append(len(observed))
-                super().__init__(net, observed, nodes)
+                super().__init__(observed, nodes, splits)
 
         monkeypatch.setattr("diagbn.exact._JunctionTree", Counted)
         for k, passes in ((0, 22), (2, 39), (3, 33)):
@@ -385,6 +442,42 @@ class TestExactPosteriors:
             observed_sizes.clear()
             exact_posteriors(net, ev)
             assert sum(size > len(ev) for size in observed_sizes) == passes, k
+
+    def test_one_split_table_serves_every_tree(self, monkeypatch):
+        # every tree of a call, the plan's and each barren pass's, which
+        # observes one node more than the evidence, takes the same constant,
+        # kept terms and factors from the call's one split table as from
+        # fresh `_split` calls given its own observed nodes; on the random
+        # DAGs, a cap below the full tree's width takes the pruned plan
+        with open(os.path.join(DATA_DIR, "bench_net.json")) as fh:
+            fixture = parse_network(fh.read())
+        with open(os.path.join(DATA_DIR, "bench_cases.json")) as fh:
+            calls = [(fixture, case["evidence"], 22) for case in json.load(fh)]
+        for net, observed in [*both_plans_cases(0), *both_plans_cases(1)]:
+            ev = {net.ids[j]: value for j, value in observed.items()}
+            free = [j for j in range(len(net.ids)) if j not in observed]
+            calls.append((net, ev, 22))
+            calls.append((net, ev, max(0, _JunctionTree(observed, free, splits(net, observed)).width - 1)))
+        built = []
+
+        class Recorded(_JunctionTree):
+            def __init__(self, observed, nodes, splits):
+                built.append((dict(observed), list(nodes), splits))
+                super().__init__(observed, nodes, splits)
+
+        monkeypatch.setattr("diagbn.exact._JunctionTree", Recorded)
+        trees = passes = 0
+        for net, ev, cap in calls:
+            built.clear()
+            try:
+                exact_posteriors(net, ev, cap=cap)
+            except ValueError:
+                pass  # past the cap, or evidence of probability zero
+            for observed, nodes, shared in built:
+                assert _factors(observed, nodes, shared) == _factors(observed, nodes, splits(net, observed))
+                trees += 1
+                passes += len(observed) > len(ev)
+        assert passes >= 500, (trees, passes)
 
     def test_table_past_memory_raises_cap_error(self, tables_past_memory):
         # 34 models make one table of 2^34 entries, 128 GiB, within a cap of 40
