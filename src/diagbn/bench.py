@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .generate import cases_from_jsonable
@@ -42,6 +43,8 @@ def error_count(estimates: dict, truths: dict, epsilon_floor: float = DEFAULT_EP
     return errors
 
 
+# a dataclass, unlike the other records, so `dataclasses.replace` copies it
+# with fields changed, as perfbench does
 @dataclass
 class ExperimentConfig:
     net: object
@@ -178,20 +181,23 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-@dataclass
-class Report:
-    strategies: list
-    checkpoints: list
-    mean_errors: dict  # strategy -> [mean error count per checkpoint]
-    cost_ratio: dict  # strategy -> deterministic move-cost ratio vs baseline
-    time_ratio: dict  # strategy -> measured wall-clock ratio vs baseline (never serialized)
-    seconds: dict  # strategy -> absolute wall seconds (never serialized)
-    baseline: str
-    seed: int
-    repetitions: int
-    n_cases: int
-    epsilon_floor: float
-    n_scored_nodes: int
+class Report(namedtuple("Report", [
+    "strategies",
+    "checkpoints",
+    "mean_errors",  # strategy -> [mean error count per checkpoint]
+    "cost_ratio",  # strategy -> deterministic move-cost ratio vs baseline
+    "time_ratio",  # strategy -> measured wall-clock ratio vs baseline (never serialized)
+    "seconds",  # strategy -> absolute wall seconds (never serialized)
+    "baseline",
+    "seed",
+    "repetitions",
+    "n_cases",
+    "epsilon_floor",
+    "n_scored_nodes",
+])):
+    """A strategy grid's results: what `run_experiment` returns."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         """The deterministic part of the report; wall time stays out."""

@@ -39,7 +39,6 @@ weighing the lists the moves weigh, and no others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -494,7 +493,6 @@ class _JunctionTree:
 # explicit transition matrices
 
 
-@dataclass
 class TransitionMatrix:
     """Every per-move kernel of a strategy on an enumerable state space.
 
@@ -506,13 +504,20 @@ class TransitionMatrix:
     pi is the chain's target distribution on this space.
     """
 
-    node_order: tuple
-    states: list
-    pi: np.ndarray
-    moves: list
-    sweep_stages: list
-    # label -> the kernel's transpose, built on the first sweep
-    _transposed: dict = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, node_order, states, pi, moves, sweep_stages):
+        self.node_order = node_order
+        self.states = states
+        self.pi = pi
+        self.moves = moves
+        self.sweep_stages = sweep_stages
+        # label -> the kernel's transpose, built on the first sweep
+        self._transposed = None
+
+    def __eq__(self, other):
+        if type(other) is not TransitionMatrix:
+            return NotImplemented
+        return (self.node_order, self.states, self.pi, self.moves, self.sweep_stages) == (
+            other.node_order, other.states, other.pi, other.moves, other.sweep_stages)
 
     def apply_sweep(self, vec: np.ndarray) -> np.ndarray:
         """One sweep applied to a distribution (or to each row of a matrix)."""
@@ -591,7 +596,7 @@ def explicit_transition_matrix(
         rs, cs, vs = (np.concatenate(col) for col in zip(*parts))
         mat = sparse.csr_matrix((vs, (rs, cs)), shape=(size, size))
         sums = np.asarray(mat.sum(axis=1)).ravel()
-        assert np.allclose(sums, 1.0, atol=1e-12)
+        assert np.all(np.abs(sums - 1.0) <= 1e-12)
         moves.append((label, mat))
 
     def move_or_stay(s, t, p):

@@ -28,7 +28,7 @@ every chain, first hold the evidence to `network.check_evidence`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .network import Network, check_evidence
 
@@ -37,19 +37,17 @@ FORWARD_SAMPLED = "forward-sampled"
 DIAGNOSTIC_SAMPLED = "diagnostic-sampled"
 
 
-@dataclass(frozen=True)
-class ClampResult:
+class ClampResult(namedtuple("ClampResult", "clamped_false unclamped")):
     """Partition of the non-evidence nodes into pinned-false and free."""
 
-    clamped_false: frozenset
-    unclamped: frozenset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlowInfo:
-    status: str
-    evidential_children: tuple
-    conditioning_set: frozenset
+class FlowInfo(namedtuple("FlowInfo", "status evidential_children conditioning_set")):
+    """A non-evidence node's status, its evidential children (a tuple) and
+    the node ids its conditional reads (a frozenset)."""
+
+    __slots__ = ()
 
 
 def clamp_pass(net: Network, ev: dict) -> ClampResult:

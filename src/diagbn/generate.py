@@ -9,9 +9,10 @@ Everything is deterministic in the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .network import MODEL, SENSORY, Network, build_network, check_evidence, validate
+from .sampler import check_seed
 
 TWO_LAYER = "two-layer"
 LAYERED_CAUSAL = "layered-causal"
@@ -19,24 +20,25 @@ LAYERED_CAUSAL = "layered-causal"
 _MAX_ATTEMPTS = 5000  # forward-sampled worlds drawn per case before giving up
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    n_model: int
-    n_sensory: int
-    n_links: int
-    prior_range: tuple = (0.001, 0.05)
-    link_range: tuple = (0.2, 0.9)
-    sensory_leak_range: tuple = (0.001, 0.01)
-    layering: str = TWO_LAYER
-    depth: int = 3
-    competing_fraction: float = 0.5
-    seed: int = 0
+class GeneratorParams(namedtuple(
+    "GeneratorParams",
+    "n_model n_sensory n_links prior_range link_range sensory_leak_range"
+    " layering depth competing_fraction seed",
+    # the last seven fields' defaults, prior_range to seed
+    defaults=((0.001, 0.05), (0.2, 0.9), (0.001, 0.01), TWO_LAYER, 3, 0.5, 0),
+)):
+    """What `generate_network` draws: node and link counts, the ranges its
+    priors, link strengths and sensory leaks are drawn from, the layering
+    and its depth, the share of sensory nodes given a second parent, and
+    the seed.  Everything after `n_links` has a default."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TestCase:
-    evidence: dict
-    n_positive: int
+class TestCase(namedtuple("TestCase", "evidence n_positive")):
+    """One diagnostic case: its evidence dict and how many findings are true."""
+
+    __slots__ = ()
 
 
 def _check_range(name, rng_pair):
@@ -69,6 +71,7 @@ def generate_network(params: GeneratorParams) -> Network:
     _check_range("prior_range", p.prior_range)
     _check_range("link_range", p.link_range)
     _check_range("sensory_leak_range", p.sensory_leak_range)
+    check_seed(p.seed)
 
     rng = random.Random(p.seed)
     mw = len(str(p.n_model))
@@ -160,6 +163,7 @@ def generate_cases(
         raise ValueError(f"bad positive_range {positive_range}")
     if pos_lo > ev_hi:
         raise ValueError("positive_range demands more true observations than evidence slots")
+    check_seed(seed)
     rng = random.Random(seed)
     cases = []
     world = [0] * len(net.ids)

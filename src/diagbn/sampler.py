@@ -84,11 +84,10 @@ sweep index.  Both loops fill a missing conditional by
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import flow as flowmod
 from .flow import clamp_pass, classify_flow, evidence_cover, no_clamp
@@ -128,21 +127,40 @@ _MIN_NORMAL = 2.2250738585072014e-308
 _REFRESH_SWEEPS = 20000
 
 
-@dataclass(frozen=True)
 class StrategySpec:
     """One sampling configuration: what to pin, what to condition on, how to move."""
 
-    name: str
-    clamp: bool
-    flow_aware: bool
-    move_policy: str
-    rule: str
+    __slots__ = ("name", "clamp", "flow_aware", "move_policy", "rule")
 
-    def __post_init__(self):
-        if self.move_policy not in _POLICIES:
-            raise ValueError(f"unknown move policy {self.move_policy!r}")
-        if self.rule not in (GIBBS, METROPOLIS):
-            raise ValueError(f"unknown rule {self.rule!r}; rules: {GIBBS!r}, {METROPOLIS!r}")
+    def __init__(self, name, clamp, flow_aware, move_policy, rule):
+        if move_policy not in _POLICIES:
+            raise ValueError(f"unknown move policy {move_policy!r}")
+        if rule not in (GIBBS, METROPOLIS):
+            raise ValueError(f"unknown rule {rule!r}; rules: {GIBBS!r}, {METROPOLIS!r}")
+        for field, value in zip(StrategySpec.__slots__, (name, clamp, flow_aware, move_policy, rule)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    def __reduce__(self):
+        # copies and pickles are built by __init__, so they are checked too
+        return StrategySpec, tuple(getattr(self, field) for field in StrategySpec.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not StrategySpec:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in StrategySpec.__slots__)
+        return f"StrategySpec({fields})"
 
     @property
     def pair_move(self):
@@ -216,8 +234,18 @@ def _shuffle_steps(size):
     return tuple((n, n.bit_length(), n - 1) for n in range(size, 1, -1))
 
 
+def check_seed(seed):
+    """ValueError unless `seed` is a nonnegative integer: `random.Random`
+    seeds with |seed|, so a negative seed would repeat its positive twin."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def derive_seed(master, *tags) -> int:
     """Stable 63-bit seed for a labelled sub-stream of a master seed."""
+    # imported here, as no single chain derives a seed
+    import hashlib
+
     text = ":".join([str(master)] + [str(t) for t in tags])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -892,11 +920,11 @@ def estimate_marginals(state: SamplerState) -> dict:
 # whole runs
 
 
-@dataclass
-class ChainResult:
-    checkpoint_estimates: dict  # checkpoint sweep -> estimates after it
-    cost: int
-    seconds: float
+class ChainResult(namedtuple("ChainResult", "checkpoint_estimates cost seconds")):
+    """One chain's estimates per checkpoint (checkpoint sweep -> estimates
+    after it), its move cost and its sweep-loop seconds."""
+
+    __slots__ = ()
 
 
 def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
@@ -949,7 +977,9 @@ def _run_chains(net, ev, strategy, sweeps, seeds, burn_in, checkpoints=()):
 def run_chain(net, ev, strategy, sweeps, seed, burn_in=0, checkpoints=()) -> ChainResult:
     """Run one chain and return its estimates at each checkpoint, its move
     cost and its sweep-loop seconds.  List `sweeps` among the checkpoints
-    for the estimates at the end of the chain."""
+    for the estimates at the end of the chain.  The seed must be a
+    nonnegative integer."""
+    check_seed(seed)
     [(state, marks, seconds)] = _run_chains(net, ev, strategy, sweeps, [seed], burn_in, checkpoints)
     return ChainResult(marks, state.cost, seconds)
 
@@ -958,9 +988,11 @@ def sample_posteriors(net, ev, strategy, sweeps, seed, burn_in=0, chains=1) -> d
     """Merge one or more chains into a single marginal estimate per node:
     each chain's sums and visit totals are added into the first chain's
     book as the chain finishes, in chain order, so memory stays flat in the
-    number of chains."""
+    number of chains.  The seed must be a nonnegative integer, with one
+    chain or many."""
     if type(chains) is not int or chains < 1:
         raise ValueError(f"chains must be an integer of at least 1, got {chains!r}")
+    check_seed(seed)
     seeds = (derive_seed(seed, "chain", k) for k in range(chains)) if chains > 1 else [seed]
     runs = _run_chains(net, ev, strategy, sweeps, seeds, burn_in)
     first, _, _ = next(runs)

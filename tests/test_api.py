@@ -244,6 +244,30 @@ def test_every_class_attribute_is_read_by_shipped_code():
     assert not unread, f"attributes only tests read: {unread}"
 
 
+def namedtuple_fields(tree):
+    """(record name, field) for every `namedtuple("Name", fields)` call,
+    its fields given as one string or a list of strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) == "namedtuple":
+            name, fields = (ast.literal_eval(arg) for arg in node.args[:2])
+            for field in fields.replace(",", " ").split() if isinstance(fields, str) else fields:
+                yield name, field
+
+
+def test_every_record_field_is_read_by_shipped_code():
+    # a named tuple's fields are strings, which the class check cannot see
+    read = {
+        node.attr
+        for path in shipped_sources()
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [f for path in library_sources() for f in namedtuple_fields(parse(path))]
+    assert ("GeneratorParams", "competing_fraction") in fields
+    unread = sorted(f"{name}.{field}" for name, field in fields if field not in read)
+    assert not unread, f"record fields only tests read: {unread}"
+
+
 def test_every_function_the_benchmark_traces_exists():
     functions = traced_functions()
     assert ("sampler", "single_site_move") in functions

@@ -108,6 +108,20 @@ class TestSample:
         assert err.startswith("error:")
         assert "hill-climbing" in err
 
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_negative_seed_exits_2(self, vase_files, tmp_path, capsys, chains):
+        # --seed -7 used to write --seed 7's marginals under another echoed seed
+        net_path, ev_path = vase_files
+        out = tmp_path / "x.json"
+        rc, _, err = run_cli(
+            ["sample", "--network", net_path, "--evidence", ev_path, "--strategy", "gibbs",
+             "--sweeps", "10", "--seed", "-7", "--chains", chains, "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert err == "error: seed must be a nonnegative integer, got -7\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sweeps, burn_in, word",
         [("50", "50", "burn-in"), ("50", "80", "burn-in"), ("50", "-1", "burn-in"),
@@ -532,6 +546,17 @@ class TestGen:
             assert rc == 2 and err.startswith("error:"), err
             assert list(tmp_path.iterdir()) == [], cases
 
+    @pytest.mark.parametrize("seeds", [["--seed", "-7"], ["--seed", "1", "--cases-seed", "-7"]])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, seeds):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--models", "5", "--sensors", "3", "--links", "8", "--out", "net.json",
+                "--cases", "2", "--cases-out", "c.json", "--evidence-range", "1", "3",
+                "--positive-range", "1", "2"]
+        rc, _, err = run_cli(argv + seeds, capsys)
+        assert rc == 2
+        assert err == "error: seed must be a nonnegative integer, got -7\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_cases_out_requires_cases(self, tmp_path, monkeypatch, capsys):
         # a case file named without a case count is an error, not a silent no-op
         monkeypatch.chdir(tmp_path)
@@ -713,7 +738,59 @@ print(json.dumps(seen))
 """
 
 
+# imports diagbn and its CLI, then runs each argv list in the JSON argument
+# through cli.main, and prints for each step which of HEAVY it added to
+# sys.modules
+ADDED_MODULES = """
+import json, sys
+HEAVY = ("dataclasses", "inspect", "typing", "hashlib", "numpy", "scipy")
+
+def added(before):
+    return sorted({m.split(".")[0] for m in set(sys.modules) - before} & set(HEAVY))
+
+before = set(sys.modules)
+import diagbn
+steps = [["import diagbn", 0, added(before)]]
+before = set(sys.modules)
+from diagbn.cli import main
+steps.append(["import diagbn.cli", 0, added(before)])
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    steps.append([argv[0], main(argv), added(before)])
+print(json.dumps(steps))
+"""
+
+
 class TestStartUp:
+    def test_import_and_one_chain_load_neither_dataclasses_nor_hashlib(self, vase_files, tmp_path):
+        # dataclasses brings inspect, ast, dis and tokenize with it, and a
+        # single chain derives no seed, so needs no hashlib
+        net_path, ev_path = vase_files
+        data = ["--network", net_path, "--evidence", ev_path]
+        runs = [
+            ["sample", *data, "--strategy", "optimized-fwd-bwd", "--sweeps", "50", "--seed", "1",
+             "--chains", "1", "--out", str(tmp_path / "sample.json")],
+            ["analyze", *data, "--out", str(tmp_path / "analyze.json")],
+            ["gen", "--models", "5", "--sensors", "3", "--links", "8", "--seed", "1",
+             "--out", str(tmp_path / "net.json"), "--cases", "2", "--cases-out", str(tmp_path / "cases.json"),
+             "--evidence-range", "1", "3", "--positive-range", "1", "2"],
+            ["exact", *data, "--out", str(tmp_path / "exact.json")],
+        ]
+        proc = run_in_subprocess(["-c", ADDED_MODULES, json.dumps(runs)])
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert steps[:5] == [
+            ["import diagbn", 0, []],
+            ["import diagbn.cli", 0, []],
+            ["sample", 0, []],
+            ["analyze", 0, []],
+            ["gen", 0, []],
+        ]
+        # numpy brings inspect; dataclasses and hashlib stay out
+        name, rc, added = steps[5]
+        assert (name, rc) == ("exact", 0)
+        assert "numpy" in added and not {"dataclasses", "hashlib"} & set(added), added
+
     def test_only_exact_loads_numpy_and_none_loads_scipy(self, vase_files, tmp_path):
         net_path, ev_path = vase_files
         data = ["--network", net_path, "--evidence", ev_path]

@@ -40,6 +40,11 @@ class TestGenerateNetwork:
         b = serialize_network(generate_network(GeneratorParams(seed=2, **base)))
         assert a != b
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with |seed|, so -3 would draw seed 3's network
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -3"):
+            generate_network(GeneratorParams(n_model=30, n_sensory=12, n_links=80, seed=-3))
+
     def test_minimal_family(self):
         params = GeneratorParams(
             n_model=2, n_sensory=1, n_links=2, competing_fraction=1.0, seed=5
@@ -186,6 +191,10 @@ class TestGenerateCases:
             n_pos = sum(case.evidence.values())
             assert 1 <= n_pos <= 3
             assert case.n_positive == n_pos
+
+    def test_negative_seed_rejected(self, small_net):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -31"):
+            generate_cases(small_net, 2, evidence_range=(2, 4), positive_range=(1, 3), seed=-31)
 
     def test_evidence_is_sensory_only(self, small_net):
         cases = generate_cases(

@@ -83,7 +83,7 @@ def make_state(net, ev, strategy_name="gibbs", seed=0, rule=None):
     """A chain of the named preset, or of the preset under `rule`."""
     strategy = PRESETS[strategy_name]
     if rule is not None:
-        strategy = dataclasses.replace(strategy, name=f"{strategy_name}-{rule}", rule=rule)
+        strategy = StrategySpec(f"{strategy_name}-{rule}", strategy.clamp, strategy.flow_aware, strategy.move_policy, rule)
     return setup_chain(net, ev, strategy, random.Random(seed))
 
 
@@ -1242,6 +1242,17 @@ class TestDeterminism:
         a = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=1)
         b = sample_posteriors(vase, {"v": True}, PRESETS["gibbs"], sweeps=300, seed=2)
         assert a != b
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_negative_seed_rejected(self, vase, chains):
+        # random.Random seeds with |seed|, so -7 would run seed 7's chain
+        gibbs = PRESETS["gibbs"]
+        message = "seed must be a nonnegative integer, got -7"
+        with pytest.raises(ValueError, match=message):
+            sample_posteriors(vase, {"v": True}, gibbs, sweeps=10, seed=-7, chains=chains)
+        with pytest.raises(ValueError, match=message):
+            run_chain(vase, {"v": True}, gibbs, sweeps=10, seed=-7, checkpoints=(10,))
+        assert sample_posteriors(vase, {"v": True}, gibbs, sweeps=10, seed=0, chains=chains)
 
     def test_derive_seed_stable_and_spread(self):
         assert derive_seed(1, "x", 0) == derive_seed(1, "x", 0)
